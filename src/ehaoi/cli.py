@@ -54,7 +54,31 @@ class RunConfig:
     simulate_also: bool = False
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# what a JSON config value must be, by the RunConfig field's declared type
+_TYPE_CHECKS = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", _is_int),
+    "bool": ("true or false", lambda x: isinstance(x, bool)),
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "str | None": ("a string or null", lambda x: x is None or isinstance(x, str)),
+    "list[int]": (
+        "a non-empty list of integers",
+        lambda x: isinstance(x, list) and bool(x) and all(map(_is_int, x)),
+    ),
+    "list[float] | None": (
+        "a list of numbers or null",
+        lambda x: x is None or (isinstance(x, list) and all(map(_is_number, x))),
+    ),
+}
+_FIELD_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(RunConfig)}
 
 
 class CliUsageError(Exception):
@@ -94,8 +118,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, value in _load_config(args.config).items():
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_CHECKS:
                 raise CliUsageError(f"unknown config key {key!r}")
+            expected, ok = _FIELD_CHECKS[key]
+            if not ok(value):
+                raise CliUsageError(
+                    f"config key {key!r} must be {expected}, got {json.dumps(value)}"
+                )
             setattr(cfg, key, value)
     overrides = {
         "lambda_e": "lambda_e",

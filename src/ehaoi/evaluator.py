@@ -33,8 +33,8 @@ from .model import (
     DomainError,
     ModelParams,
     State,
-    kernel_arrays,
     state_count,
+    successors,
 )
 from .policies import (
     Explicit,
@@ -119,14 +119,41 @@ def step(
 
 
 def _induced_chain(actions: np.ndarray, m: ModelParams) -> sparse.csr_matrix:
-    kern = kernel_arrays(m)
     n = state_count(m)
-    sel = np.asarray(actions, dtype=np.int64)
+    idx, pr = successors(actions, m)
     rows = np.repeat(np.arange(n), 4)
-    cols = kern.next_idx[sel, np.arange(n), :].ravel()
-    vals = kern.prob[sel, np.arange(n), :].ravel()
+    cols = idx.ravel()
+    vals = pr.ravel()
     mask = vals > 0.0
     return sparse.csr_matrix((vals[mask], (rows[mask], cols[mask])), shape=(n, n))
+
+
+def _periodic_chain(kind: Periodic, m: ModelParams) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Chain on (slot phase, state), phase outer, and its paid-transmission
+    mask: phase 0 follows the schedule's transmit slot, the others idle."""
+    n = state_count(m)
+    T = kind.period
+    base = np.arange(n)
+    battery = _battery_of(m)
+    send = np.ones(n, dtype=np.int64)
+    if kind.skip_on_empty:
+        send[battery == 0] = 0
+    idle = np.zeros(n, dtype=np.int64)
+    tables = [(act, successors(act, m)) for act in (send, idle)[: min(T, 2)]]
+    rows, cols, vals = [], [], []
+    paid_mass = []
+    for r in range(T):
+        act, (idx, pr) = tables[min(r, 1)]
+        mask = pr.ravel() > 0.0
+        rows.append((r * n + np.repeat(base, 4))[mask])
+        cols.append((((r + 1) % T) * n + idx.ravel())[mask])
+        vals.append(pr.ravel()[mask])
+        paid_mass.append((act == TRANSMIT) & (battery == 0))
+    P = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * T, n * T),
+    )
+    return P, np.concatenate(paid_mass)
 
 
 def _recurrent_class(P: sparse.csr_matrix, start: int) -> np.ndarray:
@@ -219,35 +246,11 @@ def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:
     """
     if not isinstance(kind, Periodic):
         raise ValueError(f"expected a Periodic policy, got {kind!r}")
-    kern = kernel_arrays(m)
-    n = state_count(m)
-    T = kind.period
-    base = np.arange(n)
-    battery = _battery_of(m)
-    rows, cols, vals = [], [], []
-    paid_mass = []
-    for r in range(T):
-        if r == 0:
-            act = np.ones(n, dtype=np.int64)
-            if kind.skip_on_empty:
-                act[battery == 0] = 0
-        else:
-            act = np.zeros(n, dtype=np.int64)
-        idx = kern.next_idx[act, base, :]
-        pr = kern.prob[act, base, :]
-        mask = pr.ravel() > 0.0
-        rows.append((r * n + np.repeat(base, 4))[mask])
-        cols.append((((r + 1) % T) * n + idx.ravel())[mask])
-        vals.append(pr.ravel()[mask])
-        paid_mass.append((act == TRANSMIT) & (battery == 0))
-    P = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * T, n * T),
-    )
+    P, paid = _periodic_chain(kind, m)
     cls = _recurrent_class(P, start=0)  # (age 1, battery 0) at phase 0
     mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr(), method="direct")
-    average_aoi = float(mu @ np.tile(_aoi_of(m), T)[cls])
-    rate = float(mu[np.concatenate(paid_mass)[cls]].sum())
+    average_aoi = float(mu @ np.tile(_aoi_of(m), kind.period)[cls])
+    rate = float(mu[paid[cls]].sum())
     return EvalReport(
         average_cost=average_aoi + m.weight * m.cost_reliable * rate,
         average_aoi=average_aoi,

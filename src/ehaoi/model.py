@@ -11,7 +11,11 @@ finite; pick ``delta_max`` well above any policy threshold and the
 truncation is numerically invisible.
 
 Value tables throughout the package are plain float arrays indexed in
-``enumerate_states`` order (battery level outer, age inner).
+``enumerate_states`` order (battery level outer, age inner). Reshaped to
+``(battery_cap + 1, delta_max)`` they form the (battery, age) grid on which
+every successor is a fixed shift; ``GridShift`` and ``successors`` are the
+exact side's dynamics in that form, and ``transition``/``kernel_arrays``
+stay as the per-state reference they are checked against.
 """
 
 from __future__ import annotations
@@ -189,3 +193,93 @@ def kernel_arrays(m: ModelParams) -> KernelArrays:
     for arr in (cost, next_idx, prob):
         arr.flags.writeable = False
     return KernelArrays(cost, next_idx, prob)
+
+
+def _coefficients(m: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Idle and transmit branch probabilities, in ``transition``'s entry order.
+
+    An entry ``transition`` drops (below PROB_FLOOR) becomes 0 here, which
+    leaves a sum over the others, and a chain built from them, unchanged.
+    """
+    lam, p = m.lambda_e, m.p_block
+    raw = (
+        (lam, 1.0 - lam),  # idle: to battery q + 1, to q
+        (p * lam, (1.0 - p) * lam, p * (1.0 - lam), (1.0 - p) * (1.0 - lam)),
+    )
+    idle, transmit = (
+        tuple(pr if pr >= PROB_FLOOR else 0.0 for pr in probs) for probs in raw
+    )
+    return idle, transmit
+
+
+class GridShift:
+    """Bellman Q operator as slice operations on the (battery, age) grid.
+
+    Every successor is a shift of the value grid: age + 1 (capped at
+    delta_max) or reset to 1, battery + 1 or - 1 (clipped). Each action's
+    terms are summed in ``transition``'s entry order, left to right, which
+    is how numpy reduces ``kernel_arrays``' length-4 rows, so the result
+    equals the gather over ``kernel_arrays`` bit for bit.
+    """
+
+    def __init__(self, m: ModelParams):
+        self.shape = (m.battery_cap + 1, m.delta_max)
+        self.idle, self.transmit = _coefficients(m)
+        self.age = np.arange(1, m.delta_max + 1, dtype=float)
+        self.paid_age = self.age + m.weight * m.cost_reliable
+        self._aged = np.empty(self.shape)
+        self._term = np.empty((m.battery_cap, m.delta_max))
+
+    def backup_q(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Q-values for every (action, state) pair as a (2, n) array."""
+        grid = np.asarray(v, dtype=float).reshape(self.shape)
+        if out is None:
+            out = np.empty((2, grid.size))
+        q = out.reshape((2,) + self.shape)
+        aged = self._aged  # aged[b, j] = v at (min(j + 2, delta_max), b)
+        aged[:, :-1] = grid[:, 1:]
+        aged[:, -1] = grid[:, -1]
+        reset = grid[:, :1]  # age 1
+        term = self._term
+        up, stay = self.idle
+        idle = q[IDLE]
+        np.multiply(aged[1:], up, out=idle[:-1])
+        np.multiply(aged[:-1], stay, out=term)
+        idle[:-1] += term
+        idle[-1] = aged[-1]  # a full battery idles with probability 1
+        idle += self.age
+        # battery q >= 1 spends down to q - 1; an empty battery pays for a
+        # backup packet and so has the successors of battery 1
+        c0, c1, c2, c3 = self.transmit
+        tx = q[TRANSMIT, 1:]
+        np.multiply(aged[1:], c0, out=tx)
+        tx += c1 * reset[1:]
+        np.multiply(aged[:-1], c2, out=term)
+        tx += term
+        tx += c3 * reset[:-1]
+        np.add(self.paid_age, tx[0], out=q[TRANSMIT, 0])
+        tx += self.age
+        return out
+
+
+def successors(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Successor indices and probabilities of every state under ``actions``.
+
+    Returns two (n, 4) arrays in ``enumerate_states`` order whose rows list
+    ``transition``'s entries in its order; an entry dropped below
+    PROB_FLOOR, and the padding of a short row, has probability 0.
+    """
+    b_max, dm = m.battery_cap, m.delta_max
+    battery = np.repeat(np.arange(b_max + 1), dm)[:, None]
+    age_next = np.minimum(np.tile(np.arange(dm), b_max + 1) + 1, dm - 1)[:, None]
+    aged = battery * dm + age_next  # (min(age + 1, delta_max), battery)
+    pad = np.zeros_like(aged)
+    (up, stay), transmit = _coefficients(m)
+    full = battery == b_max  # a full battery idles to itself with probability 1
+    idle_idx = np.hstack((np.where(full, aged, aged + dm), aged, pad, pad))
+    idle_prob = np.where(full, (1.0, 0.0, 0.0, 0.0), (up, stay, 0.0, 0.0))
+    spent = np.maximum(battery - 1, 0)  # an empty battery pays for backup
+    spent_aged = aged + (spent - battery) * dm
+    tx_idx = np.hstack((spent_aged + dm, (spent + 1) * dm, spent_aged, spent * dm))
+    send = np.asarray(actions).reshape(-1, 1) == TRANSMIT
+    return np.where(send, tx_idx, idle_idx), np.where(send, transmit, idle_prob)

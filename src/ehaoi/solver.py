@@ -5,7 +5,8 @@ stops on the span seminorm of the Bellman update, so it converges even
 though average-cost values themselves are only defined up to a constant.
 Two extraction routes are provided: a full per-state argmin, and a
 threshold-exploiting scan that walks each battery row in increasing age
-and stops evaluating argmins once the row starts transmitting.
+and stops comparing once the row starts transmitting. Every sweep and the
+full argmin use the grid-shift operator (``model.GridShift``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .model import (
     IDLE,
     TRANSMIT,
     DomainError,
+    GridShift,
     ModelParams,
     State,
-    kernel_arrays,
     one_step_cost,
     state_count,
     state_index,
+    successors,
     transition,
 )
 
@@ -93,7 +95,8 @@ class SolveResult:
     iterations: int
     span_residual: float      # span of the final Bellman update
     span_history: np.ndarray  # residual after each sweep
-    argmin_evals: int         # states whose action came from an explicit argmin
+    argmin_evals: int         # states decided by comparing Q values in a row scan
+    gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # Odoni (lo, hi) on the gain
 
 
 def q_value(v: np.ndarray, s: State, a: int, m: ModelParams) -> float:
@@ -106,9 +109,7 @@ def q_value(v: np.ndarray, s: State, a: int, m: ModelParams) -> float:
 
 def bellman_backup_q(v: np.ndarray, m: ModelParams) -> np.ndarray:
     """Q-values for every (action, state) pair as a (2, n) array."""
-    kern = kernel_arrays(m)
-    v = np.asarray(v, dtype=float)
-    return kern.cost + (kern.prob * v[kern.next_idx]).sum(axis=2)
+    return GridShift(m).backup_q(v)
 
 
 def _iterate_values(m: ModelParams, eps: float, max_iter: int):
@@ -116,24 +117,27 @@ def _iterate_values(m: ModelParams, eps: float, max_iter: int):
         raise DomainError(f"eps must be > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    kern = kernel_arrays(m)
+    op = GridShift(m)
     n = state_count(m)
     ref = state_index(State(1, m.battery_cap), m)
     v = np.zeros(n)
+    q = np.empty((2, n))
+    tv = np.empty(n)
+    diff = np.empty(n)
     spans = np.empty(max_iter)
     span = np.inf
     for k in range(max_iter):
-        q = kern.cost + (kern.prob * v[kern.next_idx]).sum(axis=2)
-        tv = q.min(axis=0)
-        diff = tv - v
+        op.backup_q(v, out=q)
+        np.minimum(q[IDLE], q[TRANSMIT], out=tv)
+        np.subtract(tv, v, out=diff)
         hi = float(diff.max())
         lo = float(diff.min())
         span = hi - lo
         spans[k] = span
-        v = tv - tv[ref]
+        np.subtract(tv, tv[ref], out=v)
         if span <= eps:
             gain = 0.5 * (hi + lo)
-            return v, gain, k + 1, span, spans[: k + 1].copy()
+            return v, gain, (lo, hi), k + 1, span, spans[: k + 1].copy()
     raise ConvergenceError(
         f"span residual {span:.3e} after {max_iter} iterations (eps={eps:.3e})",
         max_iter,
@@ -145,9 +149,11 @@ def relative_value_iteration(
     m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
 ) -> SolveResult:
     """Solve the average-cost problem; greedy policy via full argmin."""
-    v, gain, iters, span, spans = _iterate_values(m, eps, max_iter)
+    v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
     policy = extract_policy(v, m)
-    return SolveResult(gain, v, policy, iters, span, spans, argmin_evals=state_count(m))
+    return SolveResult(
+        gain, v, policy, iters, span, spans, state_count(m), gain_bracket=bracket
+    )
 
 
 def extract_policy(v: np.ndarray, m: ModelParams) -> np.ndarray:
@@ -161,38 +167,50 @@ def modified_via(
 ) -> tuple[SolveResult, ThresholdPolicy]:
     """Solve, then extract the policy with the threshold-exploiting scan.
 
-    Each battery row is scanned in increasing age; once a state chooses to
-    transmit, the action is copied forward and no further argmins are
-    evaluated in that row. ``argmin_evals`` records the work actually done,
-    at most sum_q min(threshold_q, delta_max).
+    Each battery row is scanned in increasing age; the first state whose
+    transmit Q value is strictly below its idle Q value is the row's
+    threshold (delta_max + 1 if there is none), and every later age in the
+    row transmits too without being compared. ``argmin_evals`` counts the
+    states the scan decides by comparison, sum_q min(threshold_q,
+    delta_max); it is not the number of Q values computed.
+
+    The scan takes each Q value as a dot product over the state's
+    ``successors`` row. That may round differently from
+    ``bellman_backup_q``'s sum in the last bit, which on an exact tie
+    decides the threshold (README, "Thresholds decided by rounding"); the
+    dot product is what the recorded thresholds and CSV files rest on.
     """
-    v, gain, iters, span, spans = _iterate_values(m, eps, max_iter)
-    kern = kernel_arrays(m)
-    dm = m.delta_max
-    actions = np.zeros(state_count(m), dtype=np.int8)
-    thresholds = []
-    evals = 0
-    for q in range(m.battery_cap + 1):
-        base = q * dm
-        thr = dm + 1
-        carry = False
-        for d in range(1, dm + 1):
-            i = base + d - 1
-            if carry:
-                actions[i] = TRANSMIT
-                continue
-            evals += 1
-            q_idle = kern.cost[IDLE, i] + kern.prob[IDLE, i] @ v[kern.next_idx[IDLE, i]]
-            q_tx = kern.cost[TRANSMIT, i] + kern.prob[TRANSMIT, i] @ v[kern.next_idx[TRANSMIT, i]]
-            if q_tx < q_idle:
-                actions[i] = TRANSMIT
-                carry = True
-                thr = d
-        thresholds.append(thr)
-    tp = ThresholdPolicy(tuple(thresholds))
+    v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
+    tp = ThresholdPolicy(_scan_thresholds(v, m))
     _warn_if_truncation_tight(tp, m)
-    result = SolveResult(gain, v, actions, iters, span, spans, argmin_evals=evals)
+    dm = m.delta_max
+    evals = sum(min(t, dm) for t in tp.thresholds)
+    result = SolveResult(
+        gain, v, tp.expand(m), iters, span, spans, evals, gain_bracket=bracket
+    )
     return result, tp
+
+
+def _scan_thresholds(v: np.ndarray, m: ModelParams) -> tuple[int, ...]:
+    op = GridShift(m)
+    n = state_count(m)
+    (idle_idx, idle_pr), (tx_idx, tx_pr) = (
+        successors(np.full(n, a), m) for a in (IDLE, TRANSMIT)
+    )
+    dm = m.delta_max
+    thresholds = []
+    for b in range(m.battery_cap + 1):
+        tx_cost = op.paid_age if b == 0 else op.age
+        thr = dm + 1
+        for d in range(1, dm + 1):
+            i = b * dm + d - 1
+            q_idle = op.age[d - 1] + idle_pr[i] @ v[idle_idx[i]]
+            q_tx = tx_cost[d - 1] + tx_pr[i] @ v[tx_idx[i]]
+            if q_tx < q_idle:
+                thr = d
+                break
+        thresholds.append(thr)
+    return tuple(thresholds)
 
 
 def extract_thresholds(policy: np.ndarray, m: ModelParams) -> ThresholdPolicy:

@@ -85,6 +85,37 @@ class TestConfigResolution:
         cfg.write_text("{not json")
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            ("solve", {"eps": "1e-9"}, "eps"),
+            ("simulate", {"seeds": 5}, "seeds"),
+            ("sweep", {"axis": "weight", "grid": "1,2"}, "grid"),
+            ("solve", {"battery_cap": True}, "battery_cap"),
+            ("solve", {"weight": False}, "weight"),
+            ("simulate", {"seeds": [1, 2.5]}, "seeds"),
+            ("compare", {"out": 3}, "out"),
+        ],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, command, values, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_numbers_and_nulls_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"battery_cap": 2, "delta_max": 12, "weight": 1, "eps": 1e-9, "axis": None, "out": None}
+        ))
+        out = tmp_path / "thr.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 1 + 3
+
 
 class TestDeterminism:
     def test_identical_configs_give_identical_bytes(self, tmp_path):

@@ -22,12 +22,18 @@ from ehaoi import (
     enumerate_states,
     evaluate_exact,
     evaluate_periodic_exact,
+    kernel_arrays,
     simulate,
     stationary_actions,
     step,
     transition,
 )
-from ehaoi.evaluator import _induced_chain, _recurrent_class, _stationary_dist
+from ehaoi.evaluator import (
+    _induced_chain,
+    _periodic_chain,
+    _recurrent_class,
+    _stationary_dist,
+)
 
 
 def params(**overrides):
@@ -184,6 +190,70 @@ class TestStationaryDist:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             _stationary_dist(self.chain(), "cg")
+
+
+def _kernel_chain(actions_per_phase, m):
+    """Chain on (phase, state) built by gathering ``kernel_arrays`` rows;
+    phase r follows actions_per_phase[r] and moves to phase r + 1 mod T."""
+    kern = kernel_arrays(m)
+    n = kern.cost.shape[1]
+    T = len(actions_per_phase)
+    rows, cols, vals = [], [], []
+    for r, actions in enumerate(actions_per_phase):
+        sel = np.asarray(actions, dtype=np.int64)
+        pr = kern.prob[sel, np.arange(n), :].ravel()
+        mask = pr > 0.0
+        rows.append((r * n + np.repeat(np.arange(n), 4))[mask])
+        cols.append((((r + 1) % T) * n + kern.next_idx[sel, np.arange(n), :].ravel())[mask])
+        vals.append(pr[mask])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * T, n * T),
+    )
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestChainBuildersMatchKernel:
+    """The shift-built chains equal the ones gathered from ``kernel_arrays``,
+    entry for entry and bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
+    def test_induced_chain(self, lam):
+        m = params(lambda_e=lam, battery_cap=4, delta_max=9)
+        table = np.random.default_rng(3).integers(0, 2, size=(5, 9)).astype(np.int8)
+        for kind in (
+            Optimal(ThresholdPolicy((9, 4, 3, 1, 10))),
+            ZeroWait(),
+            Explicit(table),
+        ):
+            actions = stationary_actions(kind, m)
+            _assert_same_csr(_induced_chain(actions, m), _kernel_chain([actions], m))
+
+    def test_induced_chain_reference_point(self):
+        m = params(battery_cap=20, delta_max=200)
+        thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
+        actions = stationary_actions(Optimal(ThresholdPolicy(thresholds)), m)
+        _assert_same_csr(_induced_chain(actions, m), _kernel_chain([actions], m))
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_periodic_product_chain(self, period, skip):
+        m = params(battery_cap=3, delta_max=8)
+        n = 4 * 8
+        send = np.ones(n, dtype=np.int64)
+        if skip:
+            send[:8] = 0  # battery 0 idles
+        phases = [send] + [np.zeros(n, dtype=np.int64)] * (period - 1)
+        P, paid = _periodic_chain(Periodic(period, skip), m)
+        _assert_same_csr(P, _kernel_chain(phases, m))
+        want_paid = np.concatenate([(a == 1) & (np.arange(n) < 8) for a in phases])
+        np.testing.assert_array_equal(paid, want_paid)
 
 
 class TestEvaluateExact:

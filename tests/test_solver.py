@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ehaoi import (
     ThresholdStructureError,
     TruncationWarning,
     bellman_backup_q,
+    kernel_arrays,
     extract_policy,
     extract_thresholds,
     modified_via,
@@ -19,6 +22,7 @@ from ehaoi import (
     relative_value_iteration,
     state_count,
 )
+from ehaoi.model import PROB_FLOOR
 
 
 def tiny_params(**overrides):
@@ -99,6 +103,63 @@ class TestQValue:
                 assert q[a, i] == pytest.approx(q_value(v, s, a, m), abs=1e-12)
 
 
+def gather_backup_q(v, m):
+    """The Bellman backup gathered from ``kernel_arrays``, the per-state oracle."""
+    kern = kernel_arrays(m)
+    return kern.cost + (kern.prob * v[kern.next_idx]).sum(axis=2)
+
+
+REFERENCE = dict(
+    p_block=0.2, battery_cap=20, cost_reliable=2.0, weight=10.0, delta_max=200
+)
+
+
+class TestShiftBackupMatchesKernel:
+    @pytest.mark.parametrize("size", ["small", "reference"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
+    def test_bit_identical_to_gather(self, lam, size):
+        if size == "small":
+            m = tiny_params(lambda_e=lam, battery_cap=3, delta_max=7)
+        else:
+            m = ModelParams(lambda_e=lam, **REFERENCE)
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e4):
+            v = rng.normal(size=state_count(m)) * scale
+            assert np.array_equal(bellman_backup_q(v, m), gather_backup_q(v, m))
+
+    def test_dust_entry_is_dropped(self):
+        # p_block * (1 - lambda_e) falls below PROB_FLOOR, so transition()
+        # drops that successor; the bit-identity above covers the drop
+        m = tiny_params(lambda_e=1.0 - 1e-16)
+        assert 0.0 < m.p_block * (1.0 - m.lambda_e) < PROB_FLOOR
+        assert (kernel_arrays(m).prob[TRANSMIT] > 0.0).sum(axis=1).max() == 2
+
+
+class TestRegressionPins:
+    """Solver output at eps 1e-9, bit for bit as recorded before the
+    Bellman operator moved from the kernel gather to grid shifts. The
+    threshold of 1 at battery 7 for lambda_e = 0.99 rests on a Q gap of
+    about 1e-14 at age 1 (see the README)."""
+
+    @pytest.mark.parametrize(
+        "lam, gain, iterations, evals, thresholds",
+        [
+            (0.5, "1.8508888144754714", 1529, 59,
+             (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)),
+            (0.99, "1.2599999995023268", 4964, 47,
+             (20, 2, 2, 2, 2, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+        ],
+    )
+    def test_modified_via(self, lam, gain, iterations, evals, thresholds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res, tp = modified_via(ModelParams(lambda_e=lam, **REFERENCE), eps=1e-9)
+        assert repr(res.gain) == gain
+        assert res.iterations == iterations
+        assert res.argmin_evals == evals
+        assert tp.thresholds == thresholds
+
+
 class TestRelativeValueIteration:
     def test_converges_and_satisfies_bellman(self):
         m = tiny_params(battery_cap=3, delta_max=30)
@@ -142,6 +203,14 @@ class TestRelativeValueIteration:
         res = relative_value_iteration(m, eps=1e-9)
         np.testing.assert_array_equal(res.policy, extract_policy(res.values, m))
         assert res.argmin_evals == state_count(m)
+
+    def test_gain_bracket_holds_the_gain(self):
+        m = tiny_params(battery_cap=3, delta_max=25)
+        for res in (relative_value_iteration(m, eps=1e-9), modified_via(m, eps=1e-9)[0]):
+            lo, hi = res.gain_bracket
+            assert lo <= res.gain <= hi
+            assert hi - lo == res.span_residual
+            assert res.gain == 0.5 * (hi + lo)
 
     def test_non_convergence_raises_with_diagnostics(self):
         with pytest.raises(ConvergenceError) as exc:
