@@ -270,16 +270,18 @@ def successors(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndar
     PROB_FLOOR, and the padding of a short row, has probability 0.
     """
     b_max, dm = m.battery_cap, m.delta_max
-    battery = np.repeat(np.arange(b_max + 1), dm)[:, None]
-    age_next = np.minimum(np.tile(np.arange(dm), b_max + 1) + 1, dm - 1)[:, None]
-    aged = battery * dm + age_next  # (min(age + 1, delta_max), battery)
-    pad = np.zeros_like(aged)
     (up, stay), transmit = _coefficients(m)
-    full = battery == b_max  # a full battery idles to itself with probability 1
-    idle_idx = np.hstack((np.where(full, aged, aged + dm), aged, pad, pad))
-    idle_prob = np.where(full, (1.0, 0.0, 0.0, 0.0), (up, stay, 0.0, 0.0))
+    # on the (battery, age, entry) grid, an index is battery * dm + age - 1
+    battery = np.arange(b_max + 1)[:, None, None]
+    aged = np.minimum(np.arange(1, dm + 1), dm - 1)[:, None]  # index of min(age + 1, dm)
+    # idle: to battery + 1 (a full battery stays, with probability 1), to
+    # battery; the padding is state 0
+    idle_idx = (np.minimum(battery + (1, 0, 0, 0), b_max) * dm + aged) * (1, 1, 0, 0)
+    idle_prob = np.where(battery == b_max, (1.0, 0.0, 0.0, 0.0), (up, stay, 0.0, 0.0))
     spent = np.maximum(battery - 1, 0)  # an empty battery pays for backup
-    spent_aged = aged + (spent - battery) * dm
-    tx_idx = np.hstack((spent_aged + dm, (spent + 1) * dm, spent_aged, spent * dm))
-    send = np.asarray(actions).reshape(-1, 1) == TRANSMIT
-    return np.where(send, tx_idx, idle_idx), np.where(send, transmit, idle_prob)
+    tx_idx = (spent + (1, 1, 0, 0)) * dm + aged * (1, 0, 1, 0)
+    send = np.asarray(actions).reshape(b_max + 1, dm, 1) == TRANSMIT
+    return (
+        np.where(send, tx_idx, idle_idx).reshape(-1, 4),
+        np.where(send, transmit, idle_prob).reshape(-1, 4),
+    )

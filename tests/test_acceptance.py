@@ -63,10 +63,11 @@ def announce(num, name, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def reference_solution():
-    m = ModelParams(**REFERENCE)
-    res, tp = modified_via(m, eps=1e-9, max_iter=100_000)
-    return m, res, tp
+def reference_solution(base_params, base_solution):
+    # the session solve from conftest, made with the same eps and max_iter
+    assert base_params == ModelParams(**REFERENCE)
+    res, tp = base_solution
+    return base_params, res, tp
 
 
 @pytest.fixture(scope="module")

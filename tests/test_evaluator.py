@@ -29,8 +29,10 @@ from ehaoi import (
     transition,
 )
 from ehaoi.evaluator import (
-    _induced_chain,
+    _gth,
+    _level_stationary,
     _periodic_chain,
+    _phase_chain,
     _recurrent_class,
     _stationary_dist,
 )
@@ -172,24 +174,28 @@ class TestStationaryDist:
 
     def test_direct_solves_balance_equations(self):
         P = self.chain()
-        mu = _stationary_dist(P, "direct")
+        mu = _stationary_dist(P)
         np.testing.assert_allclose(mu @ P.toarray(), mu, atol=1e-12)
         assert mu.sum() == pytest.approx(1.0)
 
-    def test_power_matches_direct(self):
+    def test_gth_matches_direct(self):
         P = self.chain()
-        np.testing.assert_allclose(
-            _stationary_dist(P, "power"), _stationary_dist(P, "direct"), atol=1e-12
-        )
+        np.testing.assert_allclose(_gth(P.toarray()), _stationary_dist(P), rtol=0, atol=1e-14)
 
-    def test_power_handles_two_cycle(self):
-        # undamped iteration would oscillate forever on this chain
-        P = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(_stationary_dist(P, "power"), [0.5, 0.5], atol=1e-12)
+    def test_gth_handles_two_cycle(self):
+        np.testing.assert_array_equal(_gth(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.5, 0.5])
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            _stationary_dist(self.chain(), "cg")
+    def test_gth_masses_beyond_double_range(self):
+        # birth-death chain whose masses grow by 1e12 per state: the last
+        # state outweighs the first by 1e468
+        n, ratio = 40, 1e12
+        P = np.zeros((n, n))
+        i = np.arange(n - 1)
+        P[i, i + 1] = 0.5
+        P[i + 1, i] = 0.5 / ratio
+        P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
+        want = ratio ** -np.arange(n - 1, -1, -1.0)
+        np.testing.assert_allclose(_gth(P), want / want.sum(), rtol=1e-12, atol=1e-300)
 
 
 def _kernel_chain(actions_per_phase, m):
@@ -233,13 +239,13 @@ class TestChainBuildersMatchKernel:
             Explicit(table),
         ):
             actions = stationary_actions(kind, m)
-            _assert_same_csr(_induced_chain(actions, m), _kernel_chain([actions], m))
+            _assert_same_csr(_phase_chain([actions], 1, m).matrix, _kernel_chain([actions], m))
 
     def test_induced_chain_reference_point(self):
         m = params(battery_cap=20, delta_max=200)
         thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
         actions = stationary_actions(Optimal(ThresholdPolicy(thresholds)), m)
-        _assert_same_csr(_induced_chain(actions, m), _kernel_chain([actions], m))
+        _assert_same_csr(_phase_chain([actions], 1, m).matrix, _kernel_chain([actions], m))
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 3])
@@ -250,10 +256,74 @@ class TestChainBuildersMatchKernel:
         if skip:
             send[:8] = 0  # battery 0 idles
         phases = [send] + [np.zeros(n, dtype=np.int64)] * (period - 1)
-        P, paid = _periodic_chain(Periodic(period, skip), m)
-        _assert_same_csr(P, _kernel_chain(phases, m))
+        chain = _periodic_chain(Periodic(period, skip), m)
+        _assert_same_csr(chain.matrix, _kernel_chain(phases, m))
         want_paid = np.concatenate([(a == 1) & (np.arange(n) < 8) for a in phases])
-        np.testing.assert_array_equal(paid, want_paid)
+        np.testing.assert_array_equal(chain.paid, want_paid)
+
+
+def _check_level_reduction(chain, period, m):
+    """The level reduction agrees with the direct solve on ``chain``'s
+    closed class, and its balance residual is at rounding level."""
+    cls = _recurrent_class(chain.matrix, start=0)
+    mu = _level_stationary(chain, cls, period, m)
+    want = np.zeros(chain.matrix.shape[0])
+    want[cls] = _stationary_dist(chain.matrix[np.ix_(cls, cls)].tocsr())
+    np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
+    assert np.abs(mu @ chain.matrix - mu).sum() <= 1e-14
+    return mu
+
+
+class TestLevelReduction:
+    """The age-level reduction against the direct solve, on chains of every
+    shape the evaluators build."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tables(self, seed):
+        # arbitrary action tables, not of threshold form
+        rng = np.random.default_rng(seed)
+        m = params(lambda_e=(0.3, 0.5, 1.0)[seed % 3], battery_cap=3, delta_max=12)
+        table = (rng.uniform(size=(4, 12)) < 0.4).astype(np.int8)
+        assert not np.all(np.diff(table, axis=1) >= 0)  # some row is not a threshold
+        _check_level_reduction(_phase_chain([table.reshape(-1)], 1, m), 1, m)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("period", [1, 2, 5])
+    def test_periodic(self, period, skip):
+        m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
+        _check_level_reduction(_periodic_chain(Periodic(period, skip), m), period, m)
+
+    def test_deterministic_cycle(self):
+        # with certain harvest and a channel that never blocks, sending at
+        # age 2 alternates (age 1, full) and (age 2, full) forever; the model
+        # rejects p_block = 0 as input, so the test sets it past the check
+        m = params(lambda_e=1.0)
+        object.__setattr__(m, "p_block", 0.0)
+        kind = Optimal(ThresholdPolicy((2, 2, 2)))
+        chain = _phase_chain([stationary_actions(kind, m)], 1, m)
+        mu = _check_level_reduction(chain, 1, m)
+        cycle = [enumerate_states(m).index(State(a, 2)) for a in (1, 2)]
+        np.testing.assert_array_equal(np.flatnonzero(mu), cycle)
+        np.testing.assert_allclose(mu[cycle], [0.5, 0.5], rtol=0, atol=1e-15)
+
+    def test_masses_beyond_double_range(self):
+        # an empty battery is about 1e-314 as likely as a full one here
+        m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
+        mu = _check_level_reduction(_periodic_chain(Periodic(8), m), 8, m)
+        assert np.isfinite(mu).all()
+
+    def test_never_transmit_sits_at_cap(self):
+        m = params(delta_max=7)
+        chain = _phase_chain([np.zeros(3 * 7, dtype=np.int8)], 1, m)
+        mu = _check_level_reduction(chain, 1, m)
+        assert mu[enumerate_states(m).index(State(7, 2))] == 1.0
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_smallest_age_cap(self, lam):
+        m = params(lambda_e=lam, delta_max=2)
+        for kind in (ZeroWait(), Optimal(ThresholdPolicy((2, 1, 1)))):
+            _check_level_reduction(_phase_chain([stationary_actions(kind, m)], 1, m), 1, m)
+        _check_level_reduction(_periodic_chain(Periodic(3), m), 3, m)
 
 
 class TestEvaluateExact:
@@ -305,22 +375,40 @@ class TestEvaluateExact:
         with pytest.raises(ValueError, match="time-dependent"):
             evaluate_exact(Periodic(3), params())
 
+    def test_reference_point_carries_its_evidence(self, base_params, base_solution):
+        _, tp = base_solution
+        r = evaluate_exact(Optimal(tp), base_params)
+        assert r.balance_residual <= 1e-14
+        assert 0.0 <= r.cap_mass < 1e-100  # the age cap is invisible here
+
+    def test_never_transmit_has_all_mass_at_cap(self):
+        m = params(delta_max=7)
+        r = evaluate_exact(Explicit(np.zeros((3, 7), dtype=np.int8)), m)
+        assert r.cap_mass == 1.0
+        assert r.balance_residual == 0.0
+
+    def test_periodic_report_carries_its_evidence(self):
+        r = evaluate_periodic_exact(Periodic(5), params(delta_max=120))
+        assert r.balance_residual <= 1e-14
+        assert 0.0 < r.cap_mass < 1e-15
+
     def test_report_has_no_simulation_metadata(self):
         r = evaluate_exact(ZeroWait(), params())
         assert r.horizon is None and r.seed is None
         assert r.ci_halfwidth is None and r.rng is None
 
     def test_large_chain_uses_power_iteration_consistently(self):
-        # 5580 recurrent states: above the direct-solve cutoff
+        # 5580 recurrent states, above the size where a power-iteration path
+        # once took over: the level reduction agrees with the direct solve
         m = ModelParams(
             lambda_e=0.5, p_block=0.2, battery_cap=30,
             cost_reliable=2.0, weight=1.0, delta_max=180,
         )
         kind = Optimal(ThresholdPolicy((3,) * 31))
-        P = _induced_chain(stationary_actions(kind, m), m)
+        P = _phase_chain([stationary_actions(kind, m)], 1, m).matrix
         cls = _recurrent_class(P, 0)
         assert cls.size == P.shape[0] > 5000
-        mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr(), "direct")
+        mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
         ages = np.tile(np.arange(1, m.delta_max + 1, dtype=float), m.battery_cap + 1)
         direct_aoi = float(mu @ ages[cls])
         r = evaluate_exact(kind, m)
@@ -419,6 +507,7 @@ class TestSimulate:
         assert rep.seed == 7
         assert rep.rng == "pcg64"
         assert rep.ci_halfwidth > 0.0
+        assert rep.balance_residual is None and rep.cap_mass is None
 
     def test_short_run_has_no_ci(self):
         rep = simulate(ZeroWait(), params(), 10, 7)
