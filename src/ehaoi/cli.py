@@ -21,7 +21,7 @@ from .evaluator import (
     evaluate_periodic_exact,
     simulate,
 )
-from .model import DomainError, ModelParams, enumerate_states
+from .model import DomainError, ModelParams, enumerate_states, is_int
 from .policies import Optimal, Periodic, ZeroWait
 from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
@@ -54,10 +54,6 @@ class RunConfig:
     simulate_also: bool = False
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -65,13 +61,13 @@ def _is_number(x) -> bool:
 # what a JSON config value must be, by the RunConfig field's declared type
 _TYPE_CHECKS = {
     "float": ("a number", _is_number),
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "bool": ("true or false", lambda x: isinstance(x, bool)),
     "str": ("a string", lambda x: isinstance(x, str)),
     "str | None": ("a string or null", lambda x: x is None or isinstance(x, str)),
     "list[int]": (
         "a non-empty list of integers",
-        lambda x: isinstance(x, list) and bool(x) and all(map(_is_int, x)),
+        lambda x: isinstance(x, list) and bool(x) and all(map(is_int, x)),
     ),
     "list[float] | None": (
         "a list of numbers or null",

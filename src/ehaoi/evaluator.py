@@ -14,7 +14,14 @@ make this impossible for sane policies, and any occurrence signals a bug.
 ``simulate`` runs the physical system forward without any age truncation,
 drawing the energy and channel Bernoulli streams from two independently
 seeded PCG64 generators, and reports time averages with a batch-means 95%
-confidence half-width.
+confidence half-width. It is table-driven: a policy decides from the
+battery, the age capped where the policy stops telling ages apart and, for
+a periodic schedule, whether the slot is scheduled, so the run is a
+finite-state machine whose tables come from ``decide`` and the simulator's
+own one-slot rule, never from the exact side's ``successors``. One table
+lookup per block of slots carries the state; everything else is array work,
+one CI batch at a time, and every report is bit-identical to stepping the
+slots one by one with ``decide`` and ``step``.
 
 Periodic schedules are not stationary on the base space; they get their own
 exact evaluator on the chain augmented with the slot phase.
@@ -34,6 +41,7 @@ from .model import (
     DomainError,
     ModelParams,
     State,
+    is_int,
     state_count,
     successors,
 )
@@ -43,12 +51,15 @@ from .policies import (
     Periodic,
     PolicyKind,
     ZeroWait,
+    decide,
     is_stationary,
     stationary_actions,
 )
 
 RNG_NAME = "pcg64"        # numpy default_rng bit generator
 CI_BATCHES = 20
+BLOCK_SLOTS = 4           # slots per simulator table lookup, fewer if
+TABLE_ENTRIES = 1 << 18   # the block table would outgrow this
 
 
 class ReducibleChainError(RuntimeError):
@@ -344,29 +355,125 @@ def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:
     return _exact_report(_periodic_chain(kind, m), kind.period, m)
 
 
-def _action_fn(kind: PolicyKind, m: ModelParams):
-    """Specialized (aoi, battery, t) -> 0/1 closure for the simulation loop."""
-    if isinstance(kind, ZeroWait):
-        return lambda aoi, q, t: 1
-    if isinstance(kind, Periodic):
-        period, skip = kind.period, kind.skip_on_empty
-        if skip:
-            return lambda aoi, q, t: 1 if (t % period == 0 and q > 0) else 0
-        return lambda aoi, q, t: 1 if t % period == 0 else 0
+@dataclass(frozen=True)
+class _Machine:
+    """The simulator as a finite-state machine.
+
+    A policy decides from the battery q, the capped age min(aoi, A) and, for
+    a periodic schedule, whether the slot is scheduled; so (q, capped age)
+    is the state, and each slot reads a symbol of ``bits`` bits: harvest
+    (bit 0), blocked (bit 1) and, when ``period`` > 1, t % period == 0
+    (bit 2). The one-slot tables are indexed by state * 2**bits + symbol;
+    ``table`` does ``block`` slots in one lookup, indexed by
+    state * 2**(bits * block) + code, the code packing the block's symbols
+    first slot lowest, and holds the next state in that same scale.
+    """
+
+    bits: int
+    period: int
+    move: np.ndarray   # next state * 2**bits
+    paid: np.ndarray   # the slot transmits on an empty battery
+    reset: np.ndarray  # the slot's update gets through
+    block: int
+    table: list[int]
+
+
+def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
+    """Tabulate ``decide`` on every (slot class, battery, capped age) and
+    step the physics once from every state and symbol."""
+    levels = m.battery_cap + 1
     if isinstance(kind, Optimal):
+        # a row whose threshold exceeds the horizon never transmits, so the
+        # ages need telling apart only up to the other rows' thresholds
         thr = kind.thresholds.thresholds
-        if len(thr) != m.battery_cap + 1:
-            raise DomainError(
-                f"expected {m.battery_cap + 1} thresholds, got {len(thr)}"
-            )
-        return lambda aoi, q, t: 1 if aoi >= thr[q] else 0
-    if isinstance(kind, Explicit):
-        if kind.actions.shape[0] != m.battery_cap + 1:
-            raise DomainError("action table does not match battery_cap")
-        table = kind.actions.tolist()
-        last = kind.actions.shape[1]
-        return lambda aoi, q, t: table[q][aoi - 1 if aoi < last else last - 1]
-    raise TypeError(f"unknown policy kind {kind!r}")
+        rows, span = len(thr), max((a for a in thr if a <= horizon), default=1)
+    elif isinstance(kind, Explicit):
+        rows, span = kind.actions.shape
+    elif isinstance(kind, (ZeroWait, Periodic)):
+        rows, span = levels, 1
+    else:
+        raise TypeError(f"unknown policy kind {kind!r}")
+    if rows != levels:
+        raise DomainError(f"policy has {rows} battery levels, the model {levels}")
+    # no age in the run exceeds the horizon, so a wider table decides nothing
+    A = min(span, horizon)
+    period = kind.period if isinstance(kind, Periodic) else 1
+    slots = (1, 0) if period > 1 else (0,)  # an unscheduled, a scheduled t
+    decision = np.array(
+        [[[decide(kind, State(a, q), t) for a in range(1, A + 1)]
+          for q in range(levels)] for t in slots],
+        dtype=bool,
+    )
+    bits = 1 + len(slots)
+    S = 1 << bits
+    K = levels * A
+
+    # one slot from every (state, symbol), as ``step`` moves it
+    state, symbol = np.divmod(np.arange(K * S), S)
+    q, age = np.divmod(state, A)  # age: capped age - 1
+    act = decision[symbol >> 2, q, age]
+    reset = act & (symbol & 2 == 0)
+    drain = act & (q > 0)
+    q_next = np.minimum(q + (symbol & 1) - drain, m.battery_cap)
+    age_next = np.where(reset, 0, np.minimum(age + 1, A - 1))
+    move = (q_next * A + age_next) * S
+
+    k = BLOCK_SLOTS
+    while k > 1 and K * S**k > TABLE_ENTRIES:
+        k -= 1
+    state, code = np.divmod(np.arange(K * S**k), S**k)
+    s = state * S
+    for j in range(k):
+        s = move[s + (code >> (bits * j) & S - 1)]
+    # entries naming the same state share one int object: a compact list
+    # keeps the lookups in cache
+    scaled = list(range(0, K * S**k, S**k))
+    table = [scaled[i] for i in (s >> bits).tolist()]
+    return _Machine(bits, period, move, act & (q == 0), reset, k, table)
+
+
+def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
+    """Run ``machine`` from (age 1, empty battery) over consecutive stretches
+    of ``sizes`` slots; yields each stretch's untruncated ages and the mask
+    of its paid slots. Each stretch draws its own piece of the energy and
+    channel streams, which continue as one draw of every slot would."""
+    bits, k, move, table = machine.bits, machine.block, machine.move, machine.table
+    S = 1 << bits
+    energy, channel = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    t = 0
+    state = 0  # (battery 0, age 1), times S
+    aoi = 1
+    for n in sizes:
+        symbols = (energy.random(n) < m.lambda_e) + 2 * (channel.random(n) < m.p_block)
+        if machine.period > 1:
+            symbols += 4 * (np.arange(t, t + n) % machine.period == 0)
+        blocks = -(-n // k)
+        grid = np.zeros((blocks, k), dtype=np.int64)
+        grid.flat[:n] = symbols
+        code = grid[:, k - 1]
+        for j in range(k - 2, -1, -1):
+            code = code * S + grid[:, j]
+        # the sequential part: each block's first state from the one before
+        s = state * S ** (k - 1)
+        starts = [s := table[s + c] for c in code[:-1].tolist()]
+        idx = np.empty((blocks, k), dtype=np.int64)
+        idx[0, 0] = state
+        idx[1:, 0] = np.fromiter(starts, np.int64, blocks - 1) >> bits * (k - 1)
+        idx[:, 0] += grid[:, 0]
+        for j in range(1, k):
+            idx[:, j] = move[idx[:, j - 1]] + grid[:, j]
+        idx = idx.ravel()[:n]
+        state = int(move[idx[-1]])
+
+        # a reset at slot j makes the age 1 at slot j + 1
+        reset = machine.reset[idx]
+        origin = np.empty(n, dtype=np.int64)
+        origin[0] = 1 - aoi
+        origin[1:] = np.where(reset[:-1], np.arange(1, n), 1 - aoi)
+        ages = np.arange(1, n + 1) - np.maximum.accumulate(origin)
+        aoi = 1 if reset[-1] else int(ages[-1]) + 1
+        t += n
+        yield ages, machine.paid[idx]
 
 
 def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalReport:
@@ -376,43 +483,36 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     from independent generators spawned off ``seed``. Averages use every
     slot; the confidence half-width uses 20 equal batches over the first
     20 * (horizon // 20) slots and is NaN for horizons below 20.
+
+    The run is table-driven (``_Machine``): the only Python loop is one
+    table lookup per block of slots, which finds the state at each block's
+    start; the states inside the blocks, the paid slots, the untruncated
+    age (rebuilt from the slots whose update got through) and the costs are
+    array operations, one CI batch at a time. Each batch draws its own
+    stretch of the two streams and sums its costs in slot order, so every
+    field is bit-identical to stepping the slots one by one with ``decide``
+    and ``step``.
     """
-    if not (isinstance(horizon, int) and horizon >= 1):
-        raise DomainError(f"horizon must be an int >= 1, got {horizon}")
-    act = _action_fn(kind, m)
-    ss = np.random.SeedSequence(seed)
-    seq_energy, seq_channel = ss.spawn(2)
-    harvest = (np.random.default_rng(seq_energy).random(horizon) < m.lambda_e).tolist()
-    blocked = (np.random.default_rng(seq_channel).random(horizon) < m.p_block).tolist()
-
+    if not (is_int(horizon) and horizon >= 1):
+        raise DomainError(f"horizon must be an int >= 1, got {horizon!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+    machine = _machine(kind, m, horizon)
     paid_price = m.weight * m.cost_reliable
-    cap = m.battery_cap
     batch = horizon // CI_BATCHES
-    batched = batch * CI_BATCHES
-    batch_sums = [0.0] * CI_BATCHES
+    rest = horizon - batch * CI_BATCHES  # in the averages, not in the CI
+    sizes = [batch] * CI_BATCHES + [rest] if batch else [horizon]
 
-    aoi = 1
-    q = 0
     aoi_sum = 0
     paid_count = 0
-    for t in range(horizon):
-        a = act(aoi, q, t)
-        aoi_sum += aoi
-        if a and q == 0:
-            paid_count += 1
-            c = aoi + paid_price
-        else:
-            c = float(aoi)
-        if t < batched:
-            batch_sums[t // batch] += c
-        if a and not blocked[t]:
-            next_aoi = 1
-        else:
-            next_aoi = aoi + 1
-        q = q + harvest[t] - (1 if (a and q > 0) else 0)
-        if q > cap:
-            q = cap
-        aoi = next_aoi
+    batch_sums = []
+    for i, (ages, paid) in enumerate(_run(machine, m, seed, [n for n in sizes if n])):
+        aoi_sum += int(ages.sum())
+        paid_count += int(np.count_nonzero(paid))
+        if batch and i < CI_BATCHES:
+            costs = ages.astype(float)
+            costs[paid] += paid_price
+            batch_sums.append(float(np.cumsum(costs)[-1]))  # in slot order, as +=
 
     average_aoi = aoi_sum / horizon
     rate = paid_count / horizon

@@ -37,6 +37,11 @@ class DomainError(ValueError):
     """A parameter, state, or action lies outside its admissible range."""
 
 
+def is_int(x) -> bool:
+    """An int, but not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     lambda_e: float       # energy packet arrival probability, in (0, 1]

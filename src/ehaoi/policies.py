@@ -7,7 +7,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, state_count
+from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int, state_count
 from .solver import ThresholdPolicy
 
 
@@ -28,8 +28,8 @@ class Periodic:
     skip_on_empty: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.period, int) and self.period >= 1):
-            raise DomainError(f"period must be an int >= 1, got {self.period}")
+        if not (is_int(self.period) and self.period >= 1):
+            raise DomainError(f"period must be an int >= 1, got {self.period!r}")
 
 
 @dataclass(frozen=True)

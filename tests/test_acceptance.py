@@ -344,20 +344,26 @@ def test_criterion_7_simulator_cross_check(reference_solution):
     gain_diff = abs(exact_opt.average_cost - res.gain)
 
     seeds = (1, 2, 3, 4, 5)
+    horizon = 1_000_000
     worst_z = 0.0
+    sim_s = 0.0
     for kind, exact in ((Optimal(tp), exact_opt), (ZeroWait(), exact_zw)):
         for seed in seeds:
-            rep = simulate(kind, m, 1_000_000, seed)
+            start = time.perf_counter()
+            rep = simulate(kind, m, horizon, seed)
+            sim_s += time.perf_counter() - start
             z = abs(rep.average_cost - exact.average_cost) / rep.ci_halfwidth
             worst_z = max(worst_z, z)
 
     ok = gain_diff < 1e-7 and worst_z <= 3.0
+    slots = 2 * len(seeds) * horizon
     announce(
         7,
         "simulator cross-check",
         ok,
         f"|exact - gain| = {gain_diff:.1e}, worst |sim - exact| = "
-        f"{worst_z:.2f} half-widths over {2 * len(seeds)} runs",
+        f"{worst_z:.2f} half-widths over {2 * len(seeds)} runs, "
+        f"simulator {sim_s / slots * 1e9:.0f} ns/slot",
     )
     assert gain_diff < 1e-7
     assert worst_z <= 3.0

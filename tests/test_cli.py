@@ -162,6 +162,25 @@ class TestSimulate:
         assert code == 0
         assert len(read_csv(out)) == 2
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["simulate", "--policy", "zero-wait", "--seed", "-1"], {}),
+            (["compare", "--axis", "lambda_e", "--grid", "0.5", "--simulate", "--seed", "-1"], {}),
+            (["simulate", "--policy", "zero-wait"], {"seeds": [-1]}),
+        ],
+        ids=["simulate", "compare", "config"],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        args = [*argv, *SMALL, "--horizon", "100", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be an int >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestSweep:
     def test_threshold_rows_per_axis_value(self, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.stats import chisquare
+from scipy.stats import t as student_t
 
 from ehaoi import (
     ACTIONS,
@@ -17,6 +19,7 @@ from ehaoi import (
     ReducibleChainError,
     State,
     ThresholdPolicy,
+    EvalReport,
     ZeroWait,
     decide,
     enumerate_states,
@@ -444,7 +447,82 @@ class TestEvaluatePeriodicExact:
             evaluate_periodic_exact(ZeroWait(), params())
 
 
+# replay oracle: a small model and one policy of every kind
+REPLAY_MODEL = dict(p_block=0.2, battery_cap=3, cost_reliable=1.7, weight=0.3, delta_max=8)
+REPLAY_KINDS = {
+    "zero-wait": ZeroWait(),
+    **{
+        f"periodic-{T}{'-skip' if skip else ''}": Periodic(T, skip)
+        for T in (1, 3, 7)
+        for skip in (False, True)
+    },
+    "explicit-narrow": Explicit(np.random.default_rng(3).integers(0, 2, (4, 5))),
+    "explicit-wide": Explicit(np.random.default_rng(4).integers(0, 2, (4, 30))),
+    "optimal-never-row": Optimal(ThresholdPolicy((9, 3, 2, 1))),  # delta_max + 1
+    "optimal-past-horizon": Optimal(ThresholdPolicy((2, 10**9, 4, 1))),
+}
+
+
+def replay(kind, m, horizon, seed):
+    """The report ``simulate`` must give, from ``decide`` and ``step`` one
+    slot at a time, with each CI batch summed by +=."""
+    seq_energy, seq_channel = np.random.SeedSequence(seed).spawn(2)
+    harvest = np.random.default_rng(seq_energy).random(horizon) < m.lambda_e
+    blocked = np.random.default_rng(seq_channel).random(horizon) < m.p_block
+    batch = horizon // 20
+    sums = [0.0] * 20
+    s = State(1, 0)
+    aoi_sum = paid = 0
+    for t in range(horizon):
+        rec = step(t, s, decide(kind, s, t), int(harvest[t]), int(blocked[t]), m)
+        aoi_sum += s.aoi
+        paid += rec.action == TRANSMIT and s.battery == 0
+        if t < 20 * batch:
+            sums[t // batch] += rec.cost
+        s = rec.next_state
+    ci = float("nan")
+    if batch:
+        means = np.array(sums) / batch
+        ci = float(student_t.ppf(0.975, 19) * means.std(ddof=1) / np.sqrt(20))
+    aoi, rate = aoi_sum / horizon, paid / horizon
+    return EvalReport(
+        average_cost=aoi + m.weight * m.cost_reliable * rate,
+        average_aoi=aoi,
+        reliable_energy_rate=rate,
+        horizon=horizon,
+        seed=seed,
+        ci_halfwidth=ci,
+        rng="pcg64",
+    )
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 41, 5003])
+    @pytest.mark.parametrize("name", list(REPLAY_KINDS))
+    def test_report_equals_slot_by_slot_replay(self, name, horizon, lam):
+        kind, m = REPLAY_KINDS[name], ModelParams(lambda_e=lam, **REPLAY_MODEL)
+        seed = 17 + horizon
+        rep, want = simulate(kind, m, horizon, seed), replay(kind, m, horizon, seed)
+        if horizon < 20:  # no CI: NaN on both sides
+            assert math.isnan(rep.ci_halfwidth) and math.isnan(want.ci_halfwidth)
+            rep = dataclasses.replace(rep, ci_halfwidth=None)
+            want = dataclasses.replace(want, ci_halfwidth=None)
+        assert rep == want
+
+    @pytest.mark.parametrize(
+        "seed, fields",
+        [
+            (1, (1.847329, 1.847269, 3e-06, 0.004016313387916957)),
+            (2, (1.850184, 1.850144, 2e-06, 0.004188723680721566)),
+        ],
+    )
+    def test_reference_streams_pinned(self, base_params, base_solution, seed, fields):
+        # full-precision reports of the reference point's seeded runs
+        rep = simulate(Optimal(base_solution[1]), base_params, 1_000_000, seed)
+        got = (rep.average_cost, rep.average_aoi, rep.reliable_energy_rate, rep.ci_halfwidth)
+        assert got == fields
+
     def test_replays_step_and_decide_exactly(self):
         # the fast loop must be an exact transcript of the one-slot function
         m = ModelParams(
@@ -516,3 +594,25 @@ class TestSimulate:
     def test_bad_horizon_rejected(self):
         with pytest.raises(DomainError):
             simulate(ZeroWait(), params(), 0, 1)
+
+    @pytest.mark.parametrize("horizon", [True, False, 20.0])
+    def test_horizon_must_be_an_int_not_a_bool(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            simulate(ZeroWait(), params(), horizon, 1)
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "1", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            simulate(ZeroWait(), params(), 100, seed)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            Optimal(ThresholdPolicy((3, 2))),
+            Optimal(ThresholdPolicy((3, 2, 1, 1))),
+            Explicit(np.ones((2, 5))),
+        ],
+    )
+    def test_policy_rows_must_match_battery_levels(self, kind):
+        with pytest.raises(DomainError, match="battery levels"):
+            simulate(kind, params(), 100, 1)

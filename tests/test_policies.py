@@ -55,6 +55,11 @@ class TestDecide:
             with pytest.raises(DomainError):
                 Periodic(bad)
 
+    def test_periodic_rejects_bool_period(self):
+        for bad in (True, False):
+            with pytest.raises(DomainError, match="period"):
+                Periodic(bad)
+
     def test_threshold_policy_by_battery_row(self):
         k = Optimal(ThresholdPolicy((3, 2, 1)))
         assert decide(k, State(2, 0), 5) == IDLE
