@@ -14,9 +14,11 @@ make this impossible for sane policies, and any occurrence signals a bug.
 ``simulate`` runs the physical system forward without any age truncation,
 drawing the energy and channel Bernoulli streams from two independently
 seeded PCG64 generators, and reports time averages with a batch-means 95%
-confidence half-width. It is table-driven: a policy decides from the
-battery, the age capped where the policy stops telling ages apart and, for
-a periodic schedule, whether the slot is scheduled, so the run is a
+confidence half-width over 20 batches, scaled by the 97.5% Student-t
+quantile with 19 degrees of freedom (hard-coded as ``T_975_19``, so the
+package needs no ``scipy.stats``). It is table-driven: a policy decides
+from the battery, the age capped where the policy stops telling ages apart
+and, for a periodic schedule, whether the slot is scheduled, so the run is a
 finite-state machine whose tables come from ``decide`` and the simulator's
 own one-slot rule, never from the exact side's ``successors``. One table
 lookup per block of slots carries the state; everything else is array work,
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.stats import t as student_t
 
 from .model import (
     TRANSMIT,
@@ -58,6 +59,11 @@ from .policies import (
 
 RNG_NAME = "pcg64"        # numpy default_rng bit generator
 CI_BATCHES = 20
+# The batch-means 95% CI uses the 97.5% quantile of Student's t with
+# CI_BATCHES - 1 = 19 degrees of freedom, the exact double that
+# scipy.stats.t.ppf(0.975, 19) returns; the two change together.
+T_975_19 = 2.0930240544083087  # 0x1.0be83653b666cp+1
+assert CI_BATCHES == 20, "T_975_19 is the t quantile for 19 degrees of freedom"
 BLOCK_SLOTS = 4           # slots per simulator table lookup, fewer if
 TABLE_ENTRIES = 1 << 18   # the block table would outgrow this
 
@@ -179,12 +185,14 @@ def _periodic_chain(kind: Periodic, m: ModelParams) -> _Chain:
 def _recurrent_class(P: sparse.csr_matrix, start: int) -> np.ndarray:
     """Indices of the closed communicating class the chain settles in when
     started from ``start``. Raises if that class is not unique."""
-    _, labels = connected_components(P, directed=True, connection="strong")
-    coo = P.tocoo()
-    crossing = labels[coo.row] != labels[coo.col]
-    open_labels = np.unique(labels[coo.row[crossing]])
+    count, labels = connected_components(P, directed=True, connection="strong")
+    row_labels = labels[np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))]
+    closed = np.ones(count, dtype=bool)
+    closed[row_labels[row_labels != labels[P.indices]]] = False  # an edge leaves
     reachable = breadth_first_order(P, start, directed=True, return_predecessors=False)
-    candidates = np.setdiff1d(np.unique(labels[reachable]), open_labels)
+    reached = np.zeros(count, dtype=bool)
+    reached[labels[reachable]] = True
+    candidates = np.flatnonzero(reached & closed)
     if candidates.size != 1:
         raise ReducibleChainError(
             f"{candidates.size} closed communicating classes reachable from "
@@ -519,11 +527,7 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     average_cost = average_aoi + paid_price * rate
     if horizon >= CI_BATCHES:
         means = np.array(batch_sums) / batch
-        ci = float(
-            student_t.ppf(0.975, CI_BATCHES - 1)
-            * means.std(ddof=1)
-            / np.sqrt(CI_BATCHES)
-        )
+        ci = float(T_975_19 * means.std(ddof=1) / np.sqrt(CI_BATCHES))
     else:
         ci = float("nan")
     return EvalReport(

@@ -86,9 +86,9 @@ class TransitionDist:
 
 
 def _check_state(s: State, m: ModelParams) -> None:
-    if not (isinstance(s.aoi, int) and 1 <= s.aoi <= m.delta_max):
+    if not (is_int(s.aoi) and 1 <= s.aoi <= m.delta_max):
         raise DomainError(f"aoi must be in 1..{m.delta_max}, got {s.aoi}")
-    if not (isinstance(s.battery, int) and 0 <= s.battery <= m.battery_cap):
+    if not (is_int(s.battery) and 0 <= s.battery <= m.battery_cap):
         raise DomainError(f"battery must be in 0..{m.battery_cap}, got {s.battery}")
 
 

@@ -77,7 +77,7 @@ def decide(kind: PolicyKind, s: State, t: int) -> int:
     Pure in all arguments. The age may exceed any truncation bound here;
     threshold and explicit policies behave as in their saturated column.
     """
-    if not (isinstance(t, int) and t >= 0):
+    if not (is_int(t) and t >= 0):
         raise DomainError(f"t must be an int >= 0, got {t}")
     if s.aoi < 1 or s.battery < 0:
         raise DomainError(f"invalid state {s}")

@@ -23,6 +23,7 @@ from .model import (
     GridShift,
     ModelParams,
     State,
+    is_int,
     one_step_cost,
     state_count,
     state_index,
@@ -72,7 +73,7 @@ class ThresholdPolicy:
         if not self.thresholds:
             raise DomainError("thresholds must be non-empty")
         for t in self.thresholds:
-            if not (isinstance(t, int) and t >= 1):
+            if not (is_int(t) and t >= 1):
                 raise DomainError(f"thresholds must be ints >= 1, got {t!r}")
 
     def expand(self, m: ModelParams) -> np.ndarray:

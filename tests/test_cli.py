@@ -264,6 +264,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert out.exists()
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Start-up cost: the package loads scipy.sparse and csgraph only.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(ehaoi.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, ehaoi.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_declared_entry_point_runs(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")
         with open(PYPROJECT, "rb") as f:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.stats import chisquare
 from scipy.stats import t as student_t
 
@@ -32,6 +33,8 @@ from ehaoi import (
     transition,
 )
 from ehaoi.evaluator import (
+    CI_BATCHES,
+    T_975_19,
     _gth,
     _level_stationary,
     _periodic_chain,
@@ -166,6 +169,49 @@ class TestRecurrentClass:
             np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         )
         np.testing.assert_array_equal(_recurrent_class(P, start=0), [1, 2])
+
+    @staticmethod
+    def sorted_reference(P, start):
+        """Component labels, the labels of the closed classes reachable from
+        ``start`` and of all closed classes, found by sorting: the classes
+        some edge leaves are open, the rest closed."""
+        _, labels = connected_components(P, directed=True, connection="strong")
+        coo = P.tocoo()
+        crossing = labels[coo.row] != labels[coo.col]
+        open_labels = np.unique(labels[coo.row[crossing]])
+        reachable = breadth_first_order(P, start, directed=True, return_predecessors=False)
+        candidates = np.setdiff1d(np.unique(labels[reachable]), open_labels)
+        return labels, candidates, np.setdiff1d(np.unique(labels), open_labels)
+
+    def test_matches_sorted_reference_on_random_digraphs(self):
+        # A finite digraph always reaches a closed class, so the count of
+        # reachable closed classes is 1 or more, never 0.
+        seen = {"one": 0, "several": 0, "transient_start": 0, "unreachable_sink": 0}
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 30))
+            density = rng.uniform(0.02, 0.25)
+            weights = (rng.random((n, n)) < density) * rng.uniform(0.1, 1.0, (n, n))
+            P = sparse.csr_matrix(weights)
+            start = int(rng.integers(n))
+            labels, candidates, closed = self.sorted_reference(P, start)
+            assert candidates.size >= 1
+            if candidates.size == 1:
+                seen["one"] += 1
+                expected = np.flatnonzero(labels == candidates[0])
+                np.testing.assert_array_equal(_recurrent_class(P, start), expected)
+                seen["transient_start"] += start not in expected
+            else:
+                seen["several"] += 1
+                message = (
+                    f"^{candidates.size} closed communicating classes reachable "
+                    "from the start state; the long-run average is ambiguous$"
+                )
+                with pytest.raises(ReducibleChainError, match=message) as exc:
+                    _recurrent_class(P, start)
+                assert exc.value.closed_classes == candidates.size
+            seen["unreachable_sink"] += closed.size > candidates.size
+        assert min(seen.values()) >= 10, seen
 
 
 class TestStationaryDist:
@@ -400,7 +446,7 @@ class TestEvaluateExact:
         assert r.horizon is None and r.seed is None
         assert r.ci_halfwidth is None and r.rng is None
 
-    def test_large_chain_uses_power_iteration_consistently(self):
+    def test_large_chain_level_reduction_matches_direct_solve(self):
         # 5580 recurrent states, above the size where a power-iteration path
         # once took over: the level reduction agrees with the direct solve
         m = ModelParams(
@@ -494,6 +540,10 @@ def replay(kind, m, horizon, seed):
         ci_halfwidth=ci,
         rng="pcg64",
     )
+
+
+def test_t_quantile_constant_matches_scipy():
+    assert T_975_19 == float(student_t.ppf(0.975, CI_BATCHES - 1))
 
 
 class TestSimulate:

@@ -86,6 +86,10 @@ class TestStateActionValidation:
         with pytest.raises(DomainError):
             transition(State(1, 1), 2, small_params())
 
+    def test_bool_state_rejected(self):
+        with pytest.raises(DomainError):
+            transition(State(True, 0), IDLE, small_params())
+
 
 class TestTransitionBranches:
     def test_transmit_on_empty_battery(self):

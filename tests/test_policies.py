@@ -99,6 +99,10 @@ class TestDecide:
         with pytest.raises(DomainError):
             decide(ZeroWait(), State(0, 0), 0)
 
+    def test_rejects_bool_time(self):
+        with pytest.raises(DomainError):
+            decide(Periodic(2), State(1, 1), True)
+
 
 class TestExplicitValidation:
     def test_rejects_non_binary_entries(self):

@@ -283,6 +283,10 @@ class TestThresholdPolicy:
         with pytest.raises(DomainError):
             ThresholdPolicy(bad)
 
+    def test_bool_threshold_rejected(self):
+        with pytest.raises(DomainError):
+            ThresholdPolicy((True, 2, 1))
+
 
 class TestExtractThresholds:
     def test_all_idle_row_maps_to_never(self):
