@@ -21,7 +21,7 @@ from .evaluator import (
     evaluate_periodic_exact,
     simulate,
 )
-from .model import DomainError, ModelParams, enumerate_states, is_int
+from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
 from .policies import Optimal, Periodic, ZeroWait
 from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
@@ -54,13 +54,9 @@ class RunConfig:
     simulate_also: bool = False
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 # what a JSON config value must be, by the RunConfig field's declared type
 _TYPE_CHECKS = {
-    "float": ("a number", _is_number),
+    "float": ("a number", is_real),
     "int": ("an integer", is_int),
     "bool": ("true or false", lambda x: isinstance(x, bool)),
     "str": ("a string", lambda x: isinstance(x, str)),
@@ -71,7 +67,7 @@ _TYPE_CHECKS = {
     ),
     "list[float] | None": (
         "a list of numbers or null",
-        lambda x: x is None or (isinstance(x, list) and all(map(_is_number, x))),
+        lambda x: x is None or (isinstance(x, list) and all(map(is_real, x))),
     ),
 }
 _FIELD_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(RunConfig)}

@@ -27,15 +27,21 @@ slots one by one with ``decide`` and ``step``.
 
 Periodic schedules are not stationary on the base space; they get their own
 exact evaluator on the chain augmented with the slot phase.
+
+Importing this module loads numpy and the top-level ``scipy`` package only.
+``scipy.sparse`` and ``scipy.sparse.csgraph`` (about 0.3 s and 30 MiB
+together) load on the first exact evaluation, in the functions that build
+the chain and find its recurrent class, so a command that only solves or
+simulates never pays for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+import scipy  # the top level only; scipy.sparse and csgraph load where used
 
 from .model import (
     TRANSMIT,
@@ -142,7 +148,7 @@ class _Chain:
 
     idx: np.ndarray      # (size, 4) successor indices, laid out as ``successors``'
     prob: np.ndarray     # (size, 4) their probabilities
-    matrix: sparse.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     paid: np.ndarray     # states that transmit on an empty battery
 
 
@@ -150,6 +156,8 @@ def _phase_chain(tables: list[np.ndarray], period: int, m: ModelParams) -> _Chai
     """Chain on (slot phase, state): phase r takes the actions
     ``tables[min(r, len(tables) - 1)]`` and moves to phase r + 1 mod
     ``period``. A stationary policy is one table with period 1."""
+    from scipy import sparse
+
     n = state_count(m)
     tables = tables[:period]
     moves = [successors(act, m) for act in tables]
@@ -182,14 +190,18 @@ def _periodic_chain(kind: Periodic, m: ModelParams) -> _Chain:
     return _phase_chain([send, np.zeros(n, dtype=np.int64)], kind.period, m)
 
 
-def _recurrent_class(P: sparse.csr_matrix, start: int) -> np.ndarray:
+def _recurrent_class(P: scipy.sparse.csr_matrix, start: int) -> np.ndarray:
     """Indices of the closed communicating class the chain settles in when
     started from ``start``. Raises if that class is not unique."""
-    count, labels = connected_components(P, directed=True, connection="strong")
+    from scipy.sparse import csgraph
+
+    count, labels = csgraph.connected_components(P, directed=True, connection="strong")
     row_labels = labels[np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))]
     closed = np.ones(count, dtype=bool)
     closed[row_labels[row_labels != labels[P.indices]]] = False  # an edge leaves
-    reachable = breadth_first_order(P, start, directed=True, return_predecessors=False)
+    reachable = csgraph.breadth_first_order(
+        P, start, directed=True, return_predecessors=False
+    )
     reached = np.zeros(count, dtype=bool)
     reached[labels[reachable]] = True
     candidates = np.flatnonzero(reached & closed)
@@ -312,16 +324,19 @@ def _battery_of(m: ModelParams) -> np.ndarray:
     return np.repeat(np.arange(m.battery_cap + 1), m.delta_max)
 
 
-def _stationary_dist(P: sparse.csr_matrix) -> np.ndarray:
+def _stationary_dist(P: scipy.sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of an irreducible chain by one sparse direct
     solve, the last balance equation replaced by the normalization. The
     reference the level reduction is tested against."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
     n = P.shape[0]
     A = (P.T - sparse.identity(n, format="csr")).tolil()
     A[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    mu = np.clip(sparse.linalg.spsolve(A.tocsc(), rhs), 0.0, None)
+    mu = np.clip(spsolve(A.tocsc(), rhs), 0.0, None)
     return mu / mu.sum()
 
 
@@ -386,9 +401,13 @@ class _Machine:
     table: list[int]
 
 
+@lru_cache(maxsize=4)
 def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
     """Tabulate ``decide`` on every (slot class, battery, capped age) and
-    step the physics once from every state and symbol."""
+    step the physics once from every state and symbol.
+
+    Cached, so the seeds of one command share one machine: its arrays are
+    read-only and ``_run`` never writes to its table."""
     levels = m.battery_cap + 1
     if isinstance(kind, Optimal):
         # a row whose threshold exceeds the horizon never transmits, so the
@@ -437,7 +456,10 @@ def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
     # keeps the lookups in cache
     scaled = list(range(0, K * S**k, S**k))
     table = [scaled[i] for i in (s >> bits).tolist()]
-    return _Machine(bits, period, move, act & (q == 0), reset, k, table)
+    paid = act & (q == 0)
+    for arr in (move, paid, reset):
+        arr.flags.writeable = False
+    return _Machine(bits, period, move, paid, reset, k, table)
 
 
 def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):

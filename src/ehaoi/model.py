@@ -20,8 +20,10 @@ stay as the per-state reference they are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -42,6 +44,11 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """A real number, but not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     lambda_e: float       # energy packet arrival probability, in (0, 1]
@@ -52,6 +59,12 @@ class ModelParams:
     delta_max: int = 200  # age truncation bound, at least 2
 
     def __post_init__(self):
+        for name in ("lambda_e", "p_block", "cost_reliable", "weight"):
+            x = getattr(self, name)
+            # NaN slips past the one-sided range tests below, and a price of
+            # inf * 0 is NaN
+            if not (is_real(x) and math.isfinite(x)):
+                raise DomainError(f"{name} must be a finite real number, got {x!r}")
         if not 0.0 < self.lambda_e <= 1.0:
             raise DomainError(f"lambda_e must be in (0, 1], got {self.lambda_e}")
         if not 0.0 < self.p_block < 1.0:
@@ -225,6 +238,12 @@ class GridShift:
     terms are summed in ``transition``'s entry order, left to right, which
     is how numpy reduces ``kernel_arrays``' length-4 rows, so the result
     equals the gather over ``kernel_arrays`` bit for bit.
+
+    ``backup`` takes the minimum over actions before it adds the age, which
+    is exact: rounding to nearest is monotone, so x <= y gives
+    fl(x + a) <= fl(y + a), and min(fl(x + a), fl(y + a)) is
+    fl(min(x, y) + a) for any doubles x, y, a. Only an empty battery's
+    transmit Q, which adds the paid price as well, is compared finished.
     """
 
     def __init__(self, m: ModelParams):
@@ -232,8 +251,34 @@ class GridShift:
         self.idle, self.transmit = _coefficients(m)
         self.age = np.arange(1, m.delta_max + 1, dtype=float)
         self.paid_age = self.age + m.weight * m.cost_reliable
+        # the age of every row but battery 0's, laid out like them
+        self._age_grid = np.tile(self.age, (m.battery_cap, 1))
         self._aged = np.empty(self.shape)
         self._term = np.empty((m.battery_cap, m.delta_max))
+        self._tx = np.empty((m.battery_cap, m.delta_max))
+        self._idle0 = np.empty(m.delta_max)
+
+    def _sums(self, grid: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> None:
+        """The Q values less the one-step cost: ``idle`` for every battery
+        level, ``tx`` for levels 1..battery_cap. Battery q >= 1 spends down
+        to q - 1; an empty battery pays for a backup packet and so has the
+        successors, and the sum, of battery 1."""
+        aged = self._aged  # aged[b, j] = v at (min(j + 2, delta_max), b)
+        aged[:, :-1] = grid[:, 1:]
+        aged[:, -1] = grid[:, -1]
+        reset = grid[:, :1]  # age 1
+        term = self._term
+        up, stay = self.idle
+        np.multiply(aged[1:], up, out=idle[:-1])
+        np.multiply(aged[:-1], stay, out=term)
+        idle[:-1] += term
+        idle[-1] = aged[-1]  # a full battery idles with probability 1
+        c0, c1, c2, c3 = self.transmit
+        np.multiply(aged[1:], c0, out=tx)
+        tx += c1 * reset[1:]
+        np.multiply(aged[:-1], c2, out=term)
+        tx += term
+        tx += c3 * reset[:-1]
 
     def backup_q(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Q-values for every (action, state) pair as a (2, n) array."""
@@ -241,29 +286,29 @@ class GridShift:
         if out is None:
             out = np.empty((2, grid.size))
         q = out.reshape((2,) + self.shape)
-        aged = self._aged  # aged[b, j] = v at (min(j + 2, delta_max), b)
-        aged[:, :-1] = grid[:, 1:]
-        aged[:, -1] = grid[:, -1]
-        reset = grid[:, :1]  # age 1
-        term = self._term
-        up, stay = self.idle
-        idle = q[IDLE]
-        np.multiply(aged[1:], up, out=idle[:-1])
-        np.multiply(aged[:-1], stay, out=term)
-        idle[:-1] += term
-        idle[-1] = aged[-1]  # a full battery idles with probability 1
+        idle, tx = q[IDLE], q[TRANSMIT, 1:]
+        self._sums(grid, idle, tx)
         idle += self.age
-        # battery q >= 1 spends down to q - 1; an empty battery pays for a
-        # backup packet and so has the successors of battery 1
-        c0, c1, c2, c3 = self.transmit
-        tx = q[TRANSMIT, 1:]
-        np.multiply(aged[1:], c0, out=tx)
-        tx += c1 * reset[1:]
-        np.multiply(aged[:-1], c2, out=term)
-        tx += term
-        tx += c3 * reset[:-1]
         np.add(self.paid_age, tx[0], out=q[TRANSMIT, 0])
         tx += self.age
+        return out
+
+    def backup(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bellman values, the minimum over actions of ``backup_q``, bit for
+        bit, as an (n,) array. ``out`` must not share memory with ``v``."""
+        grid = np.asarray(v, dtype=float).reshape(self.shape)
+        if out is None:
+            out = np.empty(grid.size)
+        best = out.reshape(self.shape)
+        tx = self._tx
+        self._sums(grid, best, tx)
+        # an empty battery's transmit Q adds the paid price as well, so its
+        # row compares the finished Q values
+        idle0 = np.add(best[0], self.age, out=self._idle0)
+        np.add(self.paid_age, tx[0], out=best[0])
+        np.minimum(idle0, best[0], out=best[0])
+        np.minimum(best[1:], tx, out=best[1:])
+        best[1:] += self._age_grid
         return out
 
 

@@ -6,7 +6,9 @@ though average-cost values themselves are only defined up to a constant.
 Two extraction routes are provided: a full per-state argmin, and a
 threshold-exploiting scan that walks each battery row in increasing age
 and stops comparing once the row starts transmitting. Every sweep and the
-full argmin use the grid-shift operator (``model.GridShift``).
+full argmin use the grid-shift operator (``model.GridShift``): a sweep
+takes its Bellman values from ``backup`` and the extraction compares the
+Q values of ``backup_q``.
 """
 
 from __future__ import annotations
@@ -122,14 +124,12 @@ def _iterate_values(m: ModelParams, eps: float, max_iter: int):
     n = state_count(m)
     ref = state_index(State(1, m.battery_cap), m)
     v = np.zeros(n)
-    q = np.empty((2, n))
     tv = np.empty(n)
     diff = np.empty(n)
     spans = np.empty(max_iter)
     span = np.inf
     for k in range(max_iter):
-        op.backup_q(v, out=q)
-        np.minimum(q[IDLE], q[TRANSMIT], out=tv)
+        op.backup(v, out=tv)
         np.subtract(tv, v, out=diff)
         hi = float(diff.max())
         lo = float(diff.min())

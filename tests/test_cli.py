@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ehaoi
+from ehaoi import cli
 from ehaoi.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -21,6 +22,16 @@ SMALL = [
     "--weight", "10",
     "--delta-max", "30",
 ]
+
+
+def _package_env():
+    """The environment for a fresh interpreter that imports this package,
+    installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(ehaoi.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def read_csv(path):
@@ -56,6 +67,26 @@ class TestSolve:
         code = main(["solve", *SMALL[:2], "--p-block", "1.0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--weight", "nan"), ("--cost-reliable", "nan"), ("--weight", "inf")]
+    )
+    def test_non_finite_parameter_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        # rejected before the solver starts: a NaN value used to run every
+        # sweep and then exit 1 on a NaN residual
+        def solver_entered(*args, **kwargs):
+            raise AssertionError("the solver ran on a non-finite parameter")
+
+        monkeypatch.setattr(cli, "modified_via", solver_entered)
+        args = list(SMALL)
+        args[args.index(flag) + 1] = value
+        out = tmp_path / "x.csv"
+        assert main(["solve", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConfigResolution:
@@ -264,24 +295,44 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert out.exists()
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # Start-up cost: the package loads scipy.sparse and csgraph only.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(ehaoi.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
-        )
+    def test_import_loads_top_level_scipy_only(self):
+        # Start-up cost: scipy.sparse and csgraph load on the first exact
+        # evaluation, scipy.stats never
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, ehaoi.cli; print('scipy.stats' in sys.modules)",
-            ],
+            [sys.executable, "-c", "import sys, ehaoi.cli; print(*sys.modules, sep='\\n')"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_package_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = set(proc.stdout.splitlines())
+        assert "scipy" in loaded
+        assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.stats"}
+
+    @pytest.mark.parametrize(
+        "argv, sparse_loaded",
+        [
+            (["solve"], False),
+            (["simulate", "--policy", "optimal", "--horizon", "1000", "--seed", "1"], False),
+            (["compare", "--axis", "weight", "--grid", "10", "--period", "3"], True),
+        ],
+        ids=["solve", "simulate", "compare"],
+    )
+    def test_only_exact_evaluation_loads_scipy_sparse(self, tmp_path, argv, sparse_loaded):
+        script = (
+            "import sys; from ehaoi.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'scipy.sparse' in sys.modules)"
+        )
+        out = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, argv[0], *SMALL, *argv[1:], "--out", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {sparse_loaded}"
 
     def test_declared_entry_point_runs(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")
@@ -290,10 +341,6 @@ class TestEntryPoint:
         module, func = target.split(":")
         # Call the target the way a generated console script does, with the
         # package importable whether or not it is installed.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(ehaoi.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
-        )
         out = tmp_path / "thr.csv"
         proc = subprocess.run(
             [
@@ -308,7 +355,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=env,
+            env=_package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

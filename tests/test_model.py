@@ -66,6 +66,14 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             small_params(delta_max=dm)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("field", ["lambda_e", "p_block", "cost_reliable", "weight"])
+    def test_non_finite_or_bool_rejected(self, field, value):
+        # NaN slips past every range comparison, inf * 0 is a NaN price,
+        # and True would pass as 1
+        with pytest.raises(DomainError, match=field):
+            small_params(**{field: value})
+
 
 class TestStateActionValidation:
     def test_age_below_one(self):

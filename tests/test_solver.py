@@ -22,7 +22,7 @@ from ehaoi import (
     relative_value_iteration,
     state_count,
 )
-from ehaoi.model import PROB_FLOOR
+from ehaoi.model import PROB_FLOOR, GridShift
 
 
 def tiny_params(**overrides):
@@ -115,17 +115,23 @@ REFERENCE = dict(
 
 
 class TestShiftBackupMatchesKernel:
-    @pytest.mark.parametrize("size", ["small", "reference"])
+    @pytest.mark.parametrize("size", ["minimal", "small", "reference"])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
     def test_bit_identical_to_gather(self, lam, size):
-        if size == "small":
+        if size == "minimal":
+            m = tiny_params(lambda_e=lam, battery_cap=2, delta_max=2, cost_reliable=0.0)
+        elif size == "small":
             m = tiny_params(lambda_e=lam, battery_cap=3, delta_max=7)
         else:
             m = ModelParams(lambda_e=lam, **REFERENCE)
+        op = GridShift(m)
         rng = np.random.default_rng(11)
         for scale in (1e-3, 1.0, 1e4):
             v = rng.normal(size=state_count(m)) * scale
-            assert np.array_equal(bellman_backup_q(v, m), gather_backup_q(v, m))
+            want = gather_backup_q(v, m)
+            assert np.array_equal(bellman_backup_q(v, m), want)
+            # the sweep's Bellman values add the age after the minimum
+            assert np.array_equal(op.backup(v), want.min(axis=0))
 
     def test_dust_entry_is_dropped(self):
         # p_block * (1 - lambda_e) falls below PROB_FLOOR, so transition()
