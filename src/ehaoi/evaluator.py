@@ -22,8 +22,10 @@ and, for a periodic schedule, whether the slot is scheduled, so the run is a
 finite-state machine whose tables come from ``decide`` and the simulator's
 own one-slot rule, never from the exact side's ``successors``. One table
 lookup per block of slots carries the state; everything else is array work,
-one CI batch at a time, and every report is bit-identical to stepping the
-slots one by one with ``decide`` and ``step``.
+one CI batch at a time, mostly in place: the slots' symbols and states fill
+(block, slot) grids, and the ages come from one running maximum. Every
+report is bit-identical to stepping the slots one by one with ``decide``
+and ``step``.
 
 Periodic schedules are not stationary on the base space; they get their own
 exact evaluator on the chain augmented with the slot phase.
@@ -466,7 +468,15 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     """Run ``machine`` from (age 1, empty battery) over consecutive stretches
     of ``sizes`` slots; yields each stretch's untruncated ages and the mask
     of its paid slots. Each stretch draws its own piece of the energy and
-    channel streams, which continue as one draw of every slot would."""
+    channel streams, which continue as one draw of every slot would.
+
+    Per stretch, the symbols are written straight into a zero-padded
+    (block, slot) grid and one integer matrix product packs each block's
+    code. The table walk, the only Python loop, gives every block's first
+    state, written in place into the first column of the (block, slot)
+    state grid; ``block`` - 1 gathers fill the other columns. The ages come
+    from one running maximum over the positions after a reset, with the
+    slots before the stretch's first reset continuing the carried-in age."""
     bits, k, move, table = machine.bits, machine.block, machine.move, machine.table
     S = 1 << bits
     energy, channel = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -474,33 +484,37 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     state = 0  # (battery 0, age 1), times S
     aoi = 1
     for n in sizes:
-        symbols = (energy.random(n) < m.lambda_e) + 2 * (channel.random(n) < m.p_block)
-        if machine.period > 1:
-            symbols += 4 * (np.arange(t, t + n) % machine.period == 0)
+        # the symbols, straight into the zero-padded (block, slot) grid
         blocks = -(-n // k)
-        grid = np.zeros((blocks, k), dtype=np.int64)
-        grid.flat[:n] = symbols
-        code = grid[:, k - 1]
-        for j in range(k - 2, -1, -1):
-            code = code * S + grid[:, j]
+        grid = np.zeros((blocks, k), dtype=np.intp)
+        flat = grid.reshape(-1)[:n]
+        np.less(channel.random(n), m.p_block, out=flat, casting="unsafe")
+        flat <<= 1
+        flat += energy.random(n) < m.lambda_e
+        if machine.period > 1:
+            flat[-t % machine.period :: machine.period] += 4  # t % period == 0
+        code = grid @ S ** np.arange(k)  # first slot lowest; exact in integers
         # the sequential part: each block's first state from the one before
         s = state * S ** (k - 1)
-        starts = [s := table[s + c] for c in code[:-1].tolist()]
-        idx = np.empty((blocks, k), dtype=np.int64)
+        idx = np.empty((blocks, k), dtype=np.intp)
         idx[0, 0] = state
-        idx[1:, 0] = np.fromiter(starts, np.int64, blocks - 1) >> bits * (k - 1)
+        idx[1:, 0] = [s := table[s + c] for c in code[:-1].tolist()]
+        idx[1:, 0] >>= bits * (k - 1)
         idx[:, 0] += grid[:, 0]
         for j in range(1, k):
-            idx[:, j] = move[idx[:, j - 1]] + grid[:, j]
-        idx = idx.ravel()[:n]
+            np.add(move[idx[:, j - 1]], grid[:, j], out=idx[:, j])
+        idx = idx.reshape(-1)[:n]
         state = int(move[idx[-1]])
 
-        # a reset at slot j makes the age 1 at slot j + 1
+        # a reset at slot j makes the age 1 at slot j + 1; before the first
+        # reset the ages continue from the carried-in one
         reset = machine.reset[idx]
-        origin = np.empty(n, dtype=np.int64)
-        origin[0] = 1 - aoi
-        origin[1:] = np.where(reset[:-1], np.arange(1, n), 1 - aoi)
-        ages = np.arange(1, n + 1) - np.maximum.accumulate(origin)
+        ages = np.arange(1, n + 1)
+        origin = np.empty(n, dtype=np.intp)
+        np.multiply(ages[:-1], reset[:-1], out=origin[1:])
+        first = int(reset.argmax())
+        origin[: first + 1 if reset[first] else n] = 1 - aoi
+        ages -= np.maximum.accumulate(origin, out=origin)
         aoi = 1 if reset[-1] else int(ages[-1]) + 1
         t += n
         yield ages, machine.paid[idx]

@@ -275,10 +275,12 @@ class GridShift:
         idle[-1] = aged[-1]  # a full battery idles with probability 1
         c0, c1, c2, c3 = self.transmit
         np.multiply(aged[1:], c0, out=tx)
-        tx += c1 * reset[1:]
+        np.copyto(term, c1 * reset[1:])  # a whole-grid add, not one per row
+        tx += term
         np.multiply(aged[:-1], c2, out=term)
         tx += term
-        tx += c3 * reset[:-1]
+        np.copyto(term, c3 * reset[:-1])
+        tx += term
 
     def backup_q(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Q-values for every (action, state) pair as a (2, n) array."""

@@ -13,6 +13,7 @@ Q values of ``backup_q``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .model import (
     ModelParams,
     State,
     is_int,
+    is_real,
     one_step_cost,
     state_count,
     state_index,
@@ -116,23 +118,23 @@ def bellman_backup_q(v: np.ndarray, m: ModelParams) -> np.ndarray:
 
 
 def _iterate_values(m: ModelParams, eps: float, max_iter: int):
-    if eps <= 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not (is_real(eps) and math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be a finite number > 0, got {eps!r}")
+    if not (is_int(max_iter) and max_iter >= 1):
+        raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
     op = GridShift(m)
     n = state_count(m)
     ref = state_index(State(1, m.battery_cap), m)
     v = np.zeros(n)
     tv = np.empty(n)
-    diff = np.empty(n)
     spans = np.empty(max_iter)
     span = np.inf
     for k in range(max_iter):
         op.backup(v, out=tv)
-        np.subtract(tv, v, out=diff)
-        hi = float(diff.max())
-        lo = float(diff.min())
+        # the update into v's own buffer: v is renormalized from tv below
+        np.subtract(tv, v, out=v)
+        hi = float(v.max())
+        lo = float(v.min())
         span = hi - lo
         spans[k] = span
         np.subtract(tv, tv[ref], out=v)

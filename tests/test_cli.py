@@ -88,6 +88,24 @@ class TestSolve:
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, value",
+        [
+            ("solve", [], "nan"),
+            ("solve", [], "inf"),
+            ("compare", ["--axis", "weight", "--grid", "1"], "nan"),
+        ],
+    )
+    def test_non_finite_eps_is_usage_error(self, tmp_path, capsys, command, extra, value):
+        # NaN used to run every sweep and exit 1, inf to stop after one sweep
+        out = tmp_path / "x.csv"
+        code = main([command, *SMALL, *extra, "--eps", value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps must be a finite number > 0")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigResolution:
     def test_config_file_supplies_defaults(self, tmp_path):

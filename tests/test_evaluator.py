@@ -504,6 +504,8 @@ REPLAY_KINDS = {
     },
     "explicit-narrow": Explicit(np.random.default_rng(3).integers(0, 2, (4, 5))),
     "explicit-wide": Explicit(np.random.default_rng(4).integers(0, 2, (4, 30))),
+    # 1200 table states at long horizons: the block shrinks to 3 slots
+    "explicit-short-block": Explicit(np.random.default_rng(5).integers(0, 2, (4, 300))),
     "optimal-never-row": Optimal(ThresholdPolicy((9, 3, 2, 1))),  # delta_max + 1
     "optimal-past-horizon": Optimal(ThresholdPolicy((2, 10**9, 4, 1))),
 }
@@ -547,7 +549,7 @@ def test_t_quantile_constant_matches_scipy():
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("lam", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 0.99, 1.0])
     @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 41, 5003])
     @pytest.mark.parametrize("name", list(REPLAY_KINDS))
     def test_report_equals_slot_by_slot_replay(self, name, horizon, lam):

@@ -23,6 +23,7 @@ from ehaoi import (
     state_count,
 )
 from ehaoi.model import PROB_FLOOR, GridShift
+from ehaoi.solver import _iterate_values
 
 
 def tiny_params(**overrides):
@@ -224,7 +225,7 @@ class TestRelativeValueIteration:
         assert exc.value.iterations == 2
         assert exc.value.span_residual > 1e-12
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9])
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf"), True])
     def test_bad_eps_rejected(self, eps):
         with pytest.raises(DomainError):
             relative_value_iteration(tiny_params(), eps=eps)
@@ -232,6 +233,42 @@ class TestRelativeValueIteration:
     def test_bad_max_iter_rejected(self):
         with pytest.raises(DomainError):
             relative_value_iteration(tiny_params(), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [True, 10.0])
+    def test_max_iter_must_be_an_int_not_a_bool(self, max_iter):
+        # True used to run one sweep
+        with pytest.raises(DomainError, match="max_iter"):
+            relative_value_iteration(tiny_params(), max_iter=max_iter)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=20,
+                        cost_reliable=2.0, weight=10.0, delta_max=200),
+            tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12),
+        ],
+        ids=["reference", "4x12-lambda1"],
+    )
+    def test_iteration_equals_reference_loop(self, m):
+        # the sweep loop written out plainly: Q values, their minimum, a
+        # separate difference array, then the renormalization
+        ref = m.delta_max * m.battery_cap  # State(1, battery_cap)
+        v = np.zeros(state_count(m))
+        spans = []
+        for k in range(100_000):
+            tv = bellman_backup_q(v, m).min(axis=0)
+            diff = tv - v
+            hi, lo = float(diff.max()), float(diff.min())
+            spans.append(hi - lo)
+            v = tv - tv[ref]
+            if hi - lo <= 1e-9:
+                break
+        got_v, gain, bracket, iterations, span, history = _iterate_values(m, 1e-9, 100_000)
+        assert np.array_equal(got_v, v)
+        assert gain == 0.5 * (hi + lo)
+        assert bracket == (lo, hi)
+        assert iterations == k + 1 and span == spans[-1]
+        assert np.array_equal(history, np.array(spans))
 
 
 class TestExtractPolicy:
