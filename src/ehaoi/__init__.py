@@ -35,15 +35,14 @@ from .policies import (
     Optimal,
     Periodic,
     PolicyKind,
+    ThresholdPolicy,
     ZeroWait,
     decide,
-    is_stationary,
     stationary_actions,
 )
 from .solver import (
     ConvergenceError,
     SolveResult,
-    ThresholdPolicy,
     ThresholdStructureError,
     TruncationWarning,
     bellman_backup_q,
@@ -87,7 +86,6 @@ __all__ = [
     "evaluate_periodic_exact",
     "extract_policy",
     "extract_thresholds",
-    "is_stationary",
     "kernel_arrays",
     "modified_via",
     "one_step_cost",

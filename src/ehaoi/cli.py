@@ -118,41 +118,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                     f"config key {key!r} must be {expected}, got {json.dumps(value)}"
                 )
             setattr(cfg, key, value)
-    overrides = {
-        "lambda_e": "lambda_e",
-        "p_block": "p_block",
-        "battery_cap": "battery_cap",
-        "cost_reliable": "cost_reliable",
-        "weight": "weight",
-        "delta_max": "delta_max",
-        "eps": "eps",
-        "max_iter": "max_iter",
-        "policy": "policy",
-        "period": "period",
-        "periodic_skip_on_empty": "periodic_skip_on_empty",
-        "horizon": "horizon",
-        "seed": "seeds",
-        "axis": "axis",
-        "grid": "grid",
-        "out": "out",
-        "simulate_also": "simulate_also",
-    }
-    for dest, name in overrides.items():
-        value = getattr(args, dest, None)
+    for f in fields(RunConfig):
+        # every field's flag shares its name, but --seed fills seeds
+        value = getattr(args, "seed" if f.name == "seeds" else f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
 def _model_params(cfg: RunConfig, **replace) -> ModelParams:
-    kw = dict(
-        lambda_e=cfg.lambda_e,
-        p_block=cfg.p_block,
-        battery_cap=cfg.battery_cap,
-        cost_reliable=cfg.cost_reliable,
-        weight=cfg.weight,
-        delta_max=cfg.delta_max,
-    )
+    kw = {f.name: getattr(cfg, f.name) for f in fields(ModelParams)}
     kw.update(replace)
     return ModelParams(**kw)
 
@@ -329,27 +304,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports = run_all_checks(result.values, m)
     print(f"gain={_fmt(result.gain)} iterations={result.iterations}")
     print(f"thresholds={','.join(str(t) for t in tp.thresholds)}")
+    rows = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         line = f"{rep.name}: {status} worst={rep.worst:.3e} tol={rep.tol:g}"
+        witness = ""
         if rep.witnesses:
-            pair = rep.witnesses[0]
-            line += (
-                f" witness=({pair[0].aoi},{pair[0].battery})"
-                f"->({pair[1].aoi},{pair[1].battery})"
-            )
+            s, t = rep.witnesses[0]
+            witness = f"({s.aoi},{s.battery})->({t.aoi},{t.battery})"
+            line += f" witness={witness}"
         print(line)
+        rows.append([rep.name, rep.passed, rep.worst, rep.tol, witness])
     if cfg.out:
-        rows = []
-        for rep in reports:
-            witness = ""
-            if rep.witnesses:
-                pair = rep.witnesses[0]
-                witness = (
-                    f"({pair[0].aoi},{pair[0].battery})"
-                    f"->({pair[1].aoi},{pair[1].battery})"
-                )
-            rows.append([rep.name, rep.passed, rep.worst, rep.tol, witness])
         _write_csv(cfg.out, ["check", "passed", "worst", "tol", "witness"], rows)
         print(f"report -> {cfg.out}")
     return OK if all(r.passed for r in reports) else FAIL

@@ -27,8 +27,11 @@ one CI batch at a time, mostly in place: the slots' symbols and states fill
 report is bit-identical to stepping the slots one by one with ``decide``
 and ``step``.
 
-Periodic schedules are not stationary on the base space; they get their own
-exact evaluator on the chain augmented with the slot phase.
+A periodic schedule is not stationary on the base space, but it is on the
+chain augmented with the slot phase. ``stationary_actions`` gives its
+action table there, one base table per phase, and ``evaluate_exact``
+solves that chain like any other; ``evaluate_periodic_exact`` is the same
+evaluation for periodic schedules only.
 
 Importing this module loads numpy and the top-level ``scipy`` package only.
 ``scipy.sparse`` and ``scipy.sparse.csgraph`` (about 0.3 s and 30 MiB
@@ -61,7 +64,6 @@ from .policies import (
     PolicyKind,
     ZeroWait,
     decide,
-    is_stationary,
     stationary_actions,
 )
 
@@ -154,42 +156,30 @@ class _Chain:
     paid: np.ndarray     # states that transmit on an empty battery
 
 
-def _phase_chain(tables: list[np.ndarray], period: int, m: ModelParams) -> _Chain:
-    """Chain on (slot phase, state): phase r takes the actions
-    ``tables[min(r, len(tables) - 1)]`` and moves to phase r + 1 mod
-    ``period``. A stationary policy is one table with period 1."""
+def _phase_chain(actions: np.ndarray, m: ModelParams) -> _Chain:
+    """Chain on (slot phase, state) under ``actions``, one base table per
+    phase laid end to end as ``stationary_actions`` gives them: phase r
+    follows its table and moves to phase r + 1 mod the number of tables. A
+    stationary policy is one table, one phase."""
     from scipy import sparse
 
     n = state_count(m)
-    tables = tables[:period]
-    moves = [successors(act, m) for act in tables]
-    phase_of = [min(r, len(tables) - 1) for r in range(period)]
-    idx = np.concatenate(
-        [((r + 1) % period) * n + moves[t][0] for r, t in enumerate(phase_of)]
-    )
-    prob = np.concatenate([moves[t][1] for t in phase_of])
+    size = actions.size
+    period = size // n
+    idx, prob = successors(actions, m)
+    # every move lands in the next phase's copy of the states
+    idx.reshape(period, -1)[:] += (np.arange(1, period + 1) % period * n)[:, None]
     # CSR straight from the rows, zero entries dropped: ``successors`` lists
     # a row's targets in decreasing index order, so reversed they come out
     # sorted, as a COO build would leave them
-    size = idx.shape[0]
     live = prob[:, ::-1] > 0.0
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     matrix = sparse.csr_matrix(
         (prob[:, ::-1][live], idx[:, ::-1][live], indptr), shape=(size, size)
     )
-    empty = _battery_of(m) == 0
-    paid = np.concatenate([(tables[t] == TRANSMIT) & empty for t in phase_of])
+    paid = (actions == TRANSMIT) & (np.arange(size) % n < m.delta_max)  # battery 0
     return _Chain(idx, prob, matrix, paid)
-
-
-def _periodic_chain(kind: Periodic, m: ModelParams) -> _Chain:
-    """Phase 0 follows the schedule's transmit slot, the others idle."""
-    n = state_count(m)
-    send = np.ones(n, dtype=np.int64)
-    if kind.skip_on_empty:
-        send[_battery_of(m) == 0] = 0
-    return _phase_chain([send, np.zeros(n, dtype=np.int64)], kind.period, m)
 
 
 def _recurrent_class(P: scipy.sparse.csr_matrix, start: int) -> np.ndarray:
@@ -237,7 +227,7 @@ def _gth(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _level_stationary(chain: _Chain, cls: np.ndarray, period: int, m: ModelParams) -> np.ndarray:
+def _level_stationary(chain: _Chain, cls: np.ndarray, m: ModelParams) -> np.ndarray:
     """Stationary distribution of ``chain`` on its closed class ``cls``, by
     linear level reduction with the age as the level (Latouche & Ramaswami,
     Introduction to Matrix Analytic Methods, SIAM 1999).
@@ -262,7 +252,8 @@ def _level_stationary(chain: _Chain, cls: np.ndarray, period: int, m: ModelParam
     """
     D = m.delta_max
     B1 = m.battery_cap + 1
-    K = period * B1
+    K = chain.prob.shape[0] // D
+    period = K // B1
     inside = np.zeros((K, D), dtype=bool)  # (phase * battery, age)
     inside.flat[cls] = True
     # the successor rows by age: (age, phase * battery, successor)
@@ -322,10 +313,6 @@ def _level_stationary(chain: _Chain, cls: np.ndarray, period: int, m: ModelParam
     return mu / mu.sum()
 
 
-def _battery_of(m: ModelParams) -> np.ndarray:
-    return np.repeat(np.arange(m.battery_cap + 1), m.delta_max)
-
-
 def _stationary_dist(P: scipy.sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of an irreducible chain by one sparse direct
     solve, the last balance equation replaced by the normalization. The
@@ -342,9 +329,9 @@ def _stationary_dist(P: scipy.sparse.csr_matrix) -> np.ndarray:
     return mu / mu.sum()
 
 
-def _exact_report(chain: _Chain, period: int, m: ModelParams) -> EvalReport:
+def _exact_report(chain: _Chain, m: ModelParams) -> EvalReport:
     cls = _recurrent_class(chain.matrix, start=0)  # (age 1, battery 0) at phase 0
-    mu = _level_stationary(chain, cls, period, m)
+    mu = _level_stationary(chain, cls, m)
     by_age = mu.reshape(-1, m.delta_max).sum(axis=0)
     average_aoi = float(by_age @ np.arange(1.0, m.delta_max + 1))
     rate = float(mu[chain.paid].sum())
@@ -359,25 +346,21 @@ def _exact_report(chain: _Chain, period: int, m: ModelParams) -> EvalReport:
 
 
 def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
-    """Exact long-run averages of a stationary policy on the truncated chain."""
-    if not is_stationary(kind):
-        raise ValueError(
-            "periodic policies are time-dependent; use evaluate_periodic_exact"
-        )
-    return _exact_report(_phase_chain([stationary_actions(kind, m)], 1, m), 1, m)
+    """Exact long-run averages of ``kind`` on the truncated chain.
+
+    A periodic schedule is evaluated on the product chain over
+    (slot mod period, state), which makes it stationary. Its moves still
+    only advance or reset the age, so the same level reduction solves it,
+    with the phase joining the battery level in each age block.
+    """
+    return _exact_report(_phase_chain(stationary_actions(kind, m), m), m)
 
 
 def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:
-    """Exact averages of a periodic schedule via the phase-augmented chain.
-
-    The product chain over (slot mod period, state) makes the schedule
-    stationary. Its moves still only advance or reset the age, so the same
-    level reduction solves it, with the phase joining the battery level in
-    each age block.
-    """
+    """``evaluate_exact`` for periodic schedules only."""
     if not isinstance(kind, Periodic):
         raise ValueError(f"expected a Periodic policy, got {kind!r}")
-    return _exact_report(_periodic_chain(kind, m), kind.period, m)
+    return evaluate_exact(kind, m)
 
 
 @dataclass(frozen=True)

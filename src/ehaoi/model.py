@@ -317,9 +317,11 @@ class GridShift:
 def successors(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Successor indices and probabilities of every state under ``actions``.
 
-    Returns two (n, 4) arrays in ``enumerate_states`` order whose rows list
-    ``transition``'s entries in its order; an entry dropped below
-    PROB_FLOOR, and the padding of a short row, has probability 0.
+    ``actions`` is one or more action tables in ``enumerate_states`` order,
+    laid end to end. Returns two (actions.size, 4) arrays in the same order
+    whose rows list ``transition``'s entries in its order, each index
+    within its own table; an entry dropped below PROB_FLOOR, and the
+    padding of a short row, has probability 0.
     """
     b_max, dm = m.battery_cap, m.delta_max
     (up, stay), transmit = _coefficients(m)
@@ -332,7 +334,7 @@ def successors(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndar
     idle_prob = np.where(battery == b_max, (1.0, 0.0, 0.0, 0.0), (up, stay, 0.0, 0.0))
     spent = np.maximum(battery - 1, 0)  # an empty battery pays for backup
     tx_idx = (spent + (1, 1, 0, 0)) * dm + aged * (1, 0, 1, 0)
-    send = np.asarray(actions).reshape(b_max + 1, dm, 1) == TRANSMIT
+    send = np.asarray(actions).reshape(-1, b_max + 1, dm, 1) == TRANSMIT
     return (
         np.where(send, tx_idx, idle_idx).reshape(-1, 4),
         np.where(send, transmit, idle_prob).reshape(-1, 4),

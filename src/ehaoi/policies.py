@@ -1,4 +1,9 @@
-"""Decision policies: solver thresholds plus the standard baselines."""
+"""Decision policies: solver thresholds plus the standard baselines.
+
+Two routes read a policy. ``decide`` gives the action in one state at one
+slot, for the simulator; ``stationary_actions`` gives the whole action
+table of the chain on which the policy is stationary, for the exact side.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,23 @@ from typing import Union
 import numpy as np
 
 from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int, state_count
-from .solver import ThresholdPolicy
+
+
+@dataclass(frozen=True)
+class ThresholdPolicy:
+    """Transmit at battery level q exactly when age >= thresholds[q].
+
+    A threshold of delta_max + 1 means the row never transmits.
+    """
+
+    thresholds: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.thresholds:
+            raise DomainError("thresholds must be non-empty")
+        for t in self.thresholds:
+            if not (is_int(t) and t >= 1):
+                raise DomainError(f"thresholds must be ints >= 1, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +51,11 @@ class Periodic:
     def __post_init__(self):
         if not (is_int(self.period) and self.period >= 1):
             raise DomainError(f"period must be an int >= 1, got {self.period!r}")
+        # any other truthy value would silently mean "skip"
+        if not isinstance(self.skip_on_empty, (bool, np.bool_)):
+            raise DomainError(
+                f"skip_on_empty must be a bool, got {self.skip_on_empty!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,21 +128,30 @@ def decide(kind: PolicyKind, s: State, t: int) -> int:
     raise TypeError(f"unknown policy kind {kind!r}")
 
 
-def is_stationary(kind: PolicyKind) -> bool:
-    return not isinstance(kind, Periodic)
-
-
 def stationary_actions(kind: PolicyKind, m: ModelParams) -> np.ndarray:
-    """Action per state, enumerate_states order. Rejects time-dependent kinds."""
-    if isinstance(kind, Periodic):
-        raise ValueError(
-            "periodic policies are time-dependent; use the phase-augmented "
-            "exact evaluator or the simulator"
-        )
+    """Action per state of the chain on which ``kind`` is stationary.
+
+    For ZeroWait, Optimal and Explicit that is the base chain: one action
+    per state, in enumerate_states order. A ``Periodic(T)`` schedule is
+    stationary on the chain augmented with the slot phase t mod T, so it
+    gets T such tables laid end to end, phase outer: phase 0 is the
+    scheduled slot and transmits (idling on an empty battery under
+    ``skip_on_empty``), and the other phases idle.
+    """
     if isinstance(kind, ZeroWait):
         return np.ones(state_count(m), dtype=np.int8)
+    if isinstance(kind, Periodic):
+        table = np.zeros((kind.period, m.battery_cap + 1, m.delta_max), dtype=np.int8)
+        table[0] = TRANSMIT
+        if kind.skip_on_empty:
+            table[0, 0] = IDLE
+        return table.reshape(-1)
     if isinstance(kind, Optimal):
-        return kind.thresholds.expand(m)
+        thr = kind.thresholds.thresholds
+        if len(thr) != m.battery_cap + 1:
+            raise DomainError(f"expected {m.battery_cap + 1} thresholds, got {len(thr)}")
+        ages = np.arange(1, m.delta_max + 1)
+        return np.concatenate([(ages >= t).astype(np.int8) for t in thr])
     if isinstance(kind, Explicit):
         if kind.actions.shape != (m.battery_cap + 1, m.delta_max):
             raise DomainError(

@@ -8,7 +8,9 @@ threshold-exploiting scan that walks each battery row in increasing age
 and stops comparing once the row starts transmitting. Every sweep and the
 full argmin use the grid-shift operator (``model.GridShift``): a sweep
 takes its Bellman values from ``backup`` and the extraction compares the
-Q values of ``backup_q``.
+Q values of ``backup_q``. The thresholds come back as a
+``policies.ThresholdPolicy``, and the policy table as its
+``stationary_actions``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model import (
     successors,
     transition,
 )
+from .policies import Optimal, ThresholdPolicy, stationary_actions
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -62,34 +65,6 @@ class ThresholdStructureError(ValueError):
 
 class TruncationWarning(UserWarning):
     """A threshold is high enough that the age cap may distort the solution."""
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Transmit at battery level q exactly when age >= thresholds[q].
-
-    A threshold of delta_max + 1 means the row never transmits.
-    """
-
-    thresholds: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.thresholds:
-            raise DomainError("thresholds must be non-empty")
-        for t in self.thresholds:
-            if not (is_int(t) and t >= 1):
-                raise DomainError(f"thresholds must be ints >= 1, got {t!r}")
-
-    def expand(self, m: ModelParams) -> np.ndarray:
-        """Full action table in enumerate_states order."""
-        if len(self.thresholds) != m.battery_cap + 1:
-            raise DomainError(
-                f"expected {m.battery_cap + 1} thresholds, got {len(self.thresholds)}"
-            )
-        ages = np.arange(1, m.delta_max + 1)
-        return np.concatenate(
-            [(ages >= t).astype(np.int8) for t in self.thresholds]
-        )
 
 
 @dataclass
@@ -189,7 +164,8 @@ def modified_via(
     dm = m.delta_max
     evals = sum(min(t, dm) for t in tp.thresholds)
     result = SolveResult(
-        gain, v, tp.expand(m), iters, span, spans, evals, gain_bracket=bracket
+        gain, v, stationary_actions(Optimal(tp), m), iters, span, spans, evals,
+        gain_bracket=bracket,
     )
     return result, tp
 

@@ -37,7 +37,6 @@ from ehaoi.evaluator import (
     T_975_19,
     _gth,
     _level_stationary,
-    _periodic_chain,
     _phase_chain,
     _recurrent_class,
     _stationary_dist,
@@ -288,13 +287,13 @@ class TestChainBuildersMatchKernel:
             Explicit(table),
         ):
             actions = stationary_actions(kind, m)
-            _assert_same_csr(_phase_chain([actions], 1, m).matrix, _kernel_chain([actions], m))
+            _assert_same_csr(_phase_chain(actions, m).matrix, _kernel_chain([actions], m))
 
     def test_induced_chain_reference_point(self):
         m = params(battery_cap=20, delta_max=200)
         thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
         actions = stationary_actions(Optimal(ThresholdPolicy(thresholds)), m)
-        _assert_same_csr(_phase_chain([actions], 1, m).matrix, _kernel_chain([actions], m))
+        _assert_same_csr(_phase_chain(actions, m).matrix, _kernel_chain([actions], m))
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 3])
@@ -305,17 +304,17 @@ class TestChainBuildersMatchKernel:
         if skip:
             send[:8] = 0  # battery 0 idles
         phases = [send] + [np.zeros(n, dtype=np.int64)] * (period - 1)
-        chain = _periodic_chain(Periodic(period, skip), m)
+        chain = _phase_chain(stationary_actions(Periodic(period, skip), m), m)
         _assert_same_csr(chain.matrix, _kernel_chain(phases, m))
         want_paid = np.concatenate([(a == 1) & (np.arange(n) < 8) for a in phases])
         np.testing.assert_array_equal(chain.paid, want_paid)
 
 
-def _check_level_reduction(chain, period, m):
+def _check_level_reduction(chain, m):
     """The level reduction agrees with the direct solve on ``chain``'s
     closed class, and its balance residual is at rounding level."""
     cls = _recurrent_class(chain.matrix, start=0)
-    mu = _level_stationary(chain, cls, period, m)
+    mu = _level_stationary(chain, cls, m)
     want = np.zeros(chain.matrix.shape[0])
     want[cls] = _stationary_dist(chain.matrix[np.ix_(cls, cls)].tocsr())
     np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
@@ -334,13 +333,13 @@ class TestLevelReduction:
         m = params(lambda_e=(0.3, 0.5, 1.0)[seed % 3], battery_cap=3, delta_max=12)
         table = (rng.uniform(size=(4, 12)) < 0.4).astype(np.int8)
         assert not np.all(np.diff(table, axis=1) >= 0)  # some row is not a threshold
-        _check_level_reduction(_phase_chain([table.reshape(-1)], 1, m), 1, m)
+        _check_level_reduction(_phase_chain(table.reshape(-1), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 2, 5])
     def test_periodic(self, period, skip):
         m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
-        _check_level_reduction(_periodic_chain(Periodic(period, skip), m), period, m)
+        _check_level_reduction(_phase_chain(stationary_actions(Periodic(period, skip), m), m), m)
 
     def test_deterministic_cycle(self):
         # with certain harvest and a channel that never blocks, sending at
@@ -349,8 +348,8 @@ class TestLevelReduction:
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal(ThresholdPolicy((2, 2, 2)))
-        chain = _phase_chain([stationary_actions(kind, m)], 1, m)
-        mu = _check_level_reduction(chain, 1, m)
+        chain = _phase_chain(stationary_actions(kind, m), m)
+        mu = _check_level_reduction(chain, m)
         cycle = [enumerate_states(m).index(State(a, 2)) for a in (1, 2)]
         np.testing.assert_array_equal(np.flatnonzero(mu), cycle)
         np.testing.assert_allclose(mu[cycle], [0.5, 0.5], rtol=0, atol=1e-15)
@@ -358,21 +357,21 @@ class TestLevelReduction:
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
         m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
-        mu = _check_level_reduction(_periodic_chain(Periodic(8), m), 8, m)
+        mu = _check_level_reduction(_phase_chain(stationary_actions(Periodic(8), m), m), m)
         assert np.isfinite(mu).all()
 
     def test_never_transmit_sits_at_cap(self):
         m = params(delta_max=7)
-        chain = _phase_chain([np.zeros(3 * 7, dtype=np.int8)], 1, m)
-        mu = _check_level_reduction(chain, 1, m)
+        chain = _phase_chain(np.zeros(3 * 7, dtype=np.int8), m)
+        mu = _check_level_reduction(chain, m)
         assert mu[enumerate_states(m).index(State(7, 2))] == 1.0
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_smallest_age_cap(self, lam):
         m = params(lambda_e=lam, delta_max=2)
         for kind in (ZeroWait(), Optimal(ThresholdPolicy((2, 1, 1)))):
-            _check_level_reduction(_phase_chain([stationary_actions(kind, m)], 1, m), 1, m)
-        _check_level_reduction(_periodic_chain(Periodic(3), m), 3, m)
+            _check_level_reduction(_phase_chain(stationary_actions(kind, m), m), m)
+        _check_level_reduction(_phase_chain(stationary_actions(Periodic(3), m), m), m)
 
 
 class TestEvaluateExact:
@@ -420,9 +419,13 @@ class TestEvaluateExact:
         r = evaluate_exact(Optimal(tp), m)
         assert r.average_cost == pytest.approx(res.gain, abs=1e-9)
 
-    def test_periodic_rejected(self):
-        with pytest.raises(ValueError, match="time-dependent"):
-            evaluate_exact(Periodic(3), params())
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_periodic_matches_periodic_evaluator(self, period, skip):
+        # every field, bit for bit: the periodic evaluator is the same route
+        m = params(lambda_e=0.3)
+        kind = Periodic(period, skip)
+        assert evaluate_exact(kind, m) == evaluate_periodic_exact(kind, m)
 
     def test_reference_point_carries_its_evidence(self, base_params, base_solution):
         _, tp = base_solution
@@ -454,7 +457,7 @@ class TestEvaluateExact:
             cost_reliable=2.0, weight=1.0, delta_max=180,
         )
         kind = Optimal(ThresholdPolicy((3,) * 31))
-        P = _phase_chain([stationary_actions(kind, m)], 1, m).matrix
+        P = _phase_chain(stationary_actions(kind, m), m).matrix
         cls = _recurrent_class(P, 0)
         assert cls.size == P.shape[0] > 5000
         mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr())

@@ -13,7 +13,6 @@ from ehaoi import (
     ThresholdPolicy,
     ZeroWait,
     decide,
-    is_stationary,
     stationary_actions,
 )
 
@@ -54,6 +53,11 @@ class TestDecide:
         for bad in (0, -1, 2.5):
             with pytest.raises(DomainError):
                 Periodic(bad)
+        # a truthy non-bool would silently mean "skip"
+        for bad in ("no", 1, None):
+            with pytest.raises(DomainError, match="skip_on_empty"):
+                Periodic(3, bad)
+        assert Periodic(3, np.True_).skip_on_empty
 
     def test_periodic_rejects_bool_period(self):
         for bad in (True, False):
@@ -140,20 +144,25 @@ class TestStationaryActions:
         m = params()
         tp = ThresholdPolicy((2, 1, 3))
         np.testing.assert_array_equal(
-            stationary_actions(Optimal(tp), m), tp.expand(m)
+            stationary_actions(Optimal(tp), m),
+            [0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1],  # transmit iff age >= thresholds[q]
         )
 
-    def test_periodic_rejected(self):
-        with pytest.raises(ValueError, match="time-dependent"):
-            stationary_actions(Periodic(5), params())
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_periodic_layout(self, skip):
+        # (phase, battery, age), phase outer: the scheduled phase 0 sends,
+        # idling on an empty battery under skip_on_empty; the others idle
+        m = params()
+        table = stationary_actions(Periodic(3, skip), m).reshape(3, 3, 4)
+        want = np.zeros((3, 3, 4), dtype=np.int8)
+        want[0] = TRANSMIT
+        want[0, 0] = IDLE if skip else TRANSMIT
+        np.testing.assert_array_equal(table, want)
+        for t in range(3):
+            for s in (State(1, 0), State(4, 2)):
+                assert table[t, s.battery, s.aoi - 1] == decide(Periodic(3, skip), s, t)
 
     def test_explicit_shape_must_match_model(self):
         k = Explicit(np.zeros((2, 4), dtype=np.int8))
         with pytest.raises(DomainError):
             stationary_actions(k, params())  # model has 3 battery rows
-
-    def test_is_stationary_flags(self):
-        assert is_stationary(ZeroWait())
-        assert is_stationary(Optimal(ThresholdPolicy((1,))))
-        assert is_stationary(Explicit(np.zeros((1, 1), dtype=np.int8)))
-        assert not is_stationary(Periodic(2))

@@ -9,6 +9,7 @@ from ehaoi import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    Optimal,
     State,
     ThresholdPolicy,
     ThresholdStructureError,
@@ -21,6 +22,7 @@ from ehaoi import (
     q_value,
     relative_value_iteration,
     state_count,
+    stationary_actions,
 )
 from ehaoi.model import PROB_FLOOR, GridShift
 from ehaoi.solver import _iterate_values
@@ -305,21 +307,21 @@ class TestModifiedVia:
 
     def test_policy_expands_from_thresholds(self, base_params, base_solution):
         res, tp = base_solution
-        np.testing.assert_array_equal(tp.expand(base_params), res.policy)
+        np.testing.assert_array_equal(stationary_actions(Optimal(tp), base_params), res.policy)
 
 
 class TestThresholdPolicy:
     def test_expand_layout(self):
         m = tiny_params()
         tp = ThresholdPolicy((2, 1, 5))
-        table = tp.expand(m).reshape(3, 4)
+        table = stationary_actions(Optimal(tp), m).reshape(3, 4)
         np.testing.assert_array_equal(table[0], [0, 1, 1, 1])
         np.testing.assert_array_equal(table[1], [1, 1, 1, 1])
         np.testing.assert_array_equal(table[2], [0, 0, 0, 0])  # 5 > delta_max: never
 
     def test_expand_length_mismatch(self):
         with pytest.raises(DomainError):
-            ThresholdPolicy((1, 1)).expand(tiny_params())
+            stationary_actions(Optimal(ThresholdPolicy((1, 1))), tiny_params())
 
     @pytest.mark.parametrize("bad", [(), (0,), (1.5,), (1, -2)])
     def test_invalid_thresholds(self, bad):
@@ -346,7 +348,7 @@ class TestExtractThresholds:
     def test_round_trips_expansion(self):
         m = tiny_params()
         tp = ThresholdPolicy((2, 2, 1))
-        assert extract_thresholds(tp.expand(m), m) == tp
+        assert extract_thresholds(stationary_actions(Optimal(tp), m), m) == tp
 
     def test_hole_raises_with_witness(self):
         m = tiny_params()
@@ -360,13 +362,13 @@ class TestExtractThresholds:
 class TestTruncationWarning:
     def test_tight_threshold_warns(self):
         m = tiny_params(battery_cap=3, delta_max=8)
-        table = ThresholdPolicy((5, 1, 1, 1)).expand(m)
+        table = stationary_actions(Optimal(ThresholdPolicy((5, 1, 1, 1))), m)
         with pytest.warns(TruncationWarning):
             extract_thresholds(table, m)
 
     def test_loose_threshold_silent(self):
         m = tiny_params(battery_cap=3, delta_max=8)
-        table = ThresholdPolicy((4, 1, 1, 1)).expand(m)
+        table = stationary_actions(Optimal(ThresholdPolicy((4, 1, 1, 1))), m)
         import warnings
 
         with warnings.catch_warnings():
