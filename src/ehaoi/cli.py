@@ -15,12 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 
-from .evaluator import (
-    ReducibleChainError,
-    evaluate_exact,
-    evaluate_periodic_exact,
-    simulate,
-)
+from .evaluator import evaluate_exact, evaluate_periodic_exact, simulate
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
 from .policies import Optimal, Periodic, ZeroWait
 from .solver import ConvergenceError, modified_via
@@ -88,11 +83,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(x) for x in row])
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -223,56 +221,42 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return OK
 
 
+def _compare_row(value, name: str, rep=None, error=None) -> list:
+    if error is not None:
+        return [value, name, None, None, None, f"error:{error}"]
+    return [value, name, rep.average_cost, rep.average_aoi, rep.reliable_energy_rate, "ok"]
+
+
 def cmd_compare(cfg: RunConfig) -> int:
     points = _grid_params(cfg)
     header = ["axis_value", "policy", "average_cost", "average_aoi", "reliable_rate", "status"]
+    # built before the first solve, so a bad period fails before any work
+    periodic = Periodic(cfg.period, cfg.periodic_skip_on_empty)
     rows = []
     failed = False
     for value, m in points:
-        periodic = Periodic(cfg.period, cfg.periodic_skip_on_empty)
+        # the compared policies in row order; optimal's kind comes from the solve
+        kinds = {"optimal": None, "zero-wait": ZeroWait(), "periodic": periodic}
         try:
-            _, tp = modified_via(m, cfg.eps, cfg.max_iter)
+            kinds["optimal"] = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
         except ConvergenceError as exc:
-            for name in ("optimal", "zero-wait", "periodic"):
-                rows.append([value, name, None, None, None, f"error:{exc}"])
+            rows += [_compare_row(value, name, error=exc) for name in kinds]
             failed = True
             continue
-        evals = [
-            ("optimal", lambda: evaluate_exact(Optimal(tp), m)),
-            ("zero-wait", lambda: evaluate_exact(ZeroWait(), m)),
-            ("periodic", lambda: evaluate_periodic_exact(periodic, m)),
-        ]
-        reports = {}
-        for name, run in evals:
+        for name, kind in kinds.items():
+            # the evaluators are looked up at call time, where the benchmark's
+            # tracer (perfbench/worker.py) has rebound them
+            evaluate = evaluate_periodic_exact if kind is periodic else evaluate_exact
             try:
-                rep = run()
-            except (ReducibleChainError, RuntimeError) as exc:
-                rows.append([value, name, None, None, None, f"error:{exc}"])
+                rows.append(_compare_row(value, name, evaluate(kind, m)))
+            except RuntimeError as exc:  # ReducibleChainError among them
+                rows.append(_compare_row(value, name, error=exc))
                 failed = True
-                continue
-            reports[name] = rep
-            rows.append(
-                [value, name, rep.average_cost, rep.average_aoi, rep.reliable_energy_rate, "ok"]
-            )
         if cfg.simulate_also:
-            kinds = {
-                "optimal": Optimal(tp),
-                "zero-wait": ZeroWait(),
-                "periodic": periodic,
-            }
             for name, kind in kinds.items():
                 for seed in cfg.seeds:
                     rep = simulate(kind, m, cfg.horizon, seed)
-                    rows.append(
-                        [
-                            value,
-                            f"{name}[sim seed={seed}]",
-                            rep.average_cost,
-                            rep.average_aoi,
-                            rep.reliable_energy_rate,
-                            "ok",
-                        ]
-                    )
+                    rows.append(_compare_row(value, f"{name}[sim seed={seed}]", rep))
     out = cfg.out or "compare.csv"
     _write_csv(out, header, rows)
     print(f"compared {len(points)} {cfg.axis} value(s) -> {out}")
@@ -349,30 +333,28 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out", help="output CSV path")
     common.add_argument("--config", dest="config", help="JSON config file; flags override it")
 
-    sub.add_parser("solve", parents=[common], help="solve and emit thresholds + policy grid")
-
-    sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo run of one policy")
-    sim.add_argument("--policy", dest="policy", choices=["optimal", "zero-wait", "periodic"])
-    sim.add_argument("--period", dest="period", type=int, help="periodic schedule length")
-    sim.add_argument(
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--period", dest="period", type=int, help="periodic schedule length")
+    runs.add_argument(
         "--periodic-skip-on-empty",
         dest="periodic_skip_on_empty",
         action="store_true",
         default=None,
         help="periodic schedule idles instead of paying on an empty battery",
     )
-    sim.add_argument("--horizon", dest="horizon", type=int, help="slots per run")
-    sim.add_argument("--seed", dest="seed", type=int, action="append", help="repeatable RNG seed")
+    runs.add_argument("--horizon", dest="horizon", type=int, help="slots per run")
+    runs.add_argument("--seed", dest="seed", type=int, action="append", help="repeatable RNG seed")
+    axis = argparse.ArgumentParser(add_help=False)
+    axis.add_argument("--axis", dest="axis", choices=list(AXES), help="model parameter to vary")
+    axis.add_argument("--grid", dest="grid", type=_csv_floats, help="comma-separated axis values")
 
-    cmp_ = sub.add_parser("compare", parents=[common], help="optimal vs baselines along an axis")
-    cmp_.add_argument("--axis", dest="axis", choices=list(AXES))
-    cmp_.add_argument("--grid", dest="grid", type=_csv_floats, help="comma-separated axis values")
-    cmp_.add_argument("--period", dest="period", type=int)
-    cmp_.add_argument(
-        "--periodic-skip-on-empty",
-        dest="periodic_skip_on_empty",
-        action="store_true",
-        default=None,
+    sub.add_parser("solve", parents=[common], help="solve and emit thresholds + policy grid")
+
+    sim = sub.add_parser("simulate", parents=[common, runs], help="Monte Carlo run of one policy")
+    sim.add_argument("--policy", dest="policy", choices=["optimal", "zero-wait", "periodic"])
+
+    cmp_ = sub.add_parser(
+        "compare", parents=[common, axis, runs], help="optimal vs baselines along an axis"
     )
     cmp_.add_argument(
         "--simulate",
@@ -381,13 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="append Monte Carlo rows for each policy and seed",
     )
-    cmp_.add_argument("--horizon", dest="horizon", type=int)
-    cmp_.add_argument("--seed", dest="seed", type=int, action="append")
 
-    swp = sub.add_parser("sweep", parents=[common], help="thresholds and gain along an axis")
-    swp.add_argument("--axis", dest="axis", choices=list(AXES))
-    swp.add_argument("--grid", dest="grid", type=_csv_floats)
-
+    sub.add_parser("sweep", parents=[common, axis], help="thresholds and gain along an axis")
     sub.add_parser("verify", parents=[common], help="solve and run the structural checks")
     return parser
 

@@ -31,7 +31,6 @@ IDLE = 0
 TRANSMIT = 1
 ACTIONS = (IDLE, TRANSMIT)
 
-PROB_ATOL = 1e-12   # kernel rows must sum to 1 within this
 PROB_FLOOR = 1e-15  # entries below this are dropped after coalescing
 
 
@@ -75,6 +74,10 @@ class ModelParams:
             raise DomainError(f"cost_reliable must be >= 0, got {self.cost_reliable}")
         if self.weight <= 0.0:
             raise DomainError(f"weight must be > 0, got {self.weight}")
+        if not math.isfinite(self.weight * self.cost_reliable):
+            raise DomainError(
+                f"weight * cost_reliable must be finite, got {self.weight} * {self.cost_reliable}"
+            )
         if not (isinstance(self.delta_max, int) and self.delta_max >= 2):
             raise DomainError(f"delta_max must be an int >= 2, got {self.delta_max}")
 
@@ -282,18 +285,16 @@ class GridShift:
         np.copyto(term, c3 * reset[:-1])
         tx += term
 
-    def backup_q(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def backup_q(self, v: np.ndarray) -> np.ndarray:
         """Q-values for every (action, state) pair as a (2, n) array."""
         grid = np.asarray(v, dtype=float).reshape(self.shape)
-        if out is None:
-            out = np.empty((2, grid.size))
-        q = out.reshape((2,) + self.shape)
+        q = np.empty((2,) + self.shape)
         idle, tx = q[IDLE], q[TRANSMIT, 1:]
         self._sums(grid, idle, tx)
         idle += self.age
         np.add(self.paid_age, tx[0], out=q[TRANSMIT, 0])
         tx += self.age
-        return out
+        return q.reshape(2, -1)
 
     def backup(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Bellman values, the minimum over actions of ``backup_q``, bit for

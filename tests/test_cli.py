@@ -69,7 +69,13 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--weight", "nan"), ("--cost-reliable", "nan"), ("--weight", "inf")]
+        "flag, value",
+        [
+            ("--weight", "nan"),
+            ("--cost-reliable", "nan"),
+            ("--weight", "inf"),
+            ("--cost-reliable", "1e308"),  # finite, but the price weight * 1e308 is not
+        ],
     )
     def test_non_finite_parameter_is_usage_error(
         self, tmp_path, capsys, monkeypatch, flag, value
@@ -105,6 +111,22 @@ class TestSolve:
         assert err.startswith("error: eps must be a finite number > 0")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, out",
+        [
+            ("solve", [], "missing/x.csv"),
+            ("simulate", ["--policy", "zero-wait", "--horizon", "100", "--seed", "1"], "."),
+        ],
+        ids=["solve-missing-dir", "simulate-directory"],
+    )
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, command, extra, out):
+        # used to end in a FileNotFoundError or IsADirectoryError traceback
+        code = main([command, *SMALL, *extra, "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestConfigResolution:
@@ -249,6 +271,31 @@ class TestSweep:
         assert "--axis" in capsys.readouterr().err
 
 
+# compare's CSV for the arguments of TestCompare.test_rows_and_bytes_are_pinned,
+# byte for byte
+PINNED_COMPARE = (
+    b"axis_value,policy,average_cost,average_aoi,reliable_rate,status\n"
+    b"0.3,optimal,3.05934083926,2.84253061848,0.0108405110392,ok\n"
+    b"0.3,zero-wait,15.25,1.25,0.7,ok\n"
+    b"0.3,periodic,3.65661125468,3.65661125468,0,ok\n"
+    b"0.3,optimal[sim seed=1],2.884,2.784,0.005,ok\n"
+    b"0.3,optimal[sim seed=2],2.972,2.732,0.012,ok\n"
+    b"0.3,zero-wait[sim seed=1],15.247,1.227,0.701,ok\n"
+    b"0.3,zero-wait[sim seed=2],14.869,1.229,0.682,ok\n"
+    b"0.3,periodic[sim seed=1],3.424,3.424,0,ok\n"
+    b"0.3,periodic[sim seed=2],3.289,3.289,0,ok\n"
+    b"0.9,optimal,1.35013083108,1.35013083107,4.84504846399e-13,ok\n"
+    b"0.9,zero-wait,3.25,1.25,0.1,ok\n"
+    b"0.9,periodic,2.74999972237,2.74999972237,0,ok\n"
+    b"0.9,optimal[sim seed=1],1.312,1.312,0,ok\n"
+    b"0.9,optimal[sim seed=2],1.346,1.346,0,ok\n"
+    b"0.9,zero-wait[sim seed=1],2.947,1.227,0.086,ok\n"
+    b"0.9,zero-wait[sim seed=2],3.229,1.229,0.1,ok\n"
+    b"0.9,periodic[sim seed=1],2.731,2.731,0,ok\n"
+    b"0.9,periodic[sim seed=2],2.65,2.65,0,ok\n"
+)
+
+
 class TestCompare:
     def test_optimal_beats_baselines(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -271,6 +318,19 @@ class TestCompare:
         rows = read_csv(out)
         assert len(rows) == 1 + 3 + 3
         assert sum("[sim seed=1]" in r[1] for r in rows[1:]) == 3
+
+
+    @pytest.mark.filterwarnings("ignore::ehaoi.TruncationWarning")
+    def test_rows_and_bytes_are_pinned(self, tmp_path):
+        # exact rows, then simulated rows, policy by policy and seed by seed,
+        # at each axis value in grid order (lambda_e 0.3 puts a threshold
+        # past half the age cap, which warns)
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", *SMALL, "--axis", "lambda_e", "--grid", "0.3,0.9",
+                     "--period", "3", "--periodic-skip-on-empty", "--simulate",
+                     "--horizon", "1000", "--seed", "1", "--seed", "2", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == PINNED_COMPARE
 
 
 class TestVerify:

@@ -74,6 +74,12 @@ class TestParamValidation:
         with pytest.raises(DomainError, match=field):
             small_params(**{field: value})
 
+    def test_overflowing_price_rejected(self):
+        # each factor is finite but the backup price weight * cost_reliable
+        # is inf, which made the optimal policy's average cost NaN
+        with pytest.raises(DomainError, match=r"weight \* cost_reliable must be finite"):
+            small_params(cost_reliable=1e308, weight=10.0)
+
 
 class TestStateActionValidation:
     def test_age_below_one(self):
