@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .evaluator import evaluate_exact, evaluate_periodic_exact, simulate
+from .evaluator import check_run, evaluate_exact, evaluate_periodic_exact, simulate
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
 from .policies import Optimal, Periodic, ZeroWait
 from .solver import ConvergenceError, modified_via
@@ -93,6 +94,26 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         raise CliUsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(*paths: str) -> None:
+    """Fail now, as ``_write_csv`` would after all the work, on a path that
+    cannot be written. Opening for appending changes no file, and a file
+    made by the check is removed again."""
+    for path in paths:
+        made = not os.path.lexists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise CliUsageError(f"cannot write {path}: {exc}") from exc
+        if made:
+            os.remove(path)
+
+
+def _check_runs(cfg: RunConfig) -> None:
+    """Fail now, as the first ``simulate`` would, on a bad horizon or seed."""
+    for seed in cfg.seeds:
+        check_run(cfg.horizon, seed)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
@@ -140,14 +161,14 @@ def _grid_params(cfg: RunConfig) -> list[tuple[float, ModelParams]]:
     return [(v, _model_params(cfg, **{cfg.axis: v})) for v in cfg.grid]
 
 
-def _policy_kind(cfg: RunConfig, m: ModelParams):
+def _policy_kind(cfg: RunConfig):
+    """The simulated policy's kind; None for optimal, whose kind a solve gives."""
     if cfg.policy == "zero-wait":
         return ZeroWait()
     if cfg.policy == "periodic":
         return Periodic(cfg.period, cfg.periodic_skip_on_empty)
     if cfg.policy == "optimal":
-        result, tp = modified_via(m, cfg.eps, cfg.max_iter)
-        return Optimal(tp)
+        return None
     raise CliUsageError(f"unknown policy {cfg.policy!r}")
 
 
@@ -159,9 +180,10 @@ def _derived_path(base: str, suffix: str) -> str:
 
 def cmd_solve(cfg: RunConfig) -> int:
     m = _model_params(cfg)
-    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
     out = cfg.out or "thresholds.csv"
     policy_out = _derived_path(out, "_policy")
+    _check_writable(out, policy_out)
+    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
     _write_csv(out, ["q", "threshold"], list(enumerate(tp.thresholds)))
     rows = [
         [s.aoi, s.battery, int(a)]
@@ -180,7 +202,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     m = _model_params(cfg)
-    kind = _policy_kind(cfg, m)
+    kind = _policy_kind(cfg)
+    _check_runs(cfg)
+    out = cfg.out or "simulate.csv"
+    _check_writable(out)
+    if kind is None:
+        kind = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
     rows = []
     costs = []
     for seed in cfg.seeds:
@@ -198,7 +225,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 rep.rng,
             ]
         )
-    out = cfg.out or "simulate.csv"
     _write_csv(
         out,
         [
@@ -230,8 +256,13 @@ def _compare_row(value, name: str, rep=None, error=None) -> list:
 def cmd_compare(cfg: RunConfig) -> int:
     points = _grid_params(cfg)
     header = ["axis_value", "policy", "average_cost", "average_aoi", "reliable_rate", "status"]
-    # built before the first solve, so a bad period fails before any work
+    # the period, the run inputs and the path are checked before the first
+    # solve, so bad input fails before any work
     periodic = Periodic(cfg.period, cfg.periodic_skip_on_empty)
+    if cfg.simulate_also:
+        _check_runs(cfg)
+    out = cfg.out or "compare.csv"
+    _check_writable(out)
     rows = []
     failed = False
     for value, m in points:
@@ -257,7 +288,6 @@ def cmd_compare(cfg: RunConfig) -> int:
                 for seed in cfg.seeds:
                     rep = simulate(kind, m, cfg.horizon, seed)
                     rows.append(_compare_row(value, f"{name}[sim seed={seed}]", rep))
-    out = cfg.out or "compare.csv"
     _write_csv(out, header, rows)
     print(f"compared {len(points)} {cfg.axis} value(s) -> {out}")
     return FAIL if failed else OK
@@ -265,6 +295,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     points = _grid_params(cfg)
+    out = cfg.out or "sweep.csv"
+    _check_writable(out)
     rows = []
     failed = False
     for value, m in points:
@@ -276,7 +308,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             continue
         for q, thr in enumerate(tp.thresholds):
             rows.append([value, q, thr, result.gain, "ok"])
-    out = cfg.out or "sweep.csv"
     _write_csv(out, ["axis_value", "q", "threshold", "gain", "status"], rows)
     print(f"swept {len(points)} {cfg.axis} value(s) -> {out}")
     return FAIL if failed else OK
@@ -284,6 +315,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     m = _model_params(cfg)
+    if cfg.out:
+        _check_writable(cfg.out)
     result, tp = modified_via(m, cfg.eps, cfg.max_iter)
     reports = run_all_checks(result.values, m)
     print(f"gain={_fmt(result.gain)} iterations={result.iterations}")

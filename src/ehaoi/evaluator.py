@@ -244,8 +244,10 @@ def _level_stationary(chain: _Chain, cls: np.ndarray, m: ModelParams) -> np.ndar
     while pi_1 is the stationary vector of the reset chain G_1, given by
     G_D = (I - U_D)^-1 R_D and G_a = R_a + U_a G_{a+1}. G keeps only the
     columns of the class's age-1 states; each age step gathers the four
-    successor rows of every state, where a reset's row is one of an
-    identity block below G. At the cap the phase still turns: U_D takes
+    successor rows of every class state at that age, where a reset's row is
+    one of an identity block below G. The class is closed, so the passes
+    run over its states only, and G_a keeps the rows of the class's states
+    at age a alone. At the cap the phase still turns: U_D takes
     phase r to r + 1 by a (battery_cap + 1)-square block U^r, so
     (I - U_D)^-1 is applied once around the phases, through
     W = U^0 U^1 ... U^{T-1}, never as a K x K matrix. A class without
@@ -257,54 +259,74 @@ def _level_stationary(chain: _Chain, cls: np.ndarray, m: ModelParams) -> np.ndar
     B1 = m.battery_cap + 1
     K = chain.prob.shape[0] // D
     period = K // B1
-    inside = np.zeros((K, D), dtype=bool)  # (phase * battery, age)
-    inside.flat[cls] = True
-    # the successor rows by age: (age, phase * battery, successor)
-    coef = chain.prob.reshape(K, D, 4).transpose(1, 0, 2).copy()
-    by_age = chain.idx.reshape(K, D, 4).transpose(1, 0, 2)
-    entry = np.flatnonzero(inside[:, 0])  # the class's age-1 states
+    # the class's states by age, then phase * battery: age a's are
+    # state[start[a]:start[a + 1]], and only they are ever visited
+    inside = np.zeros((D, K), dtype=bool)  # (age, phase * battery)
+    inside[cls % D, cls // D] = True
+    age, row = np.nonzero(inside)
+    start = np.searchsorted(age, np.arange(D + 1))
+    state = row * D + age
+    coef, succ = (np.take(arr, state, axis=0) for arr in (chain.prob, chain.idx))
+    entry = row[: start[1]]  # the class's age-1 states
     M = entry.size
     L = K + M + 1
-    # a reset to an age-1 state reads that state's row of the identity
-    # block below G; the last row (column M) collects the other resets
-    ident = np.full(K, L - 1)
-    ident[entry] = np.arange(K, K + M)
-    rows = by_age // D  # successor's phase * battery
-    reset = by_age % D == 0
-    rows[reset] = ident[rows[reset]]
+    # the place where the passes keep each state's values, in chain order:
+    # below the cap, its place among its age's class states (a state off
+    # the class is reached only at probability 0, and reads place 0); at
+    # the cap, its phase * battery; at age 1, which only a reset reaches,
+    # its row of the identity block below G, or for a state off the class
+    # the last row (column M), which collects those resets
+    place = np.zeros((K, D), dtype=np.intp)
+    place.flat[state] = np.arange(state.size) - start[age]
+    place[:, -1] = np.arange(K)
+    place[:, 0] = L - 1
+    place[entry, 0] = np.arange(K, K + M)
+    rows = np.take(place, succ)
     # the cap by phase, [U^r | R^r]: U^r to the batteries of phase r + 1,
     # R^r to the columns of G; states off the class keep no moves
     width = B1 + M + 1
+    at = slice(start[-2], start[-1])
     cap = np.bincount(
-        (np.arange(K)[:, None] * width
-         + np.where(rows[-1] < K, rows[-1] % B1, rows[-1] - K + B1)).ravel(),
-        (coef[-1] * inside[:, -1:]).ravel(),
+        (row[at, None] * width
+         + np.where(rows[at] < K, rows[at] % B1, rows[at] - K + B1)).ravel(),
+        coef[at].ravel(),
         K * width,
     ).reshape(period, B1, width)
     U, R = cap[..., :B1], cap[..., B1:]
     W, C = U[-1], R[-1]  # W = U^0 U^1 ... U^{T-1}, C = R^0 + U^0 R^1 + ...
     for u, r in zip(U[-2::-1], R[-2::-1]):
         W, C = u @ W, r + u @ C
-    mu = np.zeros((D, K))
-    at_cap = mu[-1].reshape(period, B1)
+    mu = np.zeros((K, D))  # chain order
+    at_cap = mu[:, -1].reshape(period, B1)
     if M == 0:  # the class lives at the cap
         inflow = np.zeros((period, B1))
-        phase0 = np.flatnonzero(inside[:B1, -1])
+        phase0 = np.flatnonzero(inside[-1, :B1])
         at_cap[0, phase0] = _gth(W[np.ix_(phase0, phase0)])
     else:
         stay = np.linalg.inv(np.eye(B1) - W)
-        G = np.eye(L, M + 1, -K)  # G_a on top of the identity block
+        # G_{a+1} and G_a, each on top of its own identity block; G_a's
+        # rows are its age's class states in order, G_D's every state
+        G, G_next = np.eye(L, M + 1, -K), np.eye(L, M + 1, -K)
         G_cap = G[:K].reshape(period, B1, M + 1)
         G_cap[0] = stay @ C
         for r in range(period - 1, 0, -1):
             G_cap[r] = R[r] + U[r] @ G_cap[(r + 1) % period]
-        top, weights = G[:K, None, :], coef[:, :, None, :]
+        weights = coef[:, None, :]
+        bounds = start.tolist()  # ints, which slice faster than numpy's
         for a in range(D - 2, -1, -1):
-            np.matmul(weights[a], G[rows[a]], out=top)
-        mu[0, entry] = _gth(G[entry, :M])
-        flat = rows.reshape(D, -1)
+            lo, hi = bounds[a], bounds[a + 1]
+            G, G_next = G_next, G
+            ahead = np.take(G_next, rows[lo:hi], axis=0)
+            np.matmul(weights[lo:hi], ahead, out=G[: hi - lo, None, :])
+        mass = np.zeros(state.size)  # pi below the cap, in the passes' order
+        mass[:M] = _gth(G[:M, :M])
         for a in range(D - 1):
-            mu[a + 1] = np.bincount(flat[a], (mu[a, :, None] * coef[a]).ravel(), L)[:K]
+            lo, hi = bounds[a], bounds[a + 1]
+            flow = np.bincount(rows[lo:hi].ravel(), (mass[lo:hi, None] * coef[lo:hi]).ravel(), L)
+            if a < D - 2:
+                mass[hi : bounds[a + 2]] = flow[: bounds[a + 2] - hi]
+        mu[row, age] = mass
+        mu[:, -1] = flow[:K]  # the last flow reaches the cap, by phase * battery
         # pi_D = inflow (I - U_D)^-1, phase 0 first, once around the cycle
         inflow, around = at_cap.copy(), np.zeros(B1)
         for r in range(1, period):
@@ -312,8 +334,9 @@ def _level_stationary(chain: _Chain, cls: np.ndarray, m: ModelParams) -> np.ndar
         at_cap[0] = (inflow[0] + around) @ stay
     for r in range(1, period):
         at_cap[r] = inflow[r] + at_cap[r - 1] @ U[r - 1]
-    mu = mu.T.ravel()
-    return mu / mu.sum()
+    mu = mu.ravel()
+    mu /= mu.sum()
+    return mu
 
 
 def _exact_report(chain: _Chain, m: ModelParams) -> EvalReport:
@@ -490,6 +513,14 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         yield ages, machine.paid[idx]
 
 
+def check_run(horizon: int, seed: int) -> None:
+    """Raise DomainError unless ``simulate`` accepts ``horizon`` and ``seed``."""
+    if not (is_int(horizon) and horizon >= 1):
+        raise DomainError(f"horizon must be an int >= 1, got {horizon!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalReport:
     """Monte Carlo estimate from one seeded run of the physical system.
 
@@ -507,10 +538,7 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     field is bit-identical to stepping the slots one by one with ``decide``
     and ``step``.
     """
-    if not (is_int(horizon) and horizon >= 1):
-        raise DomainError(f"horizon must be an int >= 1, got {horizon!r}")
-    if not (is_int(seed) and seed >= 0):
-        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+    check_run(horizon, seed)
     machine = _machine(kind, m, horizon)
     paid_price = m.weight * m.cost_reliable
     batch = horizon // CI_BATCHES

@@ -256,20 +256,30 @@ class GridShift:
         self.paid_age = self.age + m.weight * m.cost_reliable
         # the age of every row but battery 0's, laid out like them
         self._age_grid = np.tile(self.age, (m.battery_cap, 1))
-        self._aged = np.empty(self.shape)
+        self._reset = np.empty((m.battery_cap + 1, 1))
         self._term = np.empty((m.battery_cap, m.delta_max))
         self._tx = np.empty((m.battery_cap, m.delta_max))
         self._idle0 = np.empty(m.delta_max)
 
-    def _sums(self, grid: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> None:
+    def _sums(self, x: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> None:
         """The Q values less the one-step cost: ``idle`` for every battery
         level, ``tx`` for levels 1..battery_cap. Battery q >= 1 spends down
         to q - 1; an empty battery pays for a backup packet and so has the
-        successors, and the sum, of battery 1."""
-        aged = self._aged  # aged[b, j] = v at (min(j + 2, delta_max), b)
-        aged[:, :-1] = grid[:, 1:]
-        aged[:, -1] = grid[:, -1]
-        reset = grid[:, :1]  # age 1
+        successors, and the sum, of battery 1.
+
+        ``x`` holds the value grid in its first n entries and one spare
+        entry after them. Read from entry 1 on, as the same grid, it is v at
+        age + 1 except at each row's last age, which holds the next row's
+        age-1 value. So the age-1 column is saved, each row's end is
+        overwritten with its age-delta_max value (the cap), the sums read the
+        shifted view in place, and the column is written back: ``x[:n]``
+        ends as it began."""
+        dm = self.shape[1]
+        grid = x[:-1].reshape(self.shape)
+        reset = self._reset  # age 1
+        np.copyto(reset[:, 0], grid[:, 0])
+        x[dm::dm] = grid[:, -1]
+        aged = x[1:].reshape(self.shape)  # aged[b, j] = v at (min(j + 2, delta_max), b)
         term = self._term
         up, stay = self.idle
         np.multiply(aged[1:], up, out=idle[:-1])
@@ -284,13 +294,17 @@ class GridShift:
         tx += term
         np.copyto(term, c3 * reset[:-1])
         tx += term
+        x[dm:-1:dm] = reset[1:, 0]
+
+    def _padded(self, v: np.ndarray) -> np.ndarray:
+        """A copy of ``v`` with the spare entry ``_sums`` works in."""
+        return np.append(np.asarray(v, dtype=float), 0.0)
 
     def backup_q(self, v: np.ndarray) -> np.ndarray:
         """Q-values for every (action, state) pair as a (2, n) array."""
-        grid = np.asarray(v, dtype=float).reshape(self.shape)
         q = np.empty((2,) + self.shape)
         idle, tx = q[IDLE], q[TRANSMIT, 1:]
-        self._sums(grid, idle, tx)
+        self._sums(self._padded(v), idle, tx)
         idle += self.age
         np.add(self.paid_age, tx[0], out=q[TRANSMIT, 0])
         tx += self.age
@@ -299,12 +313,17 @@ class GridShift:
     def backup(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Bellman values, the minimum over actions of ``backup_q``, bit for
         bit, as an (n,) array. ``out`` must not share memory with ``v``."""
-        grid = np.asarray(v, dtype=float).reshape(self.shape)
+        return self.backup_padded(self._padded(v), out)
+
+    def backup_padded(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``backup`` of the values ``x[:n]``, read in place from a buffer
+        of n + 1 doubles (see ``_sums``); ``x[:n]`` is left as it was and
+        ``x[n]`` is overwritten. ``out`` must not share memory with ``x``."""
         if out is None:
-            out = np.empty(grid.size)
+            out = np.empty(x.size - 1)
         best = out.reshape(self.shape)
         tx = self._tx
-        self._sums(grid, best, tx)
+        self._sums(x, best, tx)
         # an empty battery's transmit Q adds the paid price as well, so its
         # row compares the finished Q values
         idle0 = np.add(best[0], self.age, out=self._idle0)

@@ -7,9 +7,10 @@ Two extraction routes are provided: a full per-state argmin, and a
 threshold-exploiting scan that walks each battery row in increasing age
 and stops comparing once the row starts transmitting. Every sweep and the
 full argmin use the grid-shift operator (``model.GridShift``): a sweep
-takes its Bellman values from ``backup`` and the extraction compares the
-Q values of ``backup_q``. The thresholds come back as a
-``policies.ThresholdPolicy``, and the policy table as its
+takes its Bellman values from ``backup_padded``, which reads the
+age-shifted values in place from the iteration's own buffer, and the
+extraction compares the Q values of ``backup_q``. The thresholds come back
+as a ``policies.ThresholdPolicy``, and the policy table as its
 ``stationary_actions``.
 """
 
@@ -100,12 +101,15 @@ def _iterate_values(m: ModelParams, eps: float, max_iter: int):
     op = GridShift(m)
     n = state_count(m)
     ref = state_index(State(1, m.battery_cap), m)
-    v = np.zeros(n)
+    # the values with the spare entry after them that the sweep reads the
+    # age-shifted values from in place (GridShift.backup_padded)
+    x = np.zeros(n + 1)
+    v = x[:n]
     tv = np.empty(n)
     spans = np.empty(max_iter)
     span = np.inf
     for k in range(max_iter):
-        op.backup(v, out=tv)
+        op.backup_padded(x, out=tv)
         # the update into v's own buffer: v is renormalized from tv below
         np.subtract(tv, v, out=v)
         hi = float(v.max())

@@ -128,6 +128,52 @@ class TestSolve:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["compare", "--axis", "weight", "--grid", "1", "--simulate", "--horizon", "0"],
+             "horizon must be an int >= 1, got 0"),
+            (["compare", "--axis", "weight", "--grid", "1", "--simulate", "--seed", "1",
+              "--seed", "-2"], "seed must be an int >= 0, got -2"),
+            (["compare", "--axis", "weight", "--grid", "1", "--out", "missing/x.csv"],
+             "cannot write "),
+            (["simulate", "--policy", "optimal", "--horizon", "0"],
+             "horizon must be an int >= 1, got 0"),
+            (["simulate", "--policy", "optimal", "--seed", "-1"],
+             "seed must be an int >= 0, got -1"),
+            (["simulate", "--policy", "optimal", "--out", "missing/x.csv"], "cannot write "),
+            (["solve", "--out", "missing/x.csv"], "cannot write "),
+            (["solve", "--out", "taken.csv"], "cannot write "),  # taken_policy.csv is a directory
+            (["sweep", "--axis", "weight", "--grid", "1", "--out", "missing/x.csv"],
+             "cannot write "),
+            (["verify", "--out", "missing/x.csv"], "cannot write "),
+        ],
+        ids=["compare-horizon", "compare-seed", "compare-out", "simulate-horizon",
+             "simulate-seed", "simulate-out", "solve-out", "solve-policy-out", "sweep-out",
+             "verify-out"],
+    )
+    def test_bad_input_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, argv, error
+    ):
+        # a bad horizon, seed or output path used to exit 2 only after every
+        # solve and evaluation
+        def solver_entered(*args, **kwargs):
+            raise AssertionError("the solver ran before the input was checked")
+
+        monkeypatch.setattr(cli, "modified_via", solver_entered)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken_policy.csv").mkdir()
+        (tmp_path / "kept.csv").write_text("kept\n")
+        argv = [*argv, *SMALL]
+        if "--out" not in argv:
+            argv += ["--out", "kept.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + error) and err.count("\n") == 1
+        # nothing made, nothing changed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken_policy.csv"]
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
 
 class TestConfigResolution:
     def test_config_file_supplies_defaults(self, tmp_path):

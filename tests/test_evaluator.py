@@ -386,6 +386,43 @@ class TestLevelReduction:
             _check_level_reduction(_phase_chain(stationary_actions(kind, m), m), m)
         _check_level_reduction(_phase_chain(stationary_actions(Periodic(3), m), m), m)
 
+    # every field, recorded from the level reduction over all of the
+    # chain's rows, not only the class's
+    _PINNED = {
+        "periodic-1": (15.24999999995904, 1.24999999995904, 0.7,
+                       3.0807777081364817e-16, 1.638399999999998e-10),
+        "periodic-3": (3.8354099313827623, 2.7491199999999996, 0.05431449656913813,
+                       8.406886704793656e-17, 0.0007466666666666662),
+        "periodic-3-skip": (3.613862882927078, 3.613862882927078, 0.0,
+                            9.659563730488041e-17, 0.014333926007199316),
+        "periodic-20": (10.800000000515054, 10.799999999999999, 2.5752723728065973e-11,
+                        7.020365132883893e-17, 0.44),
+        "never-transmit": (15.0, 15.0, 0.0, 0.0, 1.0),
+        "transient-block": (4.098747454052358, 4.098747454052358, 0.0,
+                            2.1120258320017626e-16, 0.021448172404517695),
+    }
+
+    @pytest.mark.parametrize("name", list(_PINNED))
+    def test_reports_are_pinned(self, name):
+        m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
+        # batteries 0 and 1 are a transient block: they only climb into the
+        # class on batteries 2 and 3, where battery 3 always sends
+        transient = np.zeros((4, 15), dtype=np.int8)
+        transient[0, 4:] = 1
+        transient[3] = 1
+        kind = {
+            "periodic-1": Periodic(1),
+            "periodic-3": Periodic(3),
+            "periodic-3-skip": Periodic(3, True),
+            "periodic-20": Periodic(20),
+            "never-transmit": Explicit(np.zeros((4, 15), dtype=np.int8)),  # class at the cap
+            "transient-block": Explicit(transient),
+        }[name]
+        cost, aoi, rate, residual, cap = self._PINNED[name]
+        assert evaluate_exact(kind, m) == EvalReport(
+            cost, aoi, rate, balance_residual=residual, cap_mass=cap
+        )
+
 
 class TestEvaluateExact:
     def test_constant_updating_with_certain_harvest(self):

@@ -248,8 +248,18 @@ class TestRelativeValueIteration:
             ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=20,
                         cost_reliable=2.0, weight=10.0, delta_max=200),
             tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12),
+            # the layout's edges: delta_max 2 and 3 (every age a row's first or
+            # last), battery_cap 2, lambda_e near and at 1, a free backup packet
+            tiny_params(lambda_e=1.0 - 1e-16, battery_cap=2, delta_max=2, cost_reliable=0.0),
+            tiny_params(lambda_e=0.01, battery_cap=2, delta_max=3),
+            tiny_params(lambda_e=0.99, battery_cap=3, delta_max=2, cost_reliable=0.0),
+            tiny_params(lambda_e=0.5, battery_cap=4, delta_max=12, cost_reliable=0.0),
+            tiny_params(lambda_e=1.0, battery_cap=7, delta_max=41),
+            ModelParams(lambda_e=0.99, p_block=0.2, battery_cap=20,
+                        cost_reliable=0.0, weight=10.0, delta_max=200),
         ],
-        ids=["reference", "4x12-lambda1"],
+        ids=["reference", "4x12-lambda1", "3x2-dust-free", "3x3-lambda0.01",
+             "4x2-lambda0.99-free", "5x12-free", "8x41-lambda1", "reference-lambda0.99-free"],
     )
     def test_iteration_equals_reference_loop(self, m):
         # the sweep loop written out plainly: Q values, their minimum, a
