@@ -76,11 +76,13 @@ class Explicit:
     actions: np.ndarray  # shape (battery_cap + 1, delta_max), values 0/1
 
     def __post_init__(self):
-        arr = np.asarray(self.actions, dtype=np.int8)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DomainError(f"actions must be a 2-d table, got shape {arr.shape}")
-        if not np.isin(arr, (IDLE, TRANSMIT)).all():
+        raw = np.asarray(self.actions)
+        if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
+            raise DomainError(f"actions must be a 2-d table, got shape {raw.shape}")
+        # checked before the cast, which would turn 0.5 into 0 and 257 into 1
+        if not np.isin(raw, (IDLE, TRANSMIT)).all():
             raise DomainError("actions must contain only 0 and 1")
+        arr = raw.astype(np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "actions", arr)
 

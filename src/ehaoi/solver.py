@@ -3,14 +3,15 @@
 The iteration keeps values normalized against a fixed reference state and
 stops on the span seminorm of the Bellman update, so it converges even
 though average-cost values themselves are only defined up to a constant.
-Two extraction routes are provided: a full per-state argmin, and a
-threshold-exploiting scan that walks each battery row in increasing age
-and stops comparing once the row starts transmitting. Every sweep and the
-full argmin use the grid-shift operator (``model.GridShift``): a sweep
-takes its Bellman values from ``backup_padded``, which reads the
-age-shifted values in place from the iteration's own buffer, and the
-extraction compares the Q values of ``backup_q``. The thresholds come back
-as a ``policies.ThresholdPolicy``, and the policy table as its
+Every sweep and the extraction use the grid-shift operator
+(``model.GridShift``): a sweep takes its Bellman values from
+``backup_padded``, which reads the age-shifted values in place from the
+iteration's own buffer, and the extraction compares the Q values of
+``backup_q``. There is one tie rule: a state transmits when its transmit Q
+value is strictly below its idle Q value, so exact ties idle. The full
+argmin returns that 0/1 table; the threshold route reads each battery row's
+first transmitting age off it, returns those thresholds as a
+``policies.ThresholdPolicy``, and the policy table as their
 ``stationary_actions``.
 """
 
@@ -34,7 +35,6 @@ from .model import (
     one_step_cost,
     state_count,
     state_index,
-    successors,
     transition,
 )
 from .policies import Optimal, ThresholdPolicy, stationary_actions
@@ -76,7 +76,7 @@ class SolveResult:
     iterations: int
     span_residual: float      # span of the final Bellman update
     span_history: np.ndarray  # residual after each sweep
-    argmin_evals: int         # states decided by comparing Q values in a row scan
+    argmin_evals: int         # sum_q min(threshold_q, delta_max); n for the full argmin
     gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # Odoni (lo, hi) on the gain
 
 
@@ -147,23 +147,18 @@ def extract_policy(v: np.ndarray, m: ModelParams) -> np.ndarray:
 def modified_via(
     m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[SolveResult, ThresholdPolicy]:
-    """Solve, then extract the policy with the threshold-exploiting scan.
+    """Solve, then read one threshold per battery row off the greedy policy.
 
-    Each battery row is scanned in increasing age; the first state whose
-    transmit Q value is strictly below its idle Q value is the row's
-    threshold (delta_max + 1 if there is none), and every later age in the
-    row transmits too without being compared. ``argmin_evals`` counts the
-    states the scan decides by comparison, sum_q min(threshold_q,
-    delta_max); it is not the number of Q values computed.
-
-    The scan takes each Q value as a dot product over the state's
-    ``successors`` row. That may round differently from
-    ``bellman_backup_q``'s sum in the last bit, which on an exact tie
-    decides the threshold (README, "Thresholds decided by rounding"); the
-    dot product is what the recorded thresholds and CSV files rest on.
+    A row's threshold is its first age whose transmit Q value is strictly
+    below its idle Q value (``extract_policy``'s rule, so exact ties idle),
+    or delta_max + 1 if there is none; the returned policy transmits at
+    every age from the threshold on. ``argmin_evals`` is sum_q
+    min(threshold_q, delta_max), the states up to and including each row's
+    threshold; it is not the number of Q values computed.
     """
     v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
-    tp = ThresholdPolicy(_scan_thresholds(v, m))
+    greedy = extract_policy(v, m).reshape(m.battery_cap + 1, m.delta_max)
+    tp = ThresholdPolicy(tuple(_first_ages(greedy == TRANSMIT)))
     _warn_if_truncation_tight(tp, m)
     dm = m.delta_max
     evals = sum(min(t, dm) for t in tp.thresholds)
@@ -174,26 +169,10 @@ def modified_via(
     return result, tp
 
 
-def _scan_thresholds(v: np.ndarray, m: ModelParams) -> tuple[int, ...]:
-    op = GridShift(m)
-    n = state_count(m)
-    (idle_idx, idle_pr), (tx_idx, tx_pr) = (
-        successors(np.full(n, a), m) for a in (IDLE, TRANSMIT)
-    )
-    dm = m.delta_max
-    thresholds = []
-    for b in range(m.battery_cap + 1):
-        tx_cost = op.paid_age if b == 0 else op.age
-        thr = dm + 1
-        for d in range(1, dm + 1):
-            i = b * dm + d - 1
-            q_idle = op.age[d - 1] + idle_pr[i] @ v[idle_idx[i]]
-            q_tx = tx_cost[d - 1] + tx_pr[i] @ v[tx_idx[i]]
-            if q_tx < q_idle:
-                thr = d
-                break
-        thresholds.append(thr)
-    return tuple(thresholds)
+def _first_ages(hits: np.ndarray) -> list[int]:
+    """Per row of a (battery, age) boolean table, its first age that is
+    True, or delta_max + 1 for a row with none."""
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, hits.shape[1] + 1).tolist()
 
 
 def extract_thresholds(policy: np.ndarray, m: ModelParams) -> ThresholdPolicy:
@@ -203,18 +182,14 @@ def extract_thresholds(policy: np.ndarray, m: ModelParams) -> ThresholdPolicy:
     first transmitting age, i.e. the policy is not of threshold form.
     """
     arr = np.asarray(policy).reshape(m.battery_cap + 1, m.delta_max)
-    thresholds = []
-    witnesses = []
-    for q, row in enumerate(arr):
-        ones = np.flatnonzero(row == TRANSMIT)
-        if ones.size == 0:
-            thresholds.append(m.delta_max + 1)
-            continue
-        first = int(ones[0]) + 1
-        holes = np.flatnonzero(row[ones[0]:] == IDLE)
-        if holes.size:
-            witnesses.append((q, first, first + int(holes[0])))
-        thresholds.append(first)
+    thresholds = _first_ages(arr == TRANSMIT)
+    ages = np.arange(1, m.delta_max + 1)
+    holes = _first_ages((arr == IDLE) & (ages > np.array(thresholds)[:, None]))
+    witnesses = [
+        (q, first, hole)
+        for q, (first, hole) in enumerate(zip(thresholds, holes))
+        if hole <= m.delta_max
+    ]
     if witnesses:
         detail = ", ".join(
             f"(q={q}, transmit at age {lo}, idle at age {hi})" for q, lo, hi in witnesses

@@ -184,8 +184,9 @@ def test_criterion_3_structural_checks_on_grid(structure_grid):
 
 
 def test_criterion_4_threshold_scan_equivalence(structure_grid):
-    """The threshold-exploiting scan reproduces the full argmin policy on
-    every grid point with strictly less argmin work."""
+    """The thresholds read off the greedy Q values reproduce the full argmin
+    policy on every grid point, and argmin_evals, sum_q min(threshold_q,
+    delta_max), is below the state count wherever some threshold exceeds 1."""
     points, _ = structure_grid
     problems = []
     for key, (m, res, tp) in points.items():
@@ -198,7 +199,7 @@ def test_criterion_4_threshold_scan_equivalence(structure_grid):
     ok = not problems
     announce(
         4,
-        "threshold scan equivalence",
+        "threshold extraction equivalence",
         ok,
         f"argmin evals {min(evals)}..{max(evals)} of {state_count(ModelParams(**REFERENCE))} states",
     )

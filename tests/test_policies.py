@@ -109,18 +109,33 @@ class TestDecide:
 
 
 class TestExplicitValidation:
-    def test_rejects_non_binary_entries(self):
-        with pytest.raises(DomainError):
-            Explicit(np.array([[0, 2], [1, 0]]))
+    @pytest.mark.parametrize(
+        "bad",
+        # all but 2 cast to 0 or 1 in int8, so they must be caught before the cast
+        [2, 0.5, 1.7, 257, -255, np.nan],
+    )
+    def test_rejects_non_binary_entries(self, bad):
+        with pytest.raises(DomainError, match="only 0 and 1"):
+            Explicit(np.array([[0, bad], [1, 0]]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, bool])
+    def test_accepts_binary_tables_of_any_dtype(self, dtype):
+        k = Explicit(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert k.actions.dtype == np.int8
+        np.testing.assert_array_equal(k.actions, [[0, 1], [1, 0]])
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DomainError):
             Explicit(np.array([0, 1, 0]))
 
     def test_table_is_read_only(self):
-        k = Explicit(np.array([[0, 1], [1, 0]]))
+        given = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        k = Explicit(given)
         with pytest.raises(ValueError):
             k.actions[0, 0] = 1
+        # the policy holds its own copy; the caller's table stays writable
+        given[0, 0] = 1
+        assert k.actions[0, 0] == 0
 
     def test_from_state_order_round_trip(self):
         m = params()
