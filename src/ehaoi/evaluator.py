@@ -22,10 +22,10 @@ and, for a periodic schedule, whether the slot is scheduled, so the run is a
 finite-state machine whose tables come from ``decide`` and the simulator's
 own one-slot rule, never from the exact side's ``successors``. One table
 lookup per block of slots carries the state; everything else is array work,
-one CI batch at a time, mostly in place: the slots' symbols and states fill
-(block, slot) grids, and the ages come from one running maximum. Every
-report is bit-identical to stepping the slots one by one with ``decide``
-and ``step``.
+one stretch of at most ``STRETCH_SLOTS`` slots at a time, mostly in place:
+the slots' symbols and states fill (block, slot) grids, and the ages come
+from one running maximum. Every report is bit-identical to stepping the
+slots one by one with ``decide`` and ``step``.
 
 A periodic schedule is not stationary on the base space, but it is on the
 chain augmented with the slot phase. ``stationary_actions`` gives its
@@ -79,6 +79,7 @@ T_975_19 = 2.0930240544083087  # 0x1.0be83653b666cp+1
 assert CI_BATCHES == 20, "T_975_19 is the t quantile for 19 degrees of freedom"
 BLOCK_SLOTS = 4           # slots per simulator table lookup, fewer if
 TABLE_ENTRIES = 1 << 18   # the block table would outgrow this
+STRETCH_SLOTS = 1 << 16   # most slots the simulator holds in memory at once
 
 
 class ReducibleChainError(RuntimeError):
@@ -533,10 +534,13 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     table lookup per block of slots, which finds the state at each block's
     start; the states inside the blocks, the paid slots, the untruncated
     age (rebuilt from the slots whose update got through) and the costs are
-    array operations, one CI batch at a time. Each batch draws its own
-    stretch of the two streams and sums its costs in slot order, so every
-    field is bit-identical to stepping the slots one by one with ``decide``
-    and ``step``.
+    array operations, one stretch of at most ``STRETCH_SLOTS`` slots at a
+    time, so memory does not grow with the horizon. A CI batch longer than
+    that runs as several stretches. Each stretch draws its own piece of the
+    two streams, and each batch sums its costs in slot order, carrying the
+    running sum from one stretch to the next, so every field is
+    bit-identical to stepping the slots one by one with ``decide`` and
+    ``step``.
     """
     check_run(horizon, seed)
     machine = _machine(kind, m, horizon)
@@ -544,17 +548,24 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     batch = horizon // CI_BATCHES
     rest = horizon - batch * CI_BATCHES  # in the averages, not in the CI
     sizes = [batch] * CI_BATCHES + [rest] if batch else [horizon]
+    # each batch as stretches of at most STRETCH_SLOTS slots, with the
+    # batch each stretch belongs to
+    cap = STRETCH_SLOTS
+    owner, stretches = zip(
+        *((i, min(cap, n - s)) for i, n in enumerate(sizes) for s in range(0, n, cap))
+    )
 
     aoi_sum = 0
     paid_count = 0
-    batch_sums = []
-    for i, (ages, paid) in enumerate(_run(machine, m, seed, [n for n in sizes if n])):
+    batch_sums = [0.0] * CI_BATCHES
+    for i, (ages, paid) in zip(owner, _run(machine, m, seed, stretches)):
         aoi_sum += int(ages.sum())
         paid_count += int(np.count_nonzero(paid))
         if batch and i < CI_BATCHES:
             costs = ages.astype(float)
             costs[paid] += paid_price
-            batch_sums.append(float(np.cumsum(costs)[-1]))  # in slot order, as +=
+            costs[0] += batch_sums[i]  # the batch's running sum so far
+            batch_sums[i] = float(np.cumsum(costs)[-1])  # in slot order, as +=
 
     average_aoi = aoi_sum / horizon
     rate = paid_count / horizon

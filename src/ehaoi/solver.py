@@ -4,15 +4,14 @@ The iteration keeps values normalized against a fixed reference state and
 stops on the span seminorm of the Bellman update, so it converges even
 though average-cost values themselves are only defined up to a constant.
 Every sweep and the extraction use the grid-shift operator
-(``model.GridShift``): a sweep takes its Bellman values from
-``backup_padded``, which reads the age-shifted values in place from the
-iteration's own buffer, and the extraction compares the Q values of
-``backup_q``. There is one tie rule: a state transmits when its transmit Q
-value is strictly below its idle Q value, so exact ties idle. The full
-argmin returns that 0/1 table; the threshold route reads each battery row's
-first transmitting age off it, returns those thresholds as a
-``policies.ThresholdPolicy``, and the policy table as their
-``stationary_actions``.
+(``model.GridShift``): a sweep is ``GridShift.sweep``, which reads the
+values and writes their Bellman values in buffers the operator owns, and
+the extraction compares the Q values of ``backup_q``. There is one tie
+rule: a state transmits when its transmit Q value is strictly below its
+idle Q value, so exact ties idle. The full argmin returns that 0/1 table;
+the threshold route reads each battery row's first transmitting age off
+it, returns those thresholds as a ``policies.ThresholdPolicy``, and the
+policy table as their ``stationary_actions``.
 """
 
 from __future__ import annotations
@@ -99,27 +98,26 @@ def _iterate_values(m: ModelParams, eps: float, max_iter: int):
     if not (is_int(max_iter) and max_iter >= 1):
         raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
     op = GridShift(m)
-    n = state_count(m)
     ref = state_index(State(1, m.battery_cap), m)
-    # the values with the spare entry after them that the sweep reads the
-    # age-shifted values from in place (GridShift.backup_padded)
-    x = np.zeros(n + 1)
-    v = x[:n]
-    tv = np.empty(n)
-    spans = np.empty(max_iter)
+    # the sweep reads the values and writes the Bellman values into buffers
+    # the operator owns (GridShift.sweep)
+    v, tv = op.values, op.out
+    v[:] = 0.0
+    spans = []  # grows with the sweeps run, not with max_iter
     span = np.inf
     for k in range(max_iter):
-        op.backup_padded(x, out=tv)
+        op.sweep()
         # the update into v's own buffer: v is renormalized from tv below
         np.subtract(tv, v, out=v)
         hi = float(v.max())
         lo = float(v.min())
         span = hi - lo
-        spans[k] = span
+        spans.append(span)
         np.subtract(tv, tv[ref], out=v)
         if span <= eps:
             gain = 0.5 * (hi + lo)
-            return v, gain, (lo, hi), k + 1, span, spans[: k + 1].copy()
+            # a copy, so the result does not hold the operator's block
+            return v.copy(), gain, (lo, hi), k + 1, span, np.array(spans)
     raise ConvergenceError(
         f"span residual {span:.3e} after {max_iter} iterations (eps={eps:.3e})",
         max_iter,

@@ -54,6 +54,17 @@ class TestSolve:
         echoed = capsys.readouterr().out
         assert "gain=" in echoed and "argmin_evals=" in echoed
 
+    def test_huge_iteration_cap_reserves_nothing(self, tmp_path, capsys):
+        # the span history grows with the sweeps run, not with --max-iter
+        outs = {}
+        for cap in ("100000", "1000000000000"):
+            (tmp_path / cap).mkdir()
+            out = tmp_path / cap / "thr.csv"
+            assert main(["solve", *SMALL, "--max-iter", cap, "--out", str(out)]) == 0
+            outs[cap] = (capsys.readouterr().out.replace(cap, "CAP"), out.read_bytes(),
+                         (tmp_path / cap / "thr_policy.csv").read_bytes())
+        assert outs["1000000000000"] == outs["100000"]
+
     def test_negligible_energy_price_transmits_immediately(self, tmp_path):
         out = tmp_path / "thr.csv"
         args = [a for a in SMALL]

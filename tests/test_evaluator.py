@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ehaoi import (
     step,
     transition,
 )
+from ehaoi import evaluator
 from ehaoi.evaluator import (
     CI_BATCHES,
     T_975_19,
@@ -652,6 +654,39 @@ class TestSimulate:
             s = step(t, s, a, int(harvest[t]), int(blocked[t]), m).next_state
         assert rep.average_aoi == aoi_sum / horizon
         assert rep.reliable_energy_rate == paid / horizon
+
+    @pytest.mark.parametrize("horizon", [1, 20, 139, 5003])
+    @pytest.mark.parametrize(
+        "kind", [Optimal(ThresholdPolicy((4, 2, 1, 1))), ZeroWait(), Periodic(3)],
+        ids=["optimal", "zero-wait", "periodic3"],
+    )
+    def test_stretches_do_not_change_the_report(self, monkeypatch, kind, horizon):
+        # batches cut into stretches of 7 slots carry the streams, the
+        # state, the age and each batch's running cost sum across the cuts;
+        # a paid price of 0.6, not a whole number, makes the sums round,
+        # so their order shows
+        m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=3,
+                        cost_reliable=2.0, weight=0.3, delta_max=30)
+        whole = simulate(kind, m, horizon, 23)
+        monkeypatch.setattr(evaluator, "STRETCH_SLOTS", 7)
+        cut = simulate(kind, m, horizon, 23)
+        for field in dataclasses.fields(whole):
+            a, b = getattr(whole, field.name), getattr(cut, field.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+
+    def test_memory_is_bounded_by_the_stretch(self):
+        # batches three stretches long: a run held a whole batch at once
+        # at about 60 bytes a slot
+        m = params()
+        horizon = CI_BATCHES * 3 * evaluator.STRETCH_SLOTS
+        evaluator._machine(ZeroWait(), m, horizon)  # built and cached outside the trace
+        tracemalloc.start()
+        try:
+            simulate(ZeroWait(), m, horizon, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * evaluator.STRETCH_SLOTS
 
     def test_deterministic_given_seed(self):
         m = params()

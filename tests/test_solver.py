@@ -136,12 +136,54 @@ class TestShiftBackupMatchesKernel:
             # the sweep's Bellman values add the age after the minimum
             assert np.array_equal(op.backup(v), want.min(axis=0))
 
+    def test_takes_exactly_n_values_of_any_shape(self):
+        # the value grid as (battery, age) gives the Q values of its
+        # flattened form; a table of the wrong size raises, never broadcasts
+        m = tiny_params(battery_cap=3, delta_max=7)
+        v = np.random.default_rng(5).normal(size=state_count(m))
+        grid = v.reshape(m.battery_cap + 1, m.delta_max)
+        assert np.array_equal(bellman_backup_q(grid, m), bellman_backup_q(v, m))
+        assert np.array_equal(GridShift(m).backup(grid), GridShift(m).backup(v))
+        assert np.array_equal(extract_policy(grid, m), extract_policy(v, m))
+        for wrong in (1.0, np.ones(1), v[:-1], np.append(v, 0.0)):
+            with pytest.raises(ValueError):
+                bellman_backup_q(wrong, m)
+            with pytest.raises(ValueError):
+                GridShift(m).backup(wrong)
+
     def test_dust_entry_is_dropped(self):
         # p_block * (1 - lambda_e) falls below PROB_FLOOR, so transition()
         # drops that successor; the bit-identity above covers the drop
         m = tiny_params(lambda_e=1.0 - 1e-16)
         assert 0.0 < m.p_block * (1.0 - m.lambda_e) < PROB_FLOOR
         assert (kernel_arrays(m).prob[TRANSMIT] > 0.0).sum(axis=1).max() == 2
+
+
+FIXED_POINTS = {
+    "reference": ModelParams(lambda_e=0.5, **REFERENCE),
+    "large": ModelParams(lambda_e=0.5, **{**REFERENCE, "battery_cap": 100, "delta_max": 400}),
+}
+
+
+class TestSweepLayout:
+    @pytest.mark.parametrize("point", list(FIXED_POINTS))
+    def test_streams_start_apart_within_a_page(self, point):
+        # a sweep streams these five arrays, cut from one block; stores to
+        # one and loads from another whose addresses agree in their low 12
+        # bits stall
+        op = GridShift(FIXED_POINTS[point])
+        streams = [op.values, op.out, op._term, op._tx, op._age_grid]
+        assert all(a.base is streams[0].base for a in streams)
+        offsets = [a.ctypes.data % 4096 for a in streams]
+        for i, a in enumerate(offsets):
+            for b in offsets[i + 1:]:
+                assert min((a - b) % 4096, (b - a) % 4096) >= 256, offsets
+
+    def test_returned_values_own_their_memory(self):
+        # a view would keep the operator's whole block alive
+        m = tiny_params()
+        v = _iterate_values(m, 1e-9, 100_000)[0]
+        assert v.base is None and v.size == state_count(m)
 
 
 class TestRegressionPins:
@@ -248,25 +290,29 @@ class TestRelativeValueIteration:
             relative_value_iteration(tiny_params(), max_iter=max_iter)
 
     @pytest.mark.parametrize(
-        "m",
+        "m, eps",
         [
-            ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=20,
-                        cost_reliable=2.0, weight=10.0, delta_max=200),
-            tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12),
+            (ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=20,
+                         cost_reliable=2.0, weight=10.0, delta_max=200), 1e-9),
+            (tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12), 1e-9),
             # the layout's edges: delta_max 2 and 3 (every age a row's first or
             # last), battery_cap 2, lambda_e near and at 1, a free backup packet
-            tiny_params(lambda_e=1.0 - 1e-16, battery_cap=2, delta_max=2, cost_reliable=0.0),
-            tiny_params(lambda_e=0.01, battery_cap=2, delta_max=3),
-            tiny_params(lambda_e=0.99, battery_cap=3, delta_max=2, cost_reliable=0.0),
-            tiny_params(lambda_e=0.5, battery_cap=4, delta_max=12, cost_reliable=0.0),
-            tiny_params(lambda_e=1.0, battery_cap=7, delta_max=41),
-            ModelParams(lambda_e=0.99, p_block=0.2, battery_cap=20,
-                        cost_reliable=0.0, weight=10.0, delta_max=200),
+            (tiny_params(lambda_e=1.0 - 1e-16, battery_cap=2, delta_max=2, cost_reliable=0.0), 1e-9),
+            (tiny_params(lambda_e=0.01, battery_cap=2, delta_max=3), 1e-9),
+            (tiny_params(lambda_e=0.99, battery_cap=3, delta_max=2, cost_reliable=0.0), 1e-9),
+            (tiny_params(lambda_e=0.5, battery_cap=4, delta_max=12, cost_reliable=0.0), 1e-9),
+            (tiny_params(lambda_e=1.0, battery_cap=7, delta_max=41), 1e-9),
+            (ModelParams(lambda_e=0.99, p_block=0.2, battery_cap=20,
+                         cost_reliable=0.0, weight=10.0, delta_max=200), 1e-9),
+            # the large fixed point, 101 rows of 400 ages, in 841 sweeps
+            (ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=100,
+                         cost_reliable=2.0, weight=10.0, delta_max=400), 0.1),
         ],
         ids=["reference", "4x12-lambda1", "3x2-dust-free", "3x3-lambda0.01",
-             "4x2-lambda0.99-free", "5x12-free", "8x41-lambda1", "reference-lambda0.99-free"],
+             "4x2-lambda0.99-free", "5x12-free", "8x41-lambda1", "reference-lambda0.99-free",
+             "large-eps0.1"],
     )
-    def test_iteration_equals_reference_loop(self, m):
+    def test_iteration_equals_reference_loop(self, m, eps):
         # the sweep loop written out plainly: Q values, their minimum, a
         # separate difference array, then the renormalization
         ref = m.delta_max * m.battery_cap  # State(1, battery_cap)
@@ -278,9 +324,9 @@ class TestRelativeValueIteration:
             hi, lo = float(diff.max()), float(diff.min())
             spans.append(hi - lo)
             v = tv - tv[ref]
-            if hi - lo <= 1e-9:
+            if hi - lo <= eps:
                 break
-        got_v, gain, bracket, iterations, span, history = _iterate_values(m, 1e-9, 100_000)
+        got_v, gain, bracket, iterations, span, history = _iterate_values(m, eps, 100_000)
         assert np.array_equal(got_v, v)
         assert gain == 0.5 * (hi + lo)
         assert bracket == (lo, hi)

@@ -141,6 +141,12 @@ class TestRunAllChecks:
             assert r.passed, (r.name, r.worst, r.witnesses)
             assert r.tol == 1e-8
 
+    def test_value_grid_reads_as_its_flattened_table(self):
+        m = params(battery_cap=5, delta_max=40)
+        res, _ = modified_via(m, eps=1e-9)
+        grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
+        assert run_all_checks(grid, m) == run_all_checks(res.values, m)
+
     def test_reports_never_raise_on_garbage(self):
         m = params()
         rng = np.random.default_rng(3)
