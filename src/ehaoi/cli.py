@@ -14,12 +14,13 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 from .evaluator import check_run, evaluate_exact, evaluate_periodic_exact, simulate
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
 from .policies import Optimal, Periodic, ZeroWait
-from .solver import ConvergenceError, modified_via
+from .solver import ConvergenceError, TruncationWarning, modified_via
 from .verify import run_all_checks
 
 OK = 0
@@ -172,6 +173,21 @@ def _policy_kind(cfg: RunConfig):
     raise CliUsageError(f"unknown policy {cfg.policy!r}")
 
 
+def _solve(cfg: RunConfig, m: ModelParams, point: str = ""):
+    """``modified_via`` at ``m``. Each TruncationWarning it raises becomes
+    one stderr line, naming the grid point ``point`` (``axis=value: ``) if
+    there is one; any other warning passes on."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        solved = modified_via(m, cfg.eps, cfg.max_iter)
+    for w in caught:
+        if issubclass(w.category, TruncationWarning):
+            print(f"warning: {point}{w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return solved
+
+
 def _derived_path(base: str, suffix: str) -> str:
     if base.endswith(".csv"):
         return base[: -len(".csv")] + suffix + ".csv"
@@ -183,7 +199,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out or "thresholds.csv"
     policy_out = _derived_path(out, "_policy")
     _check_writable(out, policy_out)
-    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+    result, tp = _solve(cfg, m)
     _write_csv(out, ["q", "threshold"], list(enumerate(tp.thresholds)))
     rows = [
         [s.aoi, s.battery, int(a)]
@@ -207,7 +223,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out or "simulate.csv"
     _check_writable(out)
     if kind is None:
-        kind = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
+        kind = Optimal(_solve(cfg, m)[1])
     rows = []
     costs = []
     for seed in cfg.seeds:
@@ -269,7 +285,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         # the compared policies in row order; optimal's kind comes from the solve
         kinds = {"optimal": None, "zero-wait": ZeroWait(), "periodic": periodic}
         try:
-            kinds["optimal"] = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
+            kinds["optimal"] = Optimal(_solve(cfg, m, f"{cfg.axis}={_fmt(value)}: ")[1])
         except ConvergenceError as exc:
             rows += [_compare_row(value, name, error=exc) for name in kinds]
             failed = True
@@ -301,7 +317,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     failed = False
     for value, m in points:
         try:
-            result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+            result, tp = _solve(cfg, m, f"{cfg.axis}={_fmt(value)}: ")
         except ConvergenceError as exc:
             rows.append([value, None, None, None, f"error:{exc}"])
             failed = True
@@ -317,7 +333,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     m = _model_params(cfg)
     if cfg.out:
         _check_writable(cfg.out)
-    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+    result, tp = _solve(cfg, m)
     reports = run_all_checks(result.values, m)
     print(f"gain={_fmt(result.gain)} iterations={result.iterations}")
     print(f"thresholds={','.join(str(t) for t in tp.thresholds)}")

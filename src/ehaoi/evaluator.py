@@ -1,15 +1,19 @@
 """Policy evaluation along two independent routes.
 
 ``evaluate_exact`` analyzes the policy-induced Markov chain on the
-truncated state space: it builds the sparse transition matrix, locates the
-closed communicating class reachable from the system's start state
-(age 1, empty battery), computes the stationary distribution on it by an
-exact linear level reduction over the age (no iteration, any size), and
-returns exact long-run averages together with their evidence: the balance
-residual of the distribution and its mass at the age cap. If several
-closed classes were reachable the long-run average would depend on chance,
-so that raises ReducibleChainError; the kernel's one-step battery moves
-make this impossible for sane policies, and any occurrence signals a bug.
+truncated state space. Every move advances the age by one (capped at
+``delta_max``) or resets it to 1, and from the age where the policy's
+action table stops changing every age moves alike, so the chain is built
+as per-age blocks on (phase, battery) with those ages collapsed into one.
+On that lumped chain it locates the closed communicating class reachable
+from the system's start state (age 1, empty battery), computes the
+stationary distribution by an exact linear level reduction over the age (no
+iteration, any size), and returns exact long-run averages together with
+their evidence: the balance residual of the distribution and its mass at
+the age cap. If several closed classes were reachable the long-run average
+would depend on chance, so that raises ReducibleChainError; the kernel's
+one-step battery moves make this impossible for sane policies, and any
+occurrence signals a bug.
 
 ``simulate`` runs the physical system forward without any age truncation,
 drawing the energy and channel Bernoulli streams from two independently
@@ -20,7 +24,7 @@ package needs no ``scipy.stats``). It is table-driven: a policy decides
 from the battery, the age capped where the policy stops telling ages apart
 and, for a periodic schedule, whether the slot is scheduled, so the run is a
 finite-state machine whose tables come from ``decide`` and the simulator's
-own one-slot rule, never from the exact side's ``successors``. One table
+own one-slot rule, never from the exact side's blocks. One table
 lookup per block of slots carries the state; everything else is array work,
 one stretch of at most ``STRETCH_SLOTS`` slots at a time, mostly in place:
 the slots' symbols and states fill (block, slot) grids, and the ages come
@@ -36,8 +40,8 @@ evaluation for periodic schedules only.
 Importing this module loads numpy and the top-level ``scipy`` package only.
 ``scipy.sparse`` and ``scipy.sparse.csgraph`` (about 0.3 s and 30 MiB
 together) load on the first exact evaluation, in the functions that build
-the chain and find its recurrent class, so a command that only solves or
-simulates never pays for them.
+the lumped chain and find its recurrent class, so a command that only
+solves or simulates never pays for them.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ import numpy as np
 import scipy  # the top level only; scipy.sparse and csgraph load where used
 
 from .model import (
+    IDLE,
     TRANSMIT,
     DomainError,
     ModelParams,
     State,
+    _coefficients,
     is_int,
-    state_count,
-    successors,
 )
 from .policies import (
     Explicit,
@@ -149,41 +153,29 @@ def step(
     )
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """A chain on (slot phase, state), phase outer, in the views the exact
-    evaluation needs."""
+@lru_cache(maxsize=8)
+def _blocks(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's moves as blocks on (phase, battery), by action.
 
-    idx: np.ndarray      # (size, 4) successor indices, laid out as ``successors``'
-    prob: np.ndarray     # (size, 4) their probabilities
-    matrix: scipy.sparse.csr_matrix
-    paid: np.ndarray     # states that transmit on an empty battery
-
-
-def _phase_chain(actions: np.ndarray, m: ModelParams) -> _Chain:
-    """Chain on (slot phase, state) under ``actions``, one base table per
-    phase laid end to end as ``stationary_actions`` gives them: phase r
-    follows its table and moves to phase r + 1 mod the number of tables. A
-    stationary policy is one table, one phase."""
-    from scipy import sparse
-
-    n = state_count(m)
-    size = actions.size
-    period = size // n
-    idx, prob = successors(actions, m)
-    # every move lands in the next phase's copy of the states
-    idx.reshape(period, -1)[:] += (np.arange(1, period + 1) % period * n)[:, None]
-    # CSR straight from the rows, zero entries dropped: ``successors`` lists
-    # a row's targets in decreasing index order, so reversed they come out
-    # sorted, as a COO build would leave them
-    live = prob[:, ::-1] > 0.0
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(live.sum(axis=1), out=indptr[1:])
-    matrix = sparse.csr_matrix(
-        (prob[:, ::-1][live], idx[:, ::-1][live], indptr), shape=(size, size)
-    )
-    paid = (actions == TRANSMIT) & (np.arange(size) % n < m.delta_max)  # battery 0
-    return _Chain(idx, prob, matrix, paid)
+    Every move takes the age from a to min(a + 1, delta_max) or resets it
+    to 1, and the slot phase r to r + 1 mod the period. A row's moves
+    depend only on its action and battery, so each action has a
+    (battery_cap + 1)-square advancing block U and reset block R, row q
+    holding ``transition``'s probabilities by the battery moved to.
+    Cached; the arrays are read-only.
+    """
+    (up, stay), (c0, c1, c2, c3) = _coefficients(m)
+    B1 = m.battery_cap + 1
+    q = np.arange(B1)
+    spent = np.maximum(q - 1, 0)  # an empty battery pays for backup
+    U, R = np.zeros((2, 2, B1, B1))
+    U[IDLE, q, np.minimum(q + 1, B1 - 1)] = up
+    U[IDLE, q, q] = stay
+    U[IDLE, -1, -1] = 1.0  # a full battery idles in place
+    U[TRANSMIT, q, spent + 1], R[TRANSMIT, q, spent + 1] = c0, c1
+    U[TRANSMIT, q, spent], R[TRANSMIT, q, spent] = c2, c3
+    U.flags.writeable = R.flags.writeable = False
+    return U, R
 
 
 def _recurrent_class(P: scipy.sparse.csr_matrix, start: int) -> np.ndarray:
@@ -231,129 +223,115 @@ def _gth(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _level_stationary(chain: _Chain, cls: np.ndarray, m: ModelParams) -> np.ndarray:
-    """Stationary distribution of ``chain`` on its closed class ``cls``, by
-    linear level reduction with the age as the level (Latouche & Ramaswami,
-    Introduction to Matrix Analytic Methods, SIAM 1999).
+def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float]:
+    """Stationary distribution of the chain under ``actions`` (one base
+    table per phase, laid end to end as ``stationary_actions`` gives them)
+    on its closed class, by (age, phase, battery) and zero off the class,
+    and its balance residual ||mu P - mu||_1.
 
-    Every move takes the age from a to min(a + 1, D) or resets it to 1, so
-    with K = period * (battery_cap + 1) phase-battery pairs per level, U_a
-    (age-advancing) and R_a (reset) are K x K blocks and, for a + 1 < D,
-
-        pi_{a+1} = pi_a U_a,   pi_D = pi_{D-1} U_{D-1} (I - U_D)^-1,
-
-    while pi_1 is the stationary vector of the reset chain G_1, given by
-    G_D = (I - U_D)^-1 R_D and G_a = R_a + U_a G_{a+1}. G keeps only the
-    columns of the class's age-1 states; each age step gathers the four
-    successor rows of every class state at that age, where a reset's row is
-    one of an identity block below G. The class is closed, so the passes
-    run over its states only, and G_a keeps the rows of the class's states
-    at age a alone. At the cap the phase still turns: U_D takes
-    phase r to r + 1 by a (battery_cap + 1)-square block U^r, so
-    (I - U_D)^-1 is applied once around the phases, through
-    W = U^0 U^1 ... U^{T-1}, never as a K x K matrix. A class without
-    age-1 states lives at the cap (as under a never-transmit table) and is
-    solved there alone. Returns the distribution in chain order, zero off
-    the class.
+    From W on, the first age (at least 2) from which every age's actions
+    equal those at delta_max, the chain is the same at every age, so the
+    class is the one ``_recurrent_class`` finds from (age 1, battery 0) at
+    phase 0 on the chain with those ages lumped into one; the lumping is
+    exact. Then a linear level reduction with the age as the level
+    (Latouche & Ramaswami, Introduction to Matrix Analytic Methods, SIAM
+    1999): G_a, the probabilities of first reaching age 1 at each of the
+    class's age-1 states, is R_a + U_a G_{a+1}. From W on it is the same at
+    every age, G = (I - U)^-1 R with the rows off the class zero, solved
+    once around the phases through U^0 U^1 ... U^{T-1}, never as a
+    (phase, battery)-square matrix. pi_1 is the stationary vector of the
+    reset chain G_1, and pi_{a+1} = pi_a U_a below the cap D, where
+    pi_D = pi_{D-1} U_{D-1} (I - U)^-1. A class without age-1 states lives
+    at the cap (as under a never-transmit table) and is solved there alone.
+    Below W the passes read the lumped chain's rows: a row off the class
+    has no mass, and no class row moves to it.
     """
-    D = m.delta_max
-    B1 = m.battery_cap + 1
-    K = chain.prob.shape[0] // D
-    period = K // B1
-    # the class's states by age, then phase * battery: age a's are
-    # state[start[a]:start[a + 1]], and only they are ever visited
-    inside = np.zeros((D, K), dtype=bool)  # (age, phase * battery)
-    inside[cls % D, cls // D] = True
-    age, row = np.nonzero(inside)
-    start = np.searchsorted(age, np.arange(D + 1))
-    state = row * D + age
-    coef, succ = (np.take(arr, state, axis=0) for arr in (chain.prob, chain.idx))
-    entry = row[: start[1]]  # the class's age-1 states
-    M = entry.size
-    L = K + M + 1
-    # the place where the passes keep each state's values, in chain order:
-    # below the cap, its place among its age's class states (a state off
-    # the class is reached only at probability 0, and reads place 0); at
-    # the cap, its phase * battery; at age 1, which only a reset reaches,
-    # its row of the identity block below G, or for a state off the class
-    # the last row (column M), which collects those resets
-    place = np.zeros((K, D), dtype=np.intp)
-    place.flat[state] = np.arange(state.size) - start[age]
-    place[:, -1] = np.arange(K)
-    place[:, 0] = L - 1
-    place[entry, 0] = np.arange(K, K + M)
-    rows = np.take(place, succ)
-    # the cap by phase, [U^r | R^r]: U^r to the batteries of phase r + 1,
-    # R^r to the columns of G; states off the class keep no moves
-    width = B1 + M + 1
-    at = slice(start[-2], start[-1])
-    cap = np.bincount(
-        (row[at, None] * width
-         + np.where(rows[at] < K, rows[at] % B1, rows[at] - K + B1)).ravel(),
-        coef[at].ravel(),
-        K * width,
-    ).reshape(period, B1, width)
-    U, R = cap[..., :B1], cap[..., B1:]
-    W, C = U[-1], R[-1]  # W = U^0 U^1 ... U^{T-1}, C = R^0 + U^0 R^1 + ...
-    for u, r in zip(U[-2::-1], R[-2::-1]):
-        W, C = u @ W, r + u @ C
-    mu = np.zeros((K, D))  # chain order
-    at_cap = mu[:, -1].reshape(period, B1)
-    if M == 0:  # the class lives at the cap
-        inflow = np.zeros((period, B1))
-        phase0 = np.flatnonzero(inside[-1, :B1])
-        at_cap[0, phase0] = _gth(W[np.ix_(phase0, phase0)])
-    else:
-        stay = np.linalg.inv(np.eye(B1) - W)
-        # G_{a+1} and G_a, each on top of its own identity block; G_a's
-        # rows are its age's class states in order, G_D's every state
-        G, G_next = np.eye(L, M + 1, -K), np.eye(L, M + 1, -K)
-        G_cap = G[:K].reshape(period, B1, M + 1)
-        G_cap[0] = stay @ C
-        for r in range(period - 1, 0, -1):
-            G_cap[r] = R[r] + U[r] @ G_cap[(r + 1) % period]
-        weights = coef[:, None, :]
-        bounds = start.tolist()  # ints, which slice faster than numpy's
-        for a in range(D - 2, -1, -1):
-            lo, hi = bounds[a], bounds[a + 1]
-            G, G_next = G_next, G
-            ahead = np.take(G_next, rows[lo:hi], axis=0)
-            np.matmul(weights[lo:hi], ahead, out=G[: hi - lo, None, :])
-        mass = np.zeros(state.size)  # pi below the cap, in the passes' order
-        mass[:M] = _gth(G[:M, :M])
-        for a in range(D - 1):
-            lo, hi = bounds[a], bounds[a + 1]
-            flow = np.bincount(rows[lo:hi].ravel(), (mass[lo:hi, None] * coef[lo:hi]).ravel(), L)
-            if a < D - 2:
-                mass[hi : bounds[a + 2]] = flow[: bounds[a + 2] - hi]
-        mu[row, age] = mass
-        mu[:, -1] = flow[:K]  # the last flow reaches the cap, by phase * battery
-        # pi_D = inflow (I - U_D)^-1, phase 0 first, once around the cycle
-        inflow, around = at_cap.copy(), np.zeros(B1)
-        for r in range(1, period):
-            around = (around + inflow[r]) @ U[r]
-        at_cap[0] = (inflow[0] + around) @ stay
-    for r in range(1, period):
-        at_cap[r] = inflow[r] + at_cap[r - 1] @ U[r - 1]
-    mu = mu.ravel()
-    mu /= mu.sum()
-    return mu
+    from scipy import sparse
 
-
-def _exact_report(chain: _Chain, m: ModelParams) -> EvalReport:
-    cls = _recurrent_class(chain.matrix, start=0)  # (age 1, battery 0) at phase 0
-    mu = _level_stationary(chain, cls, m)
-    by_age = mu.reshape(-1, m.delta_max).sum(axis=0)
-    average_aoi = float(by_age @ np.arange(1.0, m.delta_max + 1))
-    rate = float(mu[chain.paid].sum())
-    flow = np.bincount(chain.idx.ravel(), (mu[:, None] * chain.prob).ravel(), mu.size)
-    return EvalReport(
-        average_cost=average_aoi + m.weight * m.cost_reliable * rate,
-        average_aoi=average_aoi,
-        reliable_energy_rate=rate,
-        balance_residual=float(np.abs(flow - mu).sum()),  # flow = mu P
-        cap_mass=float(by_age[-1]),
+    U, R = _blocks(m)
+    B1, D = m.battery_cap + 1, m.delta_max
+    send = actions.reshape(-1, B1, D) == TRANSMIT  # (phase, battery, age)
+    T = send.shape[0]
+    K = T * B1
+    W = int(np.flatnonzero((send != send[..., -1:]).any(axis=(0, 1))).max(initial=0)) + 2
+    act = send[..., list(range(W - 1)) + [D - 1]].transpose(2, 0, 1).astype(np.intp)
+    q = np.arange(B1)
+    prev, after = (np.arange(T) - 1) % T, (np.arange(T) + 1) % T  # phases r - 1, r + 1
+    # the lumped chain, age outer, in CSR form; a row lists its resets,
+    # then its advances, each by the battery moved to
+    moves = np.concatenate([R, U], axis=-1)
+    cols = np.argsort(moves == 0, axis=-1, kind="stable")[..., :4][act, q]
+    prob = moves[act[..., None], q[:, None], cols]
+    aged = np.minimum(np.arange(1, W + 1), W - 1)[:, None, None, None] * K - B1
+    index = np.where(cols < B1, cols, cols + aged) + after[:, None, None] * B1
+    live = prob > 0.0
+    indptr = np.zeros(W * K + 1, dtype=np.int32)
+    np.cumsum(live.sum(axis=-1), out=indptr[1:])
+    graph = sparse.csr_matrix(  # int32 indices, which scipy takes without a copy
+        (prob[live], index[live].astype(np.int32), indptr), shape=(W * K, W * K)
     )
+    cls = _recurrent_class(graph, start=0)
+    entry = cls[cls < K]  # the class's age-1 states, by phase * battery
+    M = entry.size
+    # the blocks from W on, by phase, the rows off the class zero; R keeps
+    # the columns of those age-1 states, into which phase r resets at r + 1
+    inside = np.zeros(W * K, dtype=bool)
+    inside[cls] = True
+    inside = inside[-K:].reshape(T, B1, 1)
+    Ut = U[act[-1], q] * inside
+    Rt = R[act[-1], q][..., entry % B1] * inside * (entry // B1 == after[:, None])[:, None]
+    Wc, C = Ut[-1], Rt[-1]  # Wc = U^0 U^1 ... U^{T-1}, C = R^0 + U^0 R^1 + ...
+    for u, r in zip(Ut[-2::-1], Rt[-2::-1]):
+        Wc, C = u @ Wc, r + u @ C
+    mu = np.zeros((D, T, B1))
+    if M == 0:  # the class lives at the cap
+        inflow = np.zeros((T, B1))
+        phase0 = np.flatnonzero(inside[0])
+        mu[-1, 0, phase0] = _gth(Wc[np.ix_(phase0, phase0)])
+    else:
+        stay = np.linalg.inv(np.eye(B1) - Wc)
+        G = np.empty((T, B1, M))
+        G[0] = stay @ C
+        for r in range(T - 1, 0, -1):
+            G[r] = Rt[r] + Ut[r] @ G[(r + 1) % T]
+        # below W, G_a row by row from the lumped chain's moves: an advance
+        # reads G_{a+1}'s row, a reset the row of an identity block for its
+        # age-1 state if that is in the class (else a zero row)
+        place = np.full(K, K + M)
+        place[entry] = np.arange(K, K + M)
+        rows = np.where(cols < B1, place[index % K], index % K)
+        X, Xn = np.zeros((2, K + M + 1, M))
+        X[K : K + M] = Xn[K : K + M] = np.eye(M)
+        X[:K] = G.reshape(K, M)
+        weights = prob[..., None, :]
+        for i in range(W - 2, -1, -1):
+            np.matmul(weights[i], np.take(X, rows[i], axis=0), out=Xn[:K].reshape(T, B1, 1, M))
+            X, Xn = Xn, X
+        mu[0].flat[entry] = _gth(X[entry])
+        # forward, each advance adds to its age + 1 state in the order of
+        # the states it comes from; resets go to a spare slot
+        aging = np.where(cols < B1, K, index % K)
+        for i in range(D - 1):
+            k = min(i, W - 1)
+            into = np.bincount(aging[k].ravel(), (mu[i, ..., None] * prob[k]).ravel(), K + 1)
+            mu[i + 1].flat = into[:K]
+        # pi_D = inflow (I - U)^-1, phase 0 first, once around the cycle
+        inflow, around = mu[-1].copy(), np.zeros(B1)
+        for r in range(1, T):
+            around = (around + inflow[r]) @ Ut[r]
+        mu[-1, 0] = (inflow[0] + around) @ stay
+    for r in range(1, T):
+        mu[-1, r] = inflow[r] + mu[-1, r - 1] @ Ut[r - 1]
+    mu /= mu.sum()
+    # flow = mu P, from the action table: a transmitting row moves by the
+    # transmit blocks and an idle one by the idle block, into the next phase
+    sent = mu * send.transpose(2, 0, 1)
+    moved = ((mu - sent) @ U[IDLE] + sent @ U[TRANSMIT])[:, prev]
+    flow = np.zeros_like(mu)
+    flow[1:] = moved[:-1]
+    flow[-1] += moved[-1]
+    flow[0] = (sent.sum(axis=0) @ R[TRANSMIT])[prev]
+    return mu, float(np.abs(flow - mu).sum())
 
 
 def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
@@ -363,8 +341,22 @@ def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
     (slot mod period, state), which makes it stationary. Its moves still
     only advance or reset the age, so the same level reduction solves it,
     with the phase joining the battery level in each age block.
+    ``cap_mass`` is the stationary mass at age delta_max.
     """
-    return _exact_report(_phase_chain(stationary_actions(kind, m), m), m)
+    actions = stationary_actions(kind, m)
+    mu, residual = _stationary(actions, m)
+    by_age = mu.reshape(m.delta_max, -1).sum(axis=1)
+    average_aoi = float(by_age @ np.arange(1.0, m.delta_max + 1))
+    # the paid states: battery 0, transmitting, by (age, phase)
+    paid = actions.reshape(-1, m.battery_cap + 1, m.delta_max)[:, 0].T == TRANSMIT
+    rate = float(mu[..., 0][paid].sum())
+    return EvalReport(
+        average_cost=average_aoi + m.weight * m.cost_reliable * rate,
+        average_aoi=average_aoi,
+        reliable_energy_rate=rate,
+        balance_residual=residual,
+        cap_mass=float(by_age[-1]),
+    )
 
 
 def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:

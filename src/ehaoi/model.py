@@ -13,8 +13,9 @@ truncation is numerically invisible.
 Value tables throughout the package are plain float arrays indexed in
 ``enumerate_states`` order (battery level outer, age inner). Reshaped to
 ``(battery_cap + 1, delta_max)`` they form the (battery, age) grid on which
-every successor is a fixed shift; ``GridShift`` and ``successors`` are the
-exact side's dynamics in that form, and ``transition``/``kernel_arrays``
+every successor is a fixed shift. ``_coefficients`` gives the branch
+probabilities, which ``GridShift`` (the solver's Bellman operator) and the
+evaluator's per-age blocks are built from; ``transition``/``kernel_arrays``
 stay as the per-state reference they are checked against.
 """
 
@@ -379,30 +380,3 @@ class GridShift:
         self._load(v)
         self.sweep()
         return self.out.copy()
-
-
-def successors(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Successor indices and probabilities of every state under ``actions``.
-
-    ``actions`` is one or more action tables in ``enumerate_states`` order,
-    laid end to end. Returns two (actions.size, 4) arrays in the same order
-    whose rows list ``transition``'s entries in its order, each index
-    within its own table; an entry dropped below PROB_FLOOR, and the
-    padding of a short row, has probability 0.
-    """
-    b_max, dm = m.battery_cap, m.delta_max
-    (up, stay), transmit = _coefficients(m)
-    # on the (battery, age, entry) grid, an index is battery * dm + age - 1
-    battery = np.arange(b_max + 1)[:, None, None]
-    aged = np.minimum(np.arange(1, dm + 1), dm - 1)[:, None]  # index of min(age + 1, dm)
-    # idle: to battery + 1 (a full battery stays, with probability 1), to
-    # battery; the padding is state 0
-    idle_idx = (np.minimum(battery + (1, 0, 0, 0), b_max) * dm + aged) * (1, 1, 0, 0)
-    idle_prob = np.where(battery == b_max, (1.0, 0.0, 0.0, 0.0), (up, stay, 0.0, 0.0))
-    spent = np.maximum(battery - 1, 0)  # an empty battery pays for backup
-    tx_idx = (spent + (1, 1, 0, 0)) * dm + aged * (1, 0, 1, 0)
-    send = np.asarray(actions).reshape(-1, b_max + 1, dm, 1) == TRANSMIT
-    return (
-        np.where(send, tx_idx, idle_idx).reshape(-1, 4),
-        np.where(send, transmit, idle_prob).reshape(-1, 4),
-    )

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,25 @@ class TestSweep:
         assert main(["sweep", *SMALL]) == 2
         assert "--axis" in capsys.readouterr().err
 
+    def test_truncation_warnings_name_their_grid_point(self, tmp_path, capsys):
+        # all four points put a threshold past half the age cap: one stderr
+        # line each, naming the point, and no Python warning, whose default
+        # display would add a line of the caller's source
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--battery-cap", "3", "--delta-max", "8", "--weight", "100",
+                         "--axis", "lambda_e", "--grid", "0.05,0.1,0.2,0.3", "--out", str(out)])
+        assert code == 0
+        assert raised == []
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 4
+        for line, value in zip(lines, ("0.05", "0.1", "0.2", "0.3")):
+            assert line.startswith(f"warning: lambda_e={value}: largest threshold ")
+            assert line.endswith("(delta_max=8); increase delta_max to keep the truncation inert")
+        assert captured.out == f"swept 4 lambda_e value(s) -> {out}\n"
+
 
 # compare's CSV for the arguments of TestCompare.test_rows_and_bytes_are_pinned,
 # byte for byte
@@ -377,7 +397,6 @@ class TestCompare:
         assert sum("[sim seed=1]" in r[1] for r in rows[1:]) == 3
 
 
-    @pytest.mark.filterwarnings("ignore::ehaoi.TruncationWarning")
     def test_rows_and_bytes_are_pinned(self, tmp_path):
         # exact rows, then simulated rows, policy by policy and seed by seed,
         # at each axis value in grid order (lambda_e 0.3 puts a threshold

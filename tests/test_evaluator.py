@@ -38,10 +38,10 @@ from ehaoi import evaluator
 from ehaoi.evaluator import (
     CI_BATCHES,
     T_975_19,
+    _blocks,
     _gth,
-    _level_stationary,
-    _phase_chain,
     _recurrent_class,
+    _stationary,
 )
 
 
@@ -288,9 +288,29 @@ def _assert_same_csr(got, want):
     assert got.data.tobytes() == want.data.tobytes()
 
 
-class TestChainBuildersMatchKernel:
-    """The shift-built chains equal the ones gathered from ``kernel_arrays``,
-    entry for entry and bit for bit."""
+def _block_chain(actions, m):
+    """The truncated chain on (phase, state) that ``_blocks``' per-action
+    blocks give when each state takes its action in ``actions``: a row's
+    advancing block moves it to age min(a + 1, delta_max) and its reset
+    block to age 1, both in the next phase."""
+    U, R = _blocks(m)
+    B1, D = m.battery_cap + 1, m.delta_max
+    table = np.asarray(actions).reshape(-1, B1, D)
+    T = table.shape[0]
+    rows, cols, vals = [], [], []
+    for r, q, a in np.ndindex(table.shape):
+        for block, age in ((U, min(a + 1, D - 1)), (R, 0)):
+            moved = block[table[r, q, a], q]
+            for t in np.flatnonzero(moved):
+                rows.append((r * B1 + q) * D + a)
+                cols.append((((r + 1) % T) * B1 + t) * D + age)
+                vals.append(moved[t])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(T * B1 * D,) * 2)
+
+
+class TestBlocksMatchKernel:
+    """The per-action blocks, expanded to the truncated chain, equal the
+    chain gathered from ``kernel_arrays``, entry for entry and bit for bit."""
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
     def test_induced_chain(self, lam):
@@ -302,13 +322,13 @@ class TestChainBuildersMatchKernel:
             Explicit(table),
         ):
             actions = stationary_actions(kind, m)
-            _assert_same_csr(_phase_chain(actions, m).matrix, _kernel_chain([actions], m))
+            _assert_same_csr(_block_chain(actions, m), _kernel_chain([actions], m))
 
     def test_induced_chain_reference_point(self):
         m = params(battery_cap=20, delta_max=200)
         thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
         actions = stationary_actions(Optimal(ThresholdPolicy(thresholds)), m)
-        _assert_same_csr(_phase_chain(actions, m).matrix, _kernel_chain([actions], m))
+        _assert_same_csr(_block_chain(actions, m), _kernel_chain([actions], m))
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 3])
@@ -319,22 +339,38 @@ class TestChainBuildersMatchKernel:
         if skip:
             send[:8] = 0  # battery 0 idles
         phases = [send] + [np.zeros(n, dtype=np.int64)] * (period - 1)
-        chain = _phase_chain(stationary_actions(Periodic(period, skip), m), m)
-        _assert_same_csr(chain.matrix, _kernel_chain(phases, m))
-        want_paid = np.concatenate([(a == 1) & (np.arange(n) < 8) for a in phases])
-        np.testing.assert_array_equal(chain.paid, want_paid)
+        actions = stationary_actions(Periodic(period, skip), m)
+        _assert_same_csr(_block_chain(actions, m), _kernel_chain(phases, m))
+
+    def test_blocks_are_read_only(self):
+        for block in _blocks(params()):
+            assert not block.flags.writeable
 
 
-def _check_level_reduction(chain, m):
-    """The level reduction agrees with the direct solve on ``chain``'s
-    closed class, and its balance residual is at rounding level."""
-    cls = _recurrent_class(chain.matrix, start=0)
-    mu = _level_stationary(chain, cls, m)
-    want = np.zeros(chain.matrix.shape[0])
-    want[cls] = _stationary_dist(chain.matrix[np.ix_(cls, cls)].tocsr())
+def _check_level_reduction(actions, m):
+    """The level reduction agrees with the direct solve on the closed class
+    of the truncated chain gathered from ``kernel_arrays``, and its balance
+    residual, reported and recomputed on that chain, is at rounding level.
+    Returns the distribution in chain order."""
+    B1, D = m.battery_cap + 1, m.delta_max
+    P = _kernel_chain(np.reshape(actions, (-1, B1 * D)), m)
+    cls = _recurrent_class(P, start=0)
+    by_age, residual = _stationary(np.asarray(actions), m)
+    mu = by_age.transpose(1, 2, 0).ravel()  # (phase, battery, age), as P
+    want = np.zeros(P.shape[0])
+    want[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
     np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
-    assert np.abs(mu @ chain.matrix - mu).sum() <= 1e-14
+    assert residual <= 1e-14
+    assert np.abs(mu @ P - mu).sum() <= 1e-14
     return mu
+
+
+def _width(actions, m):
+    """The first age, at least 2, from which every age's actions equal the
+    last age's: where the evaluator collapses the ages."""
+    table = np.reshape(actions, (-1, m.battery_cap + 1, m.delta_max))
+    changed = [a for a in range(1, m.delta_max) if not np.array_equal(table[..., a - 1], table[..., -1])]
+    return max([1] + changed) + 1
 
 
 class TestLevelReduction:
@@ -348,13 +384,37 @@ class TestLevelReduction:
         m = params(lambda_e=(0.3, 0.5, 1.0)[seed % 3], battery_cap=3, delta_max=12)
         table = (rng.uniform(size=(4, 12)) < 0.4).astype(np.int8)
         assert not np.all(np.diff(table, axis=1) >= 0)  # some row is not a threshold
-        _check_level_reduction(_phase_chain(table.reshape(-1), m), m)
+        _check_level_reduction(table.reshape(-1), m)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tables_turning_constant(self, seed):
+        # the table stops changing at a random age strictly between 2 and
+        # delta_max, so the ages from there on collapse into one
+        rng = np.random.default_rng(100 + seed)
+        m = params(lambda_e=(0.3, 0.5, 1.0)[seed % 3], battery_cap=3, delta_max=12)
+        width = int(rng.integers(3, 12))
+        table = (rng.uniform(size=(4, 12)) < 0.5).astype(np.int8)
+        table[:, width - 1 :] = table[:, [width - 1]]
+        table[0, width - 2] = 1 - table[0, width - 1]  # the last change
+        assert 2 < _width(table, m) == width < m.delta_max
+        _check_level_reduction(table.reshape(-1), m)
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(12, 3, 13, 1), (13, 5, 2, 13), (13, 13, 13, 13), (12, 12, 12, 12), (12, 13, 4, 12)],
+    )
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_thresholds_at_and_past_the_cap(self, thresholds, lam):
+        # a threshold of delta_max transmits at the cap only, one of
+        # delta_max + 1 never
+        m = params(lambda_e=lam, battery_cap=3, delta_max=12)
+        _check_level_reduction(stationary_actions(Optimal(ThresholdPolicy(thresholds)), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 2, 5])
     def test_periodic(self, period, skip):
         m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
-        _check_level_reduction(_phase_chain(stationary_actions(Periodic(period, skip), m), m), m)
+        _check_level_reduction(stationary_actions(Periodic(period, skip), m), m)
 
     def test_deterministic_cycle(self):
         # with certain harvest and a channel that never blocks, sending at
@@ -363,8 +423,7 @@ class TestLevelReduction:
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal(ThresholdPolicy((2, 2, 2)))
-        chain = _phase_chain(stationary_actions(kind, m), m)
-        mu = _check_level_reduction(chain, m)
+        mu = _check_level_reduction(stationary_actions(kind, m), m)
         cycle = [enumerate_states(m).index(State(a, 2)) for a in (1, 2)]
         np.testing.assert_array_equal(np.flatnonzero(mu), cycle)
         np.testing.assert_allclose(mu[cycle], [0.5, 0.5], rtol=0, atol=1e-15)
@@ -372,36 +431,50 @@ class TestLevelReduction:
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
         m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
-        mu = _check_level_reduction(_phase_chain(stationary_actions(Periodic(8), m), m), m)
+        mu = _check_level_reduction(stationary_actions(Periodic(8), m), m)
         assert np.isfinite(mu).all()
 
     def test_never_transmit_sits_at_cap(self):
         m = params(delta_max=7)
-        chain = _phase_chain(np.zeros(3 * 7, dtype=np.int8), m)
-        mu = _check_level_reduction(chain, m)
+        mu = _check_level_reduction(np.zeros(3 * 7, dtype=np.int8), m)
         assert mu[enumerate_states(m).index(State(7, 2))] == 1.0
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_smallest_age_cap(self, lam):
         m = params(lambda_e=lam, delta_max=2)
-        for kind in (ZeroWait(), Optimal(ThresholdPolicy((2, 1, 1)))):
-            _check_level_reduction(_phase_chain(stationary_actions(kind, m), m), m)
-        _check_level_reduction(_phase_chain(stationary_actions(Periodic(3), m), m), m)
+        for kind in (ZeroWait(), Optimal(ThresholdPolicy((2, 1, 1))), Periodic(3)):
+            _check_level_reduction(stationary_actions(kind, m), m)
 
-    # every field, recorded from the level reduction over all of the
-    # chain's rows, not only the class's
+    def test_class_search_sees_the_collapsed_chain(self, monkeypatch):
+        # Periodic(20) at battery_cap=100, delta_max=400 once handed the
+        # class search all 808 000 (phase, battery, age) states; every age
+        # moves alike there, so the lumped chain has two ages
+        sizes = []
+
+        def recorded(P, start):
+            sizes.append(P.shape)
+            return _recurrent_class(P, start)
+
+        monkeypatch.setattr(evaluator, "_recurrent_class", recorded)
+        m = ModelParams(0.5, 0.2, 100, 2.0, 10.0, delta_max=400)
+        evaluate_exact(Periodic(20), m)
+        assert sizes == [(20 * 101 * 2, 20 * 101 * 2)]
+
+    # every field, recorded from the level reduction on the per-age
+    # blocks; each average and cap_mass is within 2e-16 relative of the
+    # earlier per-state reduction's
     _PINNED = {
-        "periodic-1": (15.24999999995904, 1.24999999995904, 0.7,
-                       3.0807777081364817e-16, 1.638399999999998e-10),
-        "periodic-3": (3.8354099313827623, 2.7491199999999996, 0.05431449656913813,
-                       8.406886704793656e-17, 0.0007466666666666662),
+        "periodic-1": (15.249999999959043, 1.2499999999590403, 0.7000000000000001,
+                       5.31751489660194e-18, 1.6383999999999982e-10),
+        "periodic-3": (3.8354099313827623, 2.7491199999999996, 0.05431449656913812,
+                       1.0483472678282299e-16, 0.0007466666666666661),
         "periodic-3-skip": (3.613862882927078, 3.613862882927078, 0.0,
-                            9.659563730488041e-17, 0.014333926007199316),
-        "periodic-20": (10.800000000515054, 10.799999999999999, 2.5752723728065973e-11,
-                        7.020365132883893e-17, 0.44),
+                            1.0179980773281083e-16, 0.014333926007199314),
+        "periodic-20": (10.800000000515054, 10.799999999999999, 2.575272372806595e-11,
+                        5.915060375482337e-17, 0.43999999999999995),
         "never-transmit": (15.0, 15.0, 0.0, 0.0, 1.0),
         "transient-block": (4.098747454052358, 4.098747454052358, 0.0,
-                            2.1120258320017626e-16, 0.021448172404517695),
+                            1.4181364416110398e-16, 0.021448172404517695),
     }
 
     @pytest.mark.parametrize("name", list(_PINNED))
@@ -509,7 +582,7 @@ class TestEvaluateExact:
             cost_reliable=2.0, weight=1.0, delta_max=180,
         )
         kind = Optimal(ThresholdPolicy((3,) * 31))
-        P = _phase_chain(stationary_actions(kind, m), m).matrix
+        P = _kernel_chain([stationary_actions(kind, m)], m)
         cls = _recurrent_class(P, 0)
         assert cls.size == P.shape[0] > 5000
         mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr())

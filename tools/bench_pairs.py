@@ -15,8 +15,10 @@ length; the first pair and every other one after it run the parent first,
 the rest the change first, and the i-th pair (from 0) uses seed
 ``--seed-base`` + i on both sides. Half as many pairs (at least one) of
 ``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
-fresh processes time ``solver._iterate_values`` at the two fixed points
-(best of a few calls each).
+fresh processes time ``solver._iterate_values`` at the two fixed points and
+``evaluate_exact`` at the large one, for ZeroWait, ``Periodic(5)``,
+``Periodic(20)`` and Optimal with the thresholds ``modified_via`` returns,
+solved once per process before the timed calls (best of a few calls each).
 
 For every metric the output holds each side's per-pair values, median,
 quartiles (``statistics.quantiles``, n = 4) and IQR, and the pairs each
@@ -41,22 +43,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the model point and the calls per process of each in-process timing
-FIXED_POINTS = {
-    "iterate_values_n4200_s": (dict(battery_cap=20, delta_max=200), 5),
-    "iterate_values_n40400_s": (dict(battery_cap=100, delta_max=400), 2),
-}
 POINT = dict(lambda_e=0.5, p_block=0.2, cost_reliable=2.0, weight=10.0)
+REFERENCE = dict(battery_cap=20, delta_max=200)
+LARGE = dict(battery_cap=100, delta_max=400)
+# each in-process timing: the model point, the calls per process, the setup
+# run once before them and the timed call
+OPTIMAL = "optimal = Optimal(modified_via(m)[1])"
+FIXED_POINTS = {
+    "iterate_values_n4200_s": (REFERENCE, 5, "", "_iterate_values(m, 1e-9, 100_000)"),
+    "iterate_values_n40400_s": (LARGE, 2, "", "_iterate_values(m, 1e-9, 100_000)"),
+    "exact_optimal_n40400_s": (LARGE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
+    "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
+    "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
+    "exact_periodic20_n40400_s": (LARGE, 3, "", "evaluate_exact(Periodic(20), m)"),
+}
 IN_PROCESS = """
 import sys, time
 sys.path.insert(0, {src!r})
-from ehaoi.model import ModelParams
+from ehaoi import ModelParams, Optimal, Periodic, ZeroWait, evaluate_exact, modified_via
 from ehaoi.solver import _iterate_values
 m = ModelParams(**{point!r})
+{setup}
 times = []
 for _ in range({calls}):
     t = time.perf_counter()
-    _iterate_values(m, 1e-9, 100_000)
+    {call}
     times.append(time.perf_counter() - t)
 print(min(times))
 """
@@ -107,8 +118,9 @@ def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def _in_process(tree: Path, name: str) -> float:
-    point, calls = FIXED_POINTS[name]
-    code = IN_PROCESS.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls)
+    point, calls, setup, call = FIXED_POINTS[name]
+    code = IN_PROCESS.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls,
+                             setup=setup, call=call)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     if proc.returncode:
@@ -194,9 +206,11 @@ def main(argv: list[str] | None = None) -> int:
         pairs = _pairs(args.pairs, trees, lambda tree, i: {
             name: _in_process(tree, name) for name in FIXED_POINTS})
         report["in_process"] = {
-            "command": "a fresh process per side and pair, OpenBLAS one thread: "
-                       "best of 5 (n = 4200) or 2 (n = 40 400) calls of "
-                       "_iterate_values(m, 1e-9, 100000)",
+            "command": "a fresh process per side, pair and timing, OpenBLAS one "
+                       "thread: the best of a few calls after the setup",
+            "timings": {name: {"point": {**POINT, **point}, "calls": calls, "setup": setup,
+                               "call": call}
+                        for name, (point, calls, setup, call) in FIXED_POINTS.items()},
             "order": [p["order"] for p in pairs],
             "metrics": _summary(pairs, lambda r: r, {}),
         }
