@@ -377,8 +377,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cost-reliable", dest="cost_reliable", type=float, help="paid backup packet cost")
     common.add_argument("--weight", dest="weight", type=float, help="objective weight on paid energy")
     common.add_argument("--delta-max", dest="delta_max", type=int, help="age truncation bound")
-    common.add_argument("--eps", dest="eps", type=float, help="span stopping tolerance")
-    common.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
+    common.add_argument(
+        "--eps", dest="eps", type=float, help="widest gain certificate the solver accepts"
+    )
+    common.add_argument(
+        "--max-iter", dest="max_iter", type=int, help="cap on the solver's policy evaluations"
+    )
     common.add_argument("--out", dest="out", help="output CSV path")
     common.add_argument("--config", dest="config", help="JSON config file; flags override it")
 

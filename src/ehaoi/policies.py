@@ -19,7 +19,9 @@ from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int, stat
 class ThresholdPolicy:
     """Transmit at battery level q exactly when age >= thresholds[q].
 
-    A threshold of delta_max + 1 means the row never transmits.
+    A threshold above delta_max means "transmit from that age on", as
+    ``decide`` reads it; the truncated action table of
+    ``stationary_actions`` never transmits in that row.
     """
 
     thresholds: tuple[int, ...]

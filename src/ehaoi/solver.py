@@ -1,17 +1,20 @@
-"""Average-cost solver: relative value iteration and policy extraction.
+"""Average-cost solver: policy iteration on the untruncated chain, and
+relative value iteration as its oracle.
 
-The iteration keeps values normalized against a fixed reference state and
-stops on the span seminorm of the Bellman update, so it converges even
-though average-cost values themselves are only defined up to a constant.
-Every sweep and the extraction use the grid-shift operator
-(``model.GridShift``): a sweep is ``GridShift.sweep``, which reads the
-values and writes their Bellman values in buffers the operator owns, and
-the extraction compares the Q values of ``backup_q``. There is one tie
-rule: a state transmits when its transmit Q value is strictly below its
-idle Q value, so exact ties idle. The full argmin returns that 0/1 table;
-the threshold route reads each battery row's first transmitting age off
-it, returns those thresholds as a ``policies.ThresholdPolicy``, and the
-policy table as their ``stationary_actions``.
+``modified_via`` solves by policy iteration: each policy, a (battery,
+age <= L) table that transmits above L, is evaluated exactly on the chain
+whose age is never truncated (``_evaluate``: above L the bias is affine in
+the age), improved on the Q values at ages <= L + 1 with the tail in closed
+form (``_improve``), and the gain of the result is certified by one Bellman
+backup of its bias (``_certificate``). One tie rule holds throughout: a
+state transmits only where its transmit Q value is below its idle one by
+more than ``TIE_TOL``, so ties idle.
+
+``relative_value_iteration`` runs value iteration on the chain truncated at
+``delta_max``, normalized against a fixed reference state and stopped on the
+span seminorm of the Bellman update. Every sweep is ``GridShift.sweep``, and
+its full argmin (``extract_policy``) compares the Q values of ``backup_q``
+under the same tie rule.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .evaluator import _blocks
 from .model import (
     IDLE,
     TRANSMIT,
@@ -29,6 +35,7 @@ from .model import (
     GridShift,
     ModelParams,
     State,
+    _coefficients,
     is_int,
     is_real,
     one_step_cost,
@@ -40,10 +47,17 @@ from .policies import Optimal, ThresholdPolicy, stationary_actions
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 100_000
+# Q values closer than this count as tied. Where transmitting is the better
+# action at the solved policies of the README and acceptance points, it is
+# better by at most 1.1e-14 (weight 0.5: a tie in exact arithmetic, left in
+# rounding) or by at least 1.4e-12 (battery_cap=100, delta_max=400).
+TIE_TOL = 1e-13
+# policy iteration's tables span at most this many times delta_max ages
+TABLE_AGES = 4
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration did not reach the stopping tolerance."""
+    """The solver did not meet its stopping rule within its iteration cap."""
 
     def __init__(self, message: str, iterations: int, span_residual: float):
         super().__init__(message)
@@ -72,11 +86,11 @@ class SolveResult:
     gain: float               # long-run average cost per slot
     values: np.ndarray        # relative values, enumerate_states order
     policy: np.ndarray        # 0/1 action per state
-    iterations: int
-    span_residual: float      # span of the final Bellman update
-    span_history: np.ndarray  # residual after each sweep
+    iterations: int           # policy evaluations (PI) or sweeps (RVI)
+    span_residual: float      # width of gain_bracket
+    span_history: np.ndarray  # that width after each evaluation or sweep
     argmin_evals: int         # sum_q min(threshold_q, delta_max); n for the full argmin
-    gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # Odoni (lo, hi) on the gain
+    gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # (lo, hi) around the optimal gain
 
 
 def q_value(v: np.ndarray, s: State, a: int, m: ModelParams) -> float:
@@ -92,11 +106,15 @@ def bellman_backup_q(v: np.ndarray, m: ModelParams) -> np.ndarray:
     return GridShift(m).backup_q(v)
 
 
-def _iterate_values(m: ModelParams, eps: float, max_iter: int):
+def _check_stopping(eps: float, max_iter: int) -> None:
     if not (is_real(eps) and math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be a finite number > 0, got {eps!r}")
     if not (is_int(max_iter) and max_iter >= 1):
         raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
+
+
+def _iterate_values(m: ModelParams, eps: float, max_iter: int):
+    _check_stopping(eps, max_iter)
     op = GridShift(m)
     ref = state_index(State(1, m.battery_cap), m)
     # the sweep reads the values and writes the Bellman values into buffers
@@ -128,7 +146,9 @@ def _iterate_values(m: ModelParams, eps: float, max_iter: int):
 def relative_value_iteration(
     m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
 ) -> SolveResult:
-    """Solve the average-cost problem; greedy policy via full argmin."""
+    """Solve the truncated average-cost problem by value iteration; greedy
+    policy via full argmin. ``gain_bracket`` is the Odoni bracket (min and
+    max of the last Bellman update's change), ``gain`` its midpoint."""
     v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
     policy = extract_policy(v, m)
     return SolveResult(
@@ -137,29 +157,270 @@ def relative_value_iteration(
 
 
 def extract_policy(v: np.ndarray, m: ModelParams) -> np.ndarray:
-    """Greedy 0/1 action per state; exact Q ties resolve to idle."""
+    """Greedy 0/1 action per state: transmit where the transmit Q value is
+    below the idle one by more than TIE_TOL, so ties idle."""
     q = bellman_backup_q(v, m)
-    return (q[TRANSMIT] < q[IDLE]).astype(np.int8)
+    return (q[TRANSMIT] < q[IDLE] - TIE_TOL).astype(np.int8)
+
+
+class _Tail(NamedTuple):
+    """What evaluating any policy of one model needs, from ``_blocks``.
+
+    ``cols``/``weights`` hold each row's (at most two) advancing moves by
+    action, as battery columns and probabilities; ``reset_cols``/
+    ``reset_weights`` the transmit resets. With M = (I - U_transmit)^-1, the
+    bias above the table is a*slope + kappa, kappa = kappa0 + MR h_1 -
+    slope*g; ``rise`` is the idle-minus-transmit Q gap's growth per age
+    there, (U_idle - U_transmit) slope.
+    """
+
+    R: np.ndarray              # (2, B1, B1) reset blocks by action
+    cols: np.ndarray           # (2, B1, 2)
+    weights: np.ndarray        # (2, B1, 2)
+    reset_cols: np.ndarray     # (B1, 2)
+    reset_weights: np.ndarray  # (B1, 2)
+    paid: float                # weight * cost_reliable
+    slope: np.ndarray          # M 1, 1/(1 - p_block) in every row
+    rise: np.ndarray           # 1 in every row
+    MR: np.ndarray             # M R_transmit
+    kappa0: np.ndarray         # M (c0 + U_transmit slope)
+
+
+@lru_cache(maxsize=8)
+def _tail(m: ModelParams) -> _Tail:
+    U, R = _blocks(m)
+    B1 = m.battery_cap + 1
+    cols = np.argsort(U == 0.0, axis=-1, kind="stable")[..., :2]
+    weights = np.take_along_axis(U, cols, axis=-1)
+    reset_cols = np.argsort(R[TRANSMIT] == 0.0, axis=-1, kind="stable")[:, :2]
+    reset_weights = np.take_along_axis(R[TRANSMIT], reset_cols, axis=-1)
+    stay = np.linalg.inv(np.eye(B1) - U[TRANSMIT])
+    slope = stay.sum(axis=1)
+    sent = _advance(slope, cols[TRANSMIT], weights[TRANSMIT])
+    paid = m.weight * m.cost_reliable
+    c0 = np.zeros(B1)
+    c0[0] = paid
+    return _Tail(
+        R, cols, weights, reset_cols, reset_weights, paid, slope,
+        _advance(slope, cols[IDLE], weights[IDLE]) - sent,
+        stay @ R[TRANSMIT],
+        stay @ (c0 + sent),
+    )
+
+
+def _advance(x: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """U x along x's first axis (the battery), U given by its rows' two
+    moves ``cols`` and ``weights``."""
+    w = weights.reshape(weights.shape + (1,) * (x.ndim - 1))
+    return w[:, 0] * x[cols[:, 0]] + w[:, 1] * x[cols[:, 1]]
+
+
+def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact gain and bias of the policy that follows ``send`` (a (battery,
+    age <= L) boolean table, True transmitting) and transmits at every age
+    above L, on the chain whose age is never truncated.
+
+    Returns the gain g, the bias at ages 1..L + 3 as an (L + 3, B1) array,
+    and kappa: at every age a > L the bias is a * slope + kappa. The bias is
+    0 at (age 1, battery_cap). Each row of a block has at most two nonzero
+    advancing moves, so U_a X is two row gathers; the one dense solve is the
+    (battery_cap + 1)-square system for (h_1, g).
+    """
+    t = _tail(m)
+    B1, L = send.shape
+    q = np.arange(B1)
+    act = send.astype(np.intp)
+    # h_a = A (h_1, g, 1), from a = L + 1 down to 1
+    A = np.empty((B1, B1 + 2))
+    A[:, :B1] = t.MR
+    A[:, B1] = -t.slope
+    A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
+    for a in range(L, 0, -1):
+        ac = act[:, a - 1]
+        A = _advance(A, t.cols[ac, q], t.weights[ac, q])
+        A[:, :B1] += t.R[ac, q]
+        A[:, B1] -= 1.0
+        A[:, B1 + 1] += a
+        A[0, B1 + 1] += t.paid * ac[0]
+    # (I - A_h) h_1 - A_g g = A_1, with h_1 = 0 at battery_cap: that
+    # unknown's column carries g instead
+    lhs = -A[:, : B1 + 1]
+    lhs[q, q] += 1.0
+    lhs[:, B1 - 1] = lhs[:, B1]
+    x = np.linalg.solve(lhs[:, :B1], A[:, B1 + 1])
+    gain = float(x[-1])
+    h1 = x.copy()
+    h1[-1] = 0.0
+    kappa = t.kappa0 + t.MR @ h1 - t.slope * gain
+    H = np.empty((L + 3, B1))
+    H[L:] = np.arange(L + 1, L + 4)[:, None] * t.slope + kappa
+    resets = np.zeros((2, B1))
+    resets[TRANSMIT] = _advance(h1, t.reset_cols, t.reset_weights)
+    for a in range(L, 1, -1):
+        ac = act[:, a - 1]
+        H[a - 1] = a - gain + _advance(H[a], t.cols[ac, q], t.weights[ac, q]) + resets[ac, q]
+        H[a - 1, 0] += t.paid * ac[0]
+    H[0] = h1
+    return gain, H, kappa
+
+
+def _q_values(H: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Idle and transmit Q values at ages 1..len(H) - 1, by (age, battery),
+    from the bias ``H`` at ages 1..len(H)."""
+    t = _tail(m)
+    ages = np.arange(1.0, len(H))[:, None]
+    nxt = H[1:].T
+    idle = ages + _advance(nxt, t.cols[IDLE], t.weights[IDLE]).T
+    tx = ages + _advance(nxt, t.cols[TRANSMIT], t.weights[TRANSMIT]).T
+    tx += _advance(H[0], t.reset_cols, t.reset_weights)
+    tx[:, 0] += t.paid
+    return idle, tx
+
+
+def _certificate(H: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> tuple[float, float]:
+    """[min(Th - h), max(Th - h)] over ages 1..len(H) - 1, from the bias
+    ``H`` and its Q values: it holds the optimal gain (Puterman, Markov
+    Decision Processes, 1994, section 8.5), and max(Th - h) is at most the
+    evaluated policy's gain, up to rounding."""
+    backed = np.minimum(idle, tx) - H[:-1]
+    return float(backed.min()), float(backed.max())
+
+
+def _improve(
+    send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, reach: int
+) -> np.ndarray:
+    """The next table from the idle-minus-transmit Q ``gap`` at ages
+    1..L + 1 (by age, battery) of the policy ``send``.
+
+    With ``keep`` a state keeps its action unless the other one is better
+    by more than TIE_TOL; without, a state transmits iff transmitting is
+    better by more than TIE_TOL. Above L + 1 the gap is gap_{L+1} + k*rise
+    at age L + 1 + k, and every state there transmits now, so a row's idle
+    ages there are counted in closed form; at most ``reach`` of them switch
+    (switching only some of the states that gain still improves the
+    policy). The table is cut after its last idle age.
+    """
+    B1, L = send.shape
+    gap = gap.T
+    if keep:
+        now = np.ones((B1, L + 1), dtype=bool)
+        now[:, :L] = send
+        head = np.where(now, gap >= -TIE_TOL, gap > TIE_TOL)
+        # idle at age L + 1 + k while gap_{L+1} + k*rise < -TIE_TOL
+        idle = np.ceil((-TIE_TOL - gap[:, -1]) / rise) - 1
+    else:
+        head = gap > TIE_TOL
+        idle = np.floor((TIE_TOL - gap[:, -1]) / rise)
+    idle = np.clip(idle, 0, reach).astype(np.intp)
+    table = np.ones((B1, L + 1 + int(idle.max())), dtype=bool)
+    table[:, : L + 1] = head
+    table[:, L + 1 :] = np.arange(1, table.shape[1] - L) > idle[:, None]
+    width = int(np.flatnonzero(~table.all(axis=0)).max(initial=-1)) + 1
+    return table[:, :width]
 
 
 def modified_via(
     m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[SolveResult, ThresholdPolicy]:
-    """Solve, then read one threshold per battery row off the greedy policy.
+    """Solve by policy iteration on the untruncated chain and return the
+    optimal thresholds.
 
-    A row's threshold is its first age whose transmit Q value is strictly
-    below its idle Q value (``extract_policy``'s rule, so exact ties idle),
-    or delta_max + 1 if there is none; the returned policy transmits at
-    every age from the threshold on. ``argmin_evals`` is sum_q
-    min(threshold_q, delta_max), the states up to and including each row's
-    threshold; it is not the number of Q values computed.
+    Starts from all-transmit and evaluates each policy exactly
+    (``_evaluate``). A state keeps its action unless the other one is better
+    by more than ``TIE_TOL``. Once no state changes, the table transmits
+    where transmitting is better by more than ``TIE_TOL`` (ties idle), and
+    is evaluated again if that changed it. A row's threshold is its first
+    transmitting age, which may lie beyond delta_max; the returned policy
+    transmits at every age from the threshold on.
+
+    ``gain`` is the exact gain of those thresholds; ``values`` their exact
+    bias on the (battery, age <= delta_max) grid, 0 at (age 1,
+    battery_cap); ``iterations`` the number of evaluations;
+    ``gain_bracket`` the certificate [min(Th - h), max(Th - h)] over the
+    ages up to L + 2 (the rows above repeat), which holds the optimal gain;
+    ``span_residual`` its width and ``span_history`` that width after each
+    evaluation. ``argmin_evals`` is sum_q min(threshold_q, delta_max).
+
+    Raises ConvergenceError when the policy still changes after
+    ``max_iter`` evaluations, or the final certificate is wider than
+    ``eps``.
+
+    Two kinds of model are solved by relative value iteration on the
+    truncated chain instead (``eps`` its span tolerance, ``max_iter`` its
+    sweep cap, each row's threshold read off the full argmin). One where no
+    transmission can lower the battery: lambda_e so close to 1 that
+    ``_coefficients`` drops both branches in which a transmitting slot
+    harvests nothing. Every battery level above 0 is then a closed class of
+    its own under all-transmit, and the bias equations have no unique
+    solution. And one where a policy table would reach past ``TABLE_AGES``
+    times delta_max ages (a row whose best threshold lies far beyond the
+    age cap, as when weight * cost_reliable runs into the thousands at the
+    reference point), since each evaluation walks every age of the table.
     """
+    _check_stopping(eps, max_iter)
+    if not any(_coefficients(m)[TRANSMIT][2:]):
+        return _truncated_thresholds(m, eps, max_iter)
+    t = _tail(m)
+    send = np.zeros((m.battery_cap + 1, 0), dtype=bool)  # all-transmit
+    widths = []  # grows with the evaluations run, not with max_iter
+    settled = False
+    for k in range(max_iter):
+        gain, H, kappa = _evaluate(send, m)
+        idle, tx = _q_values(H, m)
+        bracket = _certificate(H, idle, tx)
+        widths.append(bracket[1] - bracket[0])
+        L = send.shape[1]
+        gap = (idle - tx)[: L + 1]
+        nxt = _improve(send, gap, t.rise, True, m.delta_max)
+        if nxt.shape[1] > TABLE_AGES * m.delta_max:
+            return _truncated_thresholds(m, eps, max_iter)
+        if np.array_equal(nxt, send):
+            if settled:
+                break
+            settled = True
+            nxt = _improve(send, gap, t.rise, False, m.delta_max)
+            if np.array_equal(nxt, send):
+                break
+        send = nxt
+    else:
+        raise ConvergenceError(
+            f"policy still changing after {max_iter} evaluations "
+            f"(certificate width {widths[-1]:.3e})",
+            max_iter,
+            widths[-1],
+        )
+    width = widths[-1]
+    if width > eps:
+        raise ConvergenceError(
+            f"certificate width {width:.3e} after {k + 1} evaluations (eps={eps:.3e})",
+            k + 1,
+            width,
+        )
+    B1, L = send.shape
+    tp = ThresholdPolicy(tuple(_first_ages(np.hstack([send, np.ones((B1, 1), dtype=bool)]))))
+    _warn_if_truncation_tight(tp, m)
+    dm = m.delta_max
+    grid = np.empty((dm, B1))
+    known = min(dm, len(H))
+    grid[:known] = H[:known]
+    grid[known:] = np.arange(known + 1, dm + 1)[:, None] * t.slope + kappa
+    evals = sum(min(th, dm) for th in tp.thresholds)
+    result = SolveResult(
+        gain, grid.T.reshape(-1), stationary_actions(Optimal(tp), m), k + 1, width,
+        np.array(widths), evals, gain_bracket=bracket,
+    )
+    return result, tp
+
+
+def _truncated_thresholds(
+    m: ModelParams, eps: float, max_iter: int
+) -> tuple[SolveResult, ThresholdPolicy]:
+    """``modified_via`` by relative value iteration on the truncated chain."""
     v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
     greedy = extract_policy(v, m).reshape(m.battery_cap + 1, m.delta_max)
     tp = ThresholdPolicy(tuple(_first_ages(greedy == TRANSMIT)))
     _warn_if_truncation_tight(tp, m)
-    dm = m.delta_max
-    evals = sum(min(t, dm) for t in tp.thresholds)
+    evals = sum(min(th, m.delta_max) for th in tp.thresholds)
     result = SolveResult(
         gain, v, stationary_actions(Optimal(tp), m), iters, span, spans, evals,
         gain_bracket=bracket,

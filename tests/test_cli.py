@@ -56,7 +56,8 @@ class TestSolve:
         assert "gain=" in echoed and "argmin_evals=" in echoed
 
     def test_huge_iteration_cap_reserves_nothing(self, tmp_path, capsys):
-        # the span history grows with the sweeps run, not with --max-iter
+        # the certificate history grows with the policy evaluations run,
+        # not with --max-iter
         outs = {}
         for cap in ("100000", "1000000000000"):
             (tmp_path / cap).mkdir()
@@ -427,6 +428,7 @@ class TestVerify:
         assert all(r[1] == "1" for r in rows[1:])
 
     def test_non_convergence_exits_one(self, capsys):
+        # SMALL takes five policy evaluations
         assert main(["verify", *SMALL, "--max-iter", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 

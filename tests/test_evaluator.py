@@ -535,13 +535,17 @@ class TestEvaluateExact:
     def test_agrees_with_solver_gain(self):
         from ehaoi import modified_via
 
+        # the solver's gain is exact on the untruncated chain, so the
+        # truncated evaluator is compared where its cap holds no mass (at
+        # delta_max 20 the cap alone moves the average by 2.5e-6)
         m = ModelParams(
             lambda_e=0.5, p_block=0.5, battery_cap=2,
-            cost_reliable=2.0, weight=1.0, delta_max=20,
+            cost_reliable=2.0, weight=1.0, delta_max=400,
         )
         res, tp = modified_via(m, eps=1e-9)
         assert tp.thresholds == (2, 2, 1)
         r = evaluate_exact(Optimal(tp), m)
+        assert r.cap_mass < 1e-100
         assert r.average_cost == pytest.approx(res.gain, abs=1e-9)
 
     @pytest.mark.parametrize("skip", [False, True])

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from ehaoi import (
     TRANSMIT,
     ConvergenceError,
     DomainError,
+    Explicit,
     ModelParams,
     Optimal,
     State,
@@ -15,6 +17,7 @@ from ehaoi import (
     ThresholdStructureError,
     TruncationWarning,
     bellman_backup_q,
+    evaluate_exact,
     kernel_arrays,
     extract_policy,
     extract_thresholds,
@@ -25,7 +28,13 @@ from ehaoi import (
     stationary_actions,
 )
 from ehaoi.model import PROB_FLOOR, GridShift
-from ehaoi.solver import _iterate_values
+from ehaoi.solver import (
+    TIE_TOL,
+    _certificate,
+    _evaluate,
+    _iterate_values,
+    _q_values,
+)
 
 
 def tiny_params(**overrides):
@@ -187,22 +196,19 @@ class TestSweepLayout:
 
 
 class TestRegressionPins:
-    """Solver output at eps 1e-9, bit for bit as recorded before the
-    Bellman operator moved from the kernel gather to grid shifts. The
-    threshold of 1 at battery 7 for lambda_e = 0.99 rests on a Q gap of
-    about 1e-14 at age 1 (see the README). At weight 0.5 the idle and
-    transmit Q values tie exactly at age 1 on some batteries, and the ties
-    idle, as in the full argmin."""
+    """Solver output at eps 1e-9, bit for bit: the exact gain of the
+    returned thresholds and the number of policy evaluations. At lambda_e
+    0.99 from battery 6 up, and at weight 0.5 on batteries 0-19, the idle
+    and transmit Q values tie at age 1 (their exact gap is within TIE_TOL;
+    see the README), and the ties idle."""
 
     @pytest.mark.parametrize(
         "lam, weight, gain, iterations, evals, thresholds",
         [
-            (0.5, 10.0, "1.8508888144754714", 1529, 59,
+            (0.5, 10.0, "1.850888814810359", 10, 59,
              (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)),
-            (0.99, 10.0, "1.2599999995023268", 4964, 47,
-             (20, 2, 2, 2, 2, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
-            (0.5, 0.5, "1.7499999995697877", 95, 28,
-             (2, 2, 2, 2, 1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+            (0.99, 10.0, "1.26", 4, 59, (20,) + (2,) * 19 + (1,)),
+            (0.5, 0.5, "1.7500000000000002", 2, 41, (2,) * 20 + (1,)),
         ],
     )
     def test_modified_via(self, lam, weight, gain, iterations, evals, thresholds):
@@ -262,11 +268,18 @@ class TestRelativeValueIteration:
 
     def test_gain_bracket_holds_the_gain(self):
         m = tiny_params(battery_cap=3, delta_max=25)
-        for res in (relative_value_iteration(m, eps=1e-9), modified_via(m, eps=1e-9)[0]):
+        rvi = relative_value_iteration(m, eps=1e-9)
+        pi = modified_via(m, eps=1e-9)[0]
+        for res in (rvi, pi):
             lo, hi = res.gain_bracket
-            assert lo <= res.gain <= hi
+            assert lo <= res.gain
             assert hi - lo == res.span_residual
-            assert res.gain == 0.5 * (hi + lo)
+        # RVI's gain is its Odoni bracket's midpoint; policy iteration's is
+        # its policy's exact gain, the certificate's upper end up to the
+        # rounding of the bias
+        assert rvi.gain <= rvi.gain_bracket[1]
+        assert rvi.gain == 0.5 * (rvi.gain_bracket[0] + rvi.gain_bracket[1])
+        assert abs(pi.gain - pi.gain_bracket[1]) <= TIE_TOL
 
     def test_non_convergence_raises_with_diagnostics(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -355,16 +368,23 @@ class TestExtractPolicy:
 class TestModifiedVia:
     @pytest.mark.parametrize(
         "overrides",
-        # the reference point, and two points with exact or near Q ties at age 1
+        # the reference point, and two points with exact Q ties at age 1
         [{}, {"weight": 0.5}, {"lambda_e": 0.99}],
         ids=["reference", "weight0.5", "lambda0.99"],
     )
     def test_matches_full_argmin(self, overrides):
+        # RVI's full argmin differs only at exact ties, states whose exact
+        # gap is within TIE_TOL, which RVI's values (off by up to about eps)
+        # resolve by their error; the exact gain lies in RVI's Odoni bracket
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, **overrides})
         res, tp = modified_via(m, eps=1e-9)
         full = relative_value_iteration(m, eps=1e-9)
-        np.testing.assert_array_equal(res.policy, full.policy)
-        assert res.gain == pytest.approx(full.gain, abs=0.0)
+        moved = res.policy != full.policy
+        assert moved.any() == bool(overrides)
+        q = bellman_backup_q(res.values, m)
+        assert np.abs(q[IDLE] - q[TRANSMIT])[moved].max(initial=0.0) <= TIE_TOL
+        lo, hi = full.gain_bracket
+        assert lo <= res.gain <= hi
 
     def test_argmin_work_bounded_by_thresholds(self, base_params, base_solution):
         res, tp = base_solution
@@ -376,6 +396,187 @@ class TestModifiedVia:
     def test_policy_expands_from_thresholds(self, base_params, base_solution):
         res, tp = base_solution
         np.testing.assert_array_equal(stationary_actions(Optimal(tp), base_params), res.policy)
+
+
+def threshold_table(thresholds):
+    """The (battery, age <= L) table of a threshold vector, with L its
+    largest threshold - 1; every age above L transmits."""
+    t = np.array(thresholds)
+    return np.arange(1, t.max()) >= t[:, None]
+
+
+def _acceptance_points():
+    """Every model tests/test_acceptance.py solves or enumerates."""
+    ref = {**REFERENCE, "lambda_e": 0.5}
+    points = [
+        ModelParams(lambda_e=0.5, p_block=0.5, battery_cap=2, cost_reliable=2.0,
+                    weight=1.0, delta_max=20),  # criterion 2
+        ModelParams(**{**ref, "delta_max": 400}),  # criterion 8
+    ]
+    for p in (0.2, 0.4, 0.6):  # criteria 3 and 4
+        for lam in (0.2, 0.5, 0.8):
+            for w in (1.0, 10.0):
+                points.append(ModelParams(**{**ref, "p_block": p, "lambda_e": lam, "weight": w}))
+    points += [ModelParams(**{**ref, "weight": w}) for w in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
+    points += [ModelParams(**{**ref, "lambda_e": lam}) for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    return points
+
+
+class TestCertificate:
+    """[min(Th - h), max(Th - h)] from one backup of an exact bias holds the
+    optimal gain."""
+
+    @pytest.mark.parametrize("point", list(FIXED_POINTS))
+    def test_exact_gain_in_rvi_bracket(self, point):
+        m = FIXED_POINTS[point]
+        res, _ = modified_via(m, eps=1e-9)
+        lo, hi = relative_value_iteration(m, eps=1e-9).gain_bracket
+        assert lo <= res.gain <= hi
+
+    def test_width_at_acceptance_points(self):
+        for m in _acceptance_points():
+            res, _ = modified_via(m, eps=1e-9)
+            assert res.span_residual <= 1e-10, m
+            assert res.span_history[-1] == res.span_residual
+            assert res.span_history.shape == (res.iterations,)
+
+    @pytest.mark.parametrize("point", list(FIXED_POINTS))
+    def test_late_thresholds_bound_the_optimum(self, point):
+        # every threshold one age later: that policy's certificate still
+        # holds the optimal gain, so its lower end is at most that policy's
+        # exact gain, and its upper end is at least the optimum
+        m = FIXED_POINTS[point]
+        res, tp = modified_via(m, eps=1e-9)
+        gain, H, _ = _evaluate(threshold_table([t + 1 for t in tp.thresholds]), m)
+        lo, hi = _certificate(H, *_q_values(H, m))
+        assert lo <= res.gain <= hi
+        assert lo <= gain
+        assert res.gain < gain
+
+
+class TestHardPoint:
+    def test_gain_does_not_depend_on_the_age_cap(self):
+        # lambda_e 0.01, p_block 0.99, weight 100: truncated at 200 ages,
+        # the solver used to return rows that never transmit (201, 201,
+        # 199, ...), which the age cap made look cheap (gain 198.01)
+        gains = {}
+        for dm in (200, 400):
+            m = ModelParams(lambda_e=0.01, p_block=0.99, battery_cap=20,
+                            cost_reliable=2.0, weight=100.0, delta_max=dm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                res, tp = modified_via(m, eps=1e-9)
+            assert tp.thresholds == (124,) * 20 + (78,)
+            assert res.span_residual <= 1e-9
+            gains[dm] = res.gain
+        assert abs(gains[200] - gains[400]) <= 1e-9
+        assert abs(gains[200] - 221.883408071748) <= 1e-9
+
+
+class TestEvaluate:
+    """The evaluation pass on the untruncated chain."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_truncated_evaluator(self, seed):
+        # random small models and tables, evaluated where the truncated
+        # chain's mass at the age cap is below 1e-100
+        rng = np.random.default_rng(seed)
+        m = ModelParams(
+            lambda_e=float(rng.uniform(0.05, 0.95)), p_block=float(rng.uniform(0.05, 0.5)),
+            battery_cap=int(rng.integers(2, 6)), cost_reliable=float(rng.uniform(0.0, 3.0)),
+            weight=float(rng.uniform(0.5, 20.0)), delta_max=400,
+        )
+        send = rng.random((m.battery_cap + 1, int(rng.integers(1, 12)))) < 0.5
+        table = np.ones((m.battery_cap + 1, m.delta_max), dtype=np.int8)
+        table[:, : send.shape[1]] = send
+        rep = evaluate_exact(Explicit(table), m)
+        assert rep.cap_mass < 1e-100
+        gain, H, _ = _evaluate(send, m)
+        assert abs(gain - rep.average_cost) <= 1e-12
+        # the bias solves the policy's own equation h = c - g + P h
+        idle, tx = _q_values(H, m)
+        follows = np.where(table[:, : len(H) - 1].T == TRANSMIT, tx, idle)
+        np.testing.assert_allclose(follows - H[:-1], gain, rtol=0.0, atol=1e-12)
+        assert H[0, -1] == 0.0
+
+    @pytest.mark.parametrize("lam, p, weight", [(0.3, 0.2, 10.0), (0.5, 0.7, 1.0), (0.9, 0.5, 20.0)])
+    def test_zero_wait_closed_form(self, lam, p, weight):
+        m = tiny_params(lambda_e=lam, p_block=p, battery_cap=4, weight=weight)
+        gain, _, _ = _evaluate(np.zeros((m.battery_cap + 1, 0), dtype=bool), m)
+        closed = 1.0 / (1.0 - p) + weight * m.cost_reliable * (1.0 - lam)
+        assert abs(gain - closed) <= 1e-12
+
+
+class TestTruncatedRoute:
+    """Models that modified_via hands to RVI on the truncated chain."""
+
+    def test_battery_that_never_falls(self):
+        # at lambda_e 1 every battery level above 0 is a closed class under
+        # all-transmit, so the bias equations have no unique solution
+        m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res, tp = modified_via(m, eps=1e-9)
+        rvi = relative_value_iteration(m, eps=1e-9)
+        assert (res.gain, res.iterations) == (rvi.gain, rvi.iterations)
+        np.testing.assert_array_equal(res.policy, rvi.policy)
+        assert tp.thresholds == (13, 1, 1, 1)
+
+    @pytest.mark.parametrize("weight, threshold", [(100.0, 101), (1000.0, 201)])
+    def test_threshold_far_past_the_cap(self, weight, threshold):
+        # battery 0's best threshold is about weight * cost_reliable / 2:
+        # 101 is solved exactly, 1001 needs tables past 4 * delta_max ages
+        m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, "weight": weight})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res, tp = modified_via(m, eps=1e-9)
+        assert tp.thresholds[0] == threshold
+        assert (res.iterations > 100) == (threshold > m.delta_max)
+
+
+def fsum_backup_q(v, m, ages):
+    """Idle and transmit Q values of ``v`` (the (battery, age) grid) at
+    ``ages``, every sum taken by math.fsum from the written-out dynamics."""
+    lam, p = m.lambda_e, m.p_block
+    cap = m.battery_cap
+    q_idle = np.empty((cap + 1, len(ages)))
+    q_tx = np.empty_like(q_idle)
+    for q in range(cap + 1):
+        left = max(q - 1, 0)
+        for j, d in enumerate(ages):
+            if q < cap:
+                q_idle[q, j] = math.fsum([d, lam * v[q + 1, d], (1.0 - lam) * v[q, d]])
+            else:
+                q_idle[q, j] = math.fsum([d, v[q, d]])
+            q_tx[q, j] = math.fsum([
+                d, m.weight * m.cost_reliable if q == 0 else 0.0,
+                p * lam * v[left + 1, d], (1.0 - p) * lam * v[left + 1, 0],
+                p * (1.0 - lam) * v[left, d], (1.0 - p) * (1.0 - lam) * v[left, 0],
+            ])
+    return q_idle, q_tx
+
+
+class TestTieRule:
+    @pytest.mark.parametrize(
+        "point",
+        ["reference", "large", "weight0.5", "lambda0.9", "lambda0.99"],
+    )
+    def test_thresholds_survive_an_fsum_recompute(self, point):
+        # the Q values recomputed from the exact bias with correctly rounded
+        # sums give the same thresholds under the same tie rule
+        m = FIXED_POINTS.get(point) or ModelParams(**{
+            **REFERENCE, "lambda_e": 0.5,
+            **{"weight0.5": {"weight": 0.5}, "lambda0.9": {"lambda_e": 0.9},
+               "lambda0.99": {"lambda_e": 0.99}}[point],
+        })
+        res, tp = modified_via(m, eps=1e-9)
+        v = res.values.reshape(m.battery_cap + 1, m.delta_max)
+        ages = range(1, max(tp.thresholds) + 2)
+        q_idle, q_tx = fsum_backup_q(v, m, ages)
+        send = q_tx < q_idle - TIE_TOL
+        assert send.any(axis=1).all()
+        assert tuple(int(t) for t in send.argmax(axis=1) + 1) == tp.thresholds
+        assert (send == (np.array(ages) >= np.array(tp.thresholds)[:, None])).all()
 
 
 class TestThresholdPolicy:

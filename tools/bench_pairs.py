@@ -15,7 +15,7 @@ length; the first pair and every other one after it run the parent first,
 the rest the change first, and the i-th pair (from 0) uses seed
 ``--seed-base`` + i on both sides. Half as many pairs (at least one) of
 ``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
-fresh processes time ``solver._iterate_values`` at the two fixed points and
+fresh processes time ``modified_via`` at the two fixed points and
 ``evaluate_exact`` at the large one, for ZeroWait, ``Periodic(5)``,
 ``Periodic(20)`` and Optimal with the thresholds ``modified_via`` returns,
 solved once per process before the timed calls (best of a few calls each).
@@ -50,8 +50,8 @@ LARGE = dict(battery_cap=100, delta_max=400)
 # run once before them and the timed call
 OPTIMAL = "optimal = Optimal(modified_via(m)[1])"
 FIXED_POINTS = {
-    "iterate_values_n4200_s": (REFERENCE, 5, "", "_iterate_values(m, 1e-9, 100_000)"),
-    "iterate_values_n40400_s": (LARGE, 2, "", "_iterate_values(m, 1e-9, 100_000)"),
+    "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9, 100_000)"),
+    "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9, 100_000)"),
     "exact_optimal_n40400_s": (LARGE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
     "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
     "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
@@ -61,7 +61,6 @@ IN_PROCESS = """
 import sys, time
 sys.path.insert(0, {src!r})
 from ehaoi import ModelParams, Optimal, Periodic, ZeroWait, evaluate_exact, modified_via
-from ehaoi.solver import _iterate_values
 m = ModelParams(**{point!r})
 {setup}
 times = []
