@@ -378,10 +378,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--weight", dest="weight", type=float, help="objective weight on paid energy")
     common.add_argument("--delta-max", dest="delta_max", type=int, help="age truncation bound")
     common.add_argument(
-        "--eps", dest="eps", type=float, help="widest gain certificate the solver accepts"
+        "--eps", dest="eps", type=float,
+        help="widest gain certificate the solver accepts (span tolerance on a truncated solve)",
     )
     common.add_argument(
-        "--max-iter", dest="max_iter", type=int, help="cap on the solver's policy evaluations"
+        "--max-iter", dest="max_iter", type=int,
+        help="cap on the solver's policy evaluations (sweeps on a truncated solve)",
     )
     common.add_argument("--out", dest="out", help="output CSV path")
     common.add_argument("--config", dest="config", help="JSON config file; flags override it")

@@ -21,7 +21,10 @@ class ThresholdPolicy:
 
     A threshold above delta_max means "transmit from that age on", as
     ``decide`` reads it; the truncated action table of
-    ``stationary_actions`` never transmits in that row.
+    ``stationary_actions`` never transmits in that row. The solver's
+    truncated route (``SolveResult.truncated``) is the exception: there a
+    threshold of delta_max + 1 marks a row that never transmits within the
+    truncated chain.
     """
 
     thresholds: tuple[int, ...]

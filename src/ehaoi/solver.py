@@ -8,7 +8,10 @@ the age), improved on the Q values at ages <= L + 1 with the tail in closed
 form (``_improve``), and the gain of the result is certified by one Bellman
 backup of its bias (``_certificate``). One tie rule holds throughout: a
 state transmits only where its transmit Q value is below its idle one by
-more than ``TIE_TOL``, so ties idle.
+more than ``TIE_TOL``, so ties idle. Models whose transmissions can never
+lower the battery or never reset the age have no untruncated solution to
+evaluate; ``modified_via`` solves those by relative value iteration and
+says so (``SolveResult.truncated`` and a TruncationWarning).
 
 ``relative_value_iteration`` runs value iteration on the chain truncated at
 ``delta_max``, normalized against a fixed reference state and stopped on the
@@ -52,12 +55,15 @@ DEFAULT_MAX_ITER = 100_000
 # better by at most 1.1e-14 (weight 0.5: a tie in exact arithmetic, left in
 # rounding) or by at least 1.4e-12 (battery_cap=100, delta_max=400).
 TIE_TOL = 1e-13
-# policy iteration's tables span at most this many times delta_max ages
-TABLE_AGES = 4
+# A policy iteration table holds at most this many (battery, age) cells.
+# Each cell costs about 60 bytes across the table, its bias and Q values,
+# and each evaluation walks every age of the table, so the cap bounds an
+# evaluation to about 120 MB and a few seconds.
+MAX_TABLE_CELLS = 2_000_000
 
 
 class ConvergenceError(RuntimeError):
-    """The solver did not meet its stopping rule within its iteration cap."""
+    """The solver did not meet its stopping rule within its caps."""
 
     def __init__(self, message: str, iterations: int, span_residual: float):
         super().__init__(message)
@@ -91,6 +97,7 @@ class SolveResult:
     span_history: np.ndarray  # that width after each evaluation or sweep
     argmin_evals: int         # sum_q min(threshold_q, delta_max); n for the full argmin
     gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # (lo, hi) around the optimal gain
+    truncated: bool = False   # solved by RVI on the chain truncated at delta_max
 
 
 def q_value(v: np.ndarray, s: State, a: int, m: ModelParams) -> float:
@@ -152,7 +159,8 @@ def relative_value_iteration(
     v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
     policy = extract_policy(v, m)
     return SolveResult(
-        gain, v, policy, iters, span, spans, state_count(m), gain_bracket=bracket
+        gain, v, policy, iters, span, spans, state_count(m), gain_bracket=bracket,
+        truncated=True,
     )
 
 
@@ -215,6 +223,17 @@ def _advance(x: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray
     return w[:, 0] * x[cols[:, 0]] + w[:, 1] * x[cols[:, 1]]
 
 
+def _runs(send: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """(first age, last age, column) of each run of equal columns of the
+    (battery, age <= L) table ``send``, the last run first."""
+    L = send.shape[1]
+    if L == 0:
+        return []
+    starts = np.flatnonzero(np.r_[True, (send[:, 1:] != send[:, :-1]).any(axis=0)])
+    ends = np.r_[starts[1:], L]
+    return [(int(lo) + 1, int(hi), send[:, lo]) for lo, hi in zip(starts[::-1], ends[::-1])]
+
+
 def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact gain and bias of the policy that follows ``send`` (a (battery,
     age <= L) boolean table, True transmitting) and transmits at every age
@@ -223,25 +242,37 @@ def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.n
     Returns the gain g, the bias at ages 1..L + 3 as an (L + 3, B1) array,
     and kappa: at every age a > L the bias is a * slope + kappa. The bias is
     0 at (age 1, battery_cap). Each row of a block has at most two nonzero
-    advancing moves, so U_a X is two row gathers; the one dense solve is the
-    (battery_cap + 1)-square system for (h_1, g).
+    advancing moves, so U_a X is one gather of both moves' rows; the one
+    dense solve is the (battery_cap + 1)-square system for (h_1, g). Both
+    passes over the ages take each run of equal columns' moves once.
     """
     t = _tail(m)
     B1, L = send.shape
     q = np.arange(B1)
-    act = send.astype(np.intp)
+    runs = _runs(send)
+    moves = []  # by run: both moves' rows, their weights, the action column
+    for _, _, col in runs:
+        ac = col.astype(np.intp)
+        moves.append((t.cols[ac, q].T.ravel(), t.weights[ac, q].T.ravel(), ac))
     # h_a = A (h_1, g, 1), from a = L + 1 down to 1
     A = np.empty((B1, B1 + 2))
     A[:, :B1] = t.MR
     A[:, B1] = -t.slope
     A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
-    for a in range(L, 0, -1):
-        ac = act[:, a - 1]
-        A = _advance(A, t.cols[ac, q], t.weights[ac, q])
-        A[:, :B1] += t.R[ac, q]
-        A[:, B1] -= 1.0
-        A[:, B1 + 1] += a
-        A[0, B1 + 1] += t.paid * ac[0]
+    both = np.empty((2 * B1, B1 + 2))
+    forcing = np.empty((B1, B1 + 2))  # resets, -1 for g, the age
+    forcing[:, B1] = -1.0
+    for (lo, hi, _), (rows, w, ac) in zip(runs, moves):
+        w = w[:, None]
+        forcing[:, :B1] = t.R[ac, q]
+        for a in range(hi, lo - 1, -1):
+            np.take(A, rows, axis=0, out=both)
+            both *= w
+            np.add(both[:B1], both[B1:], out=A)
+            forcing[:, B1 + 1] = a
+            A += forcing
+            if ac[0]:
+                A[0, B1 + 1] += t.paid
     # (I - A_h) h_1 - A_g g = A_1, with h_1 = 0 at battery_cap: that
     # unknown's column carries g instead
     lhs = -A[:, : B1 + 1]
@@ -254,12 +285,18 @@ def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.n
     kappa = t.kappa0 + t.MR @ h1 - t.slope * gain
     H = np.empty((L + 3, B1))
     H[L:] = np.arange(L + 1, L + 4)[:, None] * t.slope + kappa
-    resets = np.zeros((2, B1))
-    resets[TRANSMIT] = _advance(h1, t.reset_cols, t.reset_weights)
-    for a in range(L, 1, -1):
-        ac = act[:, a - 1]
-        H[a - 1] = a - gain + _advance(H[a], t.cols[ac, q], t.weights[ac, q]) + resets[ac, q]
-        H[a - 1, 0] += t.paid * ac[0]
+    reset = _advance(h1, t.reset_cols, t.reset_weights)
+    adv = np.empty(B1)
+    for (lo, hi, _), (rows, w, ac) in zip(runs, moves):
+        resets = np.where(ac == TRANSMIT, reset, 0.0)
+        for a in range(hi, max(lo, 2) - 1, -1):
+            both = H[a][rows]
+            both *= w
+            np.add(both[:B1], both[B1:], out=adv)
+            np.add(a - gain, adv, out=H[a - 1])
+            H[a - 1] += resets
+            if ac[0]:
+                H[a - 1, 0] += t.paid
     H[0] = h1
     return gain, H, kappa
 
@@ -269,9 +306,11 @@ def _q_values(H: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     from the bias ``H`` at ages 1..len(H)."""
     t = _tail(m)
     ages = np.arange(1.0, len(H))[:, None]
-    nxt = H[1:].T
-    idle = ages + _advance(nxt, t.cols[IDLE], t.weights[IDLE]).T
-    tx = ages + _advance(nxt, t.cols[TRANSMIT], t.weights[TRANSMIT]).T
+    nxt = H[1:]
+    q = []
+    for c, w in zip(t.cols, t.weights):
+        q.append(ages + (w[:, 0] * nxt[:, c[:, 0]] + w[:, 1] * nxt[:, c[:, 1]]))
+    idle, tx = q
     tx += _advance(H[0], t.reset_cols, t.reset_weights)
     tx[:, 0] += t.paid
     return idle, tx
@@ -288,16 +327,17 @@ def _certificate(H: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> tuple[float
 
 def _improve(
     send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, reach: int
-) -> np.ndarray:
+) -> np.ndarray | None:
     """The next table from the idle-minus-transmit Q ``gap`` at ages
-    1..L + 1 (by age, battery) of the policy ``send``.
+    1..L + 1 (by age, battery) of the policy ``send``, or None if it would
+    hold more than MAX_TABLE_CELLS (battery, age) cells.
 
     With ``keep`` a state keeps its action unless the other one is better
     by more than TIE_TOL; without, a state transmits iff transmitting is
     better by more than TIE_TOL. Above L + 1 the gap is gap_{L+1} + k*rise
-    at age L + 1 + k, and every state there transmits now, so a row's idle
-    ages there are counted in closed form; at most ``reach`` of them switch
-    (switching only some of the states that gain still improves the
+    at age L + 1 + k, and every state there transmits now, so each row's
+    idle ages there are counted in closed form; at most ``reach`` of them
+    switch (switching only some of the states that gain still improves the
     policy). The table is cut after its last idle age.
     """
     B1, L = send.shape
@@ -311,8 +351,11 @@ def _improve(
     else:
         head = gap > TIE_TOL
         idle = np.floor((TIE_TOL - gap[:, -1]) / rise)
-    idle = np.clip(idle, 0, reach).astype(np.intp)
-    table = np.ones((B1, L + 1 + int(idle.max())), dtype=bool)
+    idle = np.clip(idle, 0.0, reach)
+    ages = L + 1 + idle.max()
+    if not ages * B1 <= MAX_TABLE_CELLS:  # NaN too
+        return None
+    table = np.ones((B1, int(ages)), dtype=bool)
     table[:, : L + 1] = head
     table[:, L + 1 :] = np.arange(1, table.shape[1] - L) > idle[:, None]
     width = int(np.flatnonzero(~table.all(axis=0)).max(initial=-1)) + 1
@@ -329,9 +372,12 @@ def modified_via(
     (``_evaluate``). A state keeps its action unless the other one is better
     by more than ``TIE_TOL``. Once no state changes, the table transmits
     where transmitting is better by more than ``TIE_TOL`` (ties idle), and
-    is evaluated again if that changed it. A row's threshold is its first
-    transmitting age, which may lie beyond delta_max; the returned policy
-    transmits at every age from the threshold on.
+    is evaluated again if that changed it; the search ends at a table that
+    rule leaves unchanged. A row's threshold is its first transmitting age,
+    which may lie beyond delta_max; the returned policy transmits at every
+    age from the threshold on. Each evaluation walks every age of the
+    table, so the work grows with the largest threshold (about
+    weight * cost_reliable / 2 at the reference point).
 
     ``gain`` is the exact gain of those thresholds; ``values`` their exact
     bias on the (battery, age <= delta_max) grid, 0 at (age 1,
@@ -342,45 +388,51 @@ def modified_via(
     evaluation. ``argmin_evals`` is sum_q min(threshold_q, delta_max).
 
     Raises ConvergenceError when the policy still changes after
-    ``max_iter`` evaluations, or the final certificate is wider than
-    ``eps``.
+    ``max_iter`` evaluations, when a table would hold more than
+    ``MAX_TABLE_CELLS`` (battery, age) cells, or when the final certificate
+    is wider than ``eps``.
 
-    Two kinds of model are solved by relative value iteration on the
-    truncated chain instead (``eps`` its span tolerance, ``max_iter`` its
-    sweep cap, each row's threshold read off the full argmin). One where no
-    transmission can lower the battery: lambda_e so close to 1 that
-    ``_coefficients`` drops both branches in which a transmitting slot
-    harvests nothing. Every battery level above 0 is then a closed class of
-    its own under all-transmit, and the bias equations have no unique
-    solution. And one where a policy table would reach past ``TABLE_AGES``
-    times delta_max ages (a row whose best threshold lies far beyond the
-    age cap, as when weight * cost_reliable runs into the thousands at the
-    reference point), since each evaluation walks every age of the table.
+    A model in which no transmission can lower the battery, or none can
+    reset the age, is solved by relative value iteration on the chain
+    truncated at delta_max instead (``_truncated_thresholds``), with a
+    TruncationWarning and ``truncated`` set in the result: ``_coefficients``
+    drops both branches of the kind (below PROB_FLOOR) when lambda_e or
+    p_block lies within about 1e-15 of 1. The untruncated chain then has
+    no unique bias (every battery level above 0 is a closed class of its
+    own under all-transmit) or no finite gain (the age grows for ever).
     """
     _check_stopping(eps, max_iter)
-    if not any(_coefficients(m)[TRANSMIT][2:]):
-        return _truncated_thresholds(m, eps, max_iter)
+    _, c1, c2, c3 = _coefficients(m)[TRANSMIT]
+    if not (c2 or c3):
+        return _truncated_thresholds(m, eps, max_iter, "lower the battery")
+    if not (c1 or c3):
+        return _truncated_thresholds(m, eps, max_iter, "reset the age")
     t = _tail(m)
     send = np.zeros((m.battery_cap + 1, 0), dtype=bool)  # all-transmit
     widths = []  # grows with the evaluations run, not with max_iter
-    settled = False
     for k in range(max_iter):
         gain, H, kappa = _evaluate(send, m)
         idle, tx = _q_values(H, m)
         bracket = _certificate(H, idle, tx)
         widths.append(bracket[1] - bracket[0])
-        L = send.shape[1]
-        gap = (idle - tx)[: L + 1]
-        nxt = _improve(send, gap, t.rise, True, m.delta_max)
-        if nxt.shape[1] > TABLE_AGES * m.delta_max:
-            return _truncated_thresholds(m, eps, max_iter)
-        if np.array_equal(nxt, send):
-            if settled:
+        gap = (idle - tx)[: send.shape[1] + 1]
+        # past delta_max a table at most doubles per step: a far threshold
+        # takes a few steps, and a transient policy cannot ask for a table
+        # of tens of thousands of ages, as unbounded moves did
+        reach = max(send.shape[1] + 1, m.delta_max)
+        nxt = _improve(send, gap, t.rise, True, reach)
+        if nxt is not None and np.array_equal(nxt, send):
+            nxt = _improve(send, gap, t.rise, False, reach)
+            if nxt is not None and np.array_equal(nxt, send):
                 break
-            settled = True
-            nxt = _improve(send, gap, t.rise, False, m.delta_max)
-            if np.array_equal(nxt, send):
-                break
+        if nxt is None:
+            raise ConvergenceError(
+                f"the policy after {k + 1} evaluations would need a table of "
+                f"more than {MAX_TABLE_CELLS} (battery, age) cells: a threshold "
+                f"lies that far out (weight * cost_reliable = {t.paid:g})",
+                k + 1,
+                widths[-1],
+            )
         send = nxt
     else:
         raise ConvergenceError(
@@ -390,7 +442,7 @@ def modified_via(
             widths[-1],
         )
     width = widths[-1]
-    if width > eps:
+    if not width <= eps:  # NaN too
         raise ConvergenceError(
             f"certificate width {width:.3e} after {k + 1} evaluations (eps={eps:.3e})",
             k + 1,
@@ -413,9 +465,19 @@ def modified_via(
 
 
 def _truncated_thresholds(
-    m: ModelParams, eps: float, max_iter: int
+    m: ModelParams, eps: float, max_iter: int, reason: str
 ) -> tuple[SolveResult, ThresholdPolicy]:
-    """``modified_via`` by relative value iteration on the truncated chain."""
+    """``modified_via`` by relative value iteration on the truncated chain:
+    ``iterations`` counts sweeps, the gain is the midpoint of the Odoni
+    bracket, and a row that never transmits within delta_max ages gets
+    threshold delta_max + 1."""
+    warnings.warn(
+        f"no transmission can {reason}; "
+        f"solved on the chain truncated at delta_max={m.delta_max}, where "
+        f"threshold {m.delta_max + 1} means never",
+        TruncationWarning,
+        stacklevel=3,
+    )
     v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
     greedy = extract_policy(v, m).reshape(m.battery_cap + 1, m.delta_max)
     tp = ThresholdPolicy(tuple(_first_ages(greedy == TRANSMIT)))
@@ -423,7 +485,7 @@ def _truncated_thresholds(
     evals = sum(min(th, m.delta_max) for th in tp.thresholds)
     result = SolveResult(
         gain, v, stationary_actions(Optimal(tp), m), iters, span, spans, evals,
-        gain_bracket=bracket,
+        gain_bracket=bracket, truncated=True,
     )
     return result, tp
 

@@ -28,12 +28,16 @@ from ehaoi import (
     stationary_actions,
 )
 from ehaoi.model import PROB_FLOOR, GridShift
+from ehaoi import solver
 from ehaoi.solver import (
     TIE_TOL,
     _certificate,
     _evaluate,
+    _first_ages,
+    _improve,
     _iterate_values,
     _q_values,
+    _tail,
 )
 
 
@@ -473,8 +477,75 @@ class TestHardPoint:
         assert abs(gains[200] - 221.883408071748) <= 1e-9
 
 
+def plain_evaluate(send, m):
+    """``_evaluate`` written out age by age from ``_tail``'s blocks, with
+    the same arithmetic in the same order."""
+    t = _tail(m)
+    B1, L = send.shape
+    q = np.arange(B1)
+    act = send.astype(np.intp)
+
+    def advance(x, ac):
+        c, w = t.cols[ac, q], t.weights[ac, q]
+        w = w.reshape(w.shape + (1,) * (x.ndim - 1))
+        return w[:, 0] * x[c[:, 0]] + w[:, 1] * x[c[:, 1]]
+
+    A = np.empty((B1, B1 + 2))
+    A[:, :B1] = t.MR
+    A[:, B1] = -t.slope
+    A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
+    for a in range(L, 0, -1):
+        ac = act[:, a - 1]
+        A = advance(A, ac)
+        A[:, :B1] += t.R[ac, q]
+        A[:, B1] -= 1.0
+        A[:, B1 + 1] += a
+        A[0, B1 + 1] += t.paid * ac[0]
+    lhs = -A[:, : B1 + 1]
+    lhs[q, q] += 1.0
+    lhs[:, B1 - 1] = lhs[:, B1]
+    x = np.linalg.solve(lhs[:, :B1], A[:, B1 + 1])
+    gain = float(x[-1])
+    h1 = x.copy()
+    h1[-1] = 0.0
+    kappa = t.kappa0 + t.MR @ h1 - t.slope * gain
+    H = np.empty((L + 3, B1))
+    H[L:] = np.arange(L + 1, L + 4)[:, None] * t.slope + kappa
+    resets = np.zeros((2, B1))
+    resets[TRANSMIT] = (t.reset_weights[:, 0] * h1[t.reset_cols[:, 0]]
+                        + t.reset_weights[:, 1] * h1[t.reset_cols[:, 1]])
+    for a in range(L, 1, -1):
+        ac = act[:, a - 1]
+        H[a - 1] = a - gain + advance(H[a], ac) + resets[ac, q]
+        H[a - 1, 0] += t.paid * ac[0]
+    H[0] = h1
+    return gain, H, kappa
+
+
 class TestEvaluate:
     """The evaluation pass on the untruncated chain."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_plain_loop_bit_for_bit(self, seed):
+        # random and threshold-form tables, with runs of equal columns of
+        # every length from 1 up
+        rng = np.random.default_rng(seed)
+        m = ModelParams(
+            lambda_e=float(rng.uniform(0.05, 0.99)), p_block=float(rng.uniform(0.05, 0.95)),
+            battery_cap=int(rng.integers(2, 25)), cost_reliable=float(rng.uniform(0.0, 3.0)),
+            weight=float(rng.uniform(0.1, 50.0)), delta_max=50,
+        )
+        L = int(rng.integers(0, 40))
+        if seed % 2:
+            th = rng.integers(1, L + 2, m.battery_cap + 1)
+            send = np.arange(1, L + 1) >= th[:, None]
+        else:
+            send = rng.random((m.battery_cap + 1, L)) < 0.5
+        gain, H, kappa = _evaluate(send, m)
+        ref_gain, ref_H, ref_kappa = plain_evaluate(send, m)
+        assert gain == ref_gain
+        np.testing.assert_array_equal(H, ref_H)
+        np.testing.assert_array_equal(kappa, ref_kappa)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_truncated_evaluator(self, seed):
@@ -510,28 +581,73 @@ class TestEvaluate:
 class TestTruncatedRoute:
     """Models that modified_via hands to RVI on the truncated chain."""
 
+    @staticmethod
+    def solve_warned(m, reason):
+        # the route is announced first, then (thresholds of 13 at
+        # delta_max 12) the usual truncation warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solved = modified_via(m, eps=1e-9)
+        messages = [str(w.message) for w in caught]
+        assert [w.category for w in caught] == [TruncationWarning, TruncationWarning]
+        assert messages[0] == (
+            f"{reason}solved on the chain truncated at delta_max=12, where "
+            f"threshold 13 means never"
+        )
+        return solved
+
     def test_battery_that_never_falls(self):
         # at lambda_e 1 every battery level above 0 is a closed class under
         # all-transmit, so the bias equations have no unique solution
         m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res, tp = modified_via(m, eps=1e-9)
+        res, tp = self.solve_warned(m, "no transmission can lower the battery; ")
         rvi = relative_value_iteration(m, eps=1e-9)
         assert (res.gain, res.iterations) == (rvi.gain, rvi.iterations)
         np.testing.assert_array_equal(res.policy, rvi.policy)
         assert tp.thresholds == (13, 1, 1, 1)
+        assert res.truncated and rvi.truncated
 
-    @pytest.mark.parametrize("weight, threshold", [(100.0, 101), (1000.0, 201)])
+    def test_age_that_never_resets(self):
+        # at p_block 1 - 1e-16 both resetting branches fall below
+        # PROB_FLOOR: the untruncated age grows for ever, and (I - U_transmit)
+        # would be singular to rounding
+        m = tiny_params(p_block=1.0 - 1e-16, battery_cap=3, delta_max=12)
+        res, tp = self.solve_warned(m, "no transmission can reset the age; ")
+        rvi = relative_value_iteration(m, eps=1e-9)
+        assert (res.gain, res.iterations) == (rvi.gain, rvi.iterations)
+        assert tp.thresholds == tuple(_first_ages(
+            rvi.policy.reshape(m.battery_cap + 1, m.delta_max) == TRANSMIT))
+        assert res.truncated
+
+    def test_policy_iteration_is_not_marked(self):
+        res, _ = modified_via(FIXED_POINTS["reference"], eps=1e-9)
+        assert not res.truncated
+
+
+class TestFarThresholds:
+    @pytest.mark.parametrize("weight, threshold", [(100.0, 101), (1000.0, 1001)])
     def test_threshold_far_past_the_cap(self, weight, threshold):
-        # battery 0's best threshold is about weight * cost_reliable / 2:
-        # 101 is solved exactly, 1001 needs tables past 4 * delta_max ages
+        # battery 0's best threshold is about weight * cost_reliable / 2,
+        # past delta_max = 200 at weight 1000; past delta_max a table at
+        # most doubles per step, so that takes a few evaluations more
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, "weight": weight})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             res, tp = modified_via(m, eps=1e-9)
         assert tp.thresholds[0] == threshold
-        assert (res.iterations > 100) == (threshold > m.delta_max)
+        assert res.iterations <= 12
+        assert not res.truncated
+        lo, hi = res.gain_bracket
+        assert lo <= res.gain and hi - lo <= 1e-9
+
+    @pytest.mark.parametrize("weight", [1000.0, 1e300])
+    def test_table_cap_raises(self, weight, monkeypatch):
+        # a threshold of about 1001 needs 21 * 1001 cells; 1e300 would
+        # double the table until it ran out of memory
+        monkeypatch.setattr(solver, "MAX_TABLE_CELLS", 21 * 500)
+        m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, "weight": weight})
+        with pytest.raises(ConvergenceError, match="more than 10500 .battery, age. cells"):
+            modified_via(m, eps=1e-9)
 
 
 def fsum_backup_q(v, m, ages):
@@ -577,6 +693,30 @@ class TestTieRule:
         assert send.any(axis=1).all()
         assert tuple(int(t) for t in send.argmax(axis=1) + 1) == tp.thresholds
         assert (send == (np.array(ages) >= np.array(tp.thresholds)[:, None])).all()
+
+    @pytest.mark.parametrize(
+        "point",
+        ["reference", "large", "weight0.5", "lambda0.9", "lambda0.99", "hard"],
+    )
+    def test_returned_table_is_stable_under_the_strict_rule(self, point):
+        # the search ends only where "transmit iff better by more than
+        # TIE_TOL" leaves the table as it is, so no returned row transmits
+        # at a tie
+        m = FIXED_POINTS.get(point) or ModelParams(**{
+            **REFERENCE, "lambda_e": 0.5,
+            **{"weight0.5": {"weight": 0.5}, "lambda0.9": {"lambda_e": 0.9},
+               "lambda0.99": {"lambda_e": 0.99},
+               "hard": {"lambda_e": 0.01, "p_block": 0.99, "weight": 100.0}}[point],
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            _, tp = modified_via(m, eps=1e-9)
+        th = np.array(tp.thresholds)
+        send = np.arange(1, th.max()) >= th[:, None]
+        _, H, _ = _evaluate(send, m)
+        idle, tx = _q_values(H, m)
+        gap = (idle - tx)[: send.shape[1] + 1]
+        np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max), send)
 
 
 class TestThresholdPolicy:
