@@ -416,10 +416,10 @@ def modified_via(
         bracket = _certificate(H, idle, tx)
         widths.append(bracket[1] - bracket[0])
         gap = (idle - tx)[: send.shape[1] + 1]
-        # past delta_max a table at most doubles per step: a far threshold
-        # takes a few steps, and a transient policy cannot ask for a table
-        # of tens of thousands of ages, as unbounded moves did
-        reach = max(send.shape[1] + 1, m.delta_max)
+        # a table at most doubles per step: a far threshold takes a few
+        # steps, and a transient policy cannot ask for a table of tens of
+        # thousands of ages, as unbounded moves did
+        reach = send.shape[1] + 1
         nxt = _improve(send, gap, t.rise, True, reach)
         if nxt is not None and np.array_equal(nxt, send):
             nxt = _improve(send, gap, t.rise, False, reach)

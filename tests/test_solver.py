@@ -211,7 +211,7 @@ class TestRegressionPins:
         [
             (0.5, 10.0, "1.850888814810359", 10, 59,
              (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)),
-            (0.99, 10.0, "1.26", 4, 59, (20,) + (2,) * 19 + (1,)),
+            (0.99, 10.0, "1.26", 5, 59, (20,) + (2,) * 19 + (1,)),
             (0.5, 0.5, "1.7500000000000002", 2, 41, (2,) * 20 + (1,)),
         ],
     )
@@ -628,8 +628,8 @@ class TestFarThresholds:
     @pytest.mark.parametrize("weight, threshold", [(100.0, 101), (1000.0, 1001)])
     def test_threshold_far_past_the_cap(self, weight, threshold):
         # battery 0's best threshold is about weight * cost_reliable / 2,
-        # past delta_max = 200 at weight 1000; past delta_max a table at
-        # most doubles per step, so that takes a few evaluations more
+        # past delta_max = 200 at weight 1000; a table at most doubles per
+        # step, so that takes a few evaluations
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, "weight": weight})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
