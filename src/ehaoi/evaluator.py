@@ -37,11 +37,12 @@ action table there, one base table per phase, and ``evaluate_exact``
 solves that chain like any other; ``evaluate_periodic_exact`` is the same
 evaluation for periodic schedules only.
 
-Importing this module loads numpy and the top-level ``scipy`` package only.
-``scipy.sparse`` and ``scipy.sparse.csgraph`` (about 0.3 s and 30 MiB
-together) load on the first exact evaluation, in the functions that build
-the lumped chain and find its recurrent class, so a command that only
-solves or simulates never pays for them.
+Importing this module loads numpy and the top-level ``scipy`` package
+only, and no command loads more of scipy: the exact evaluation finds the
+recurrent class with its own search over the lumped chain's CSR arrays, so
+``scipy.sparse`` and ``scipy.sparse.csgraph`` are never imported. The
+top-level import stays only for the benchmark's read of scipy's version
+(ROADMAP direction 4).
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# Only annotations name scipy here, but the import stays: the benchmark
-# (perfbench/worker.py) reads sys.modules["scipy"].__version__ right after
-# `import ehaoi.cli`, and test_import_loads_top_level_scipy_only pins it.
-import scipy  # the top level only; scipy.sparse and csgraph load where used
+# Nothing here uses scipy, but the import stays until the benchmark reads
+# versions another way (ROADMAP direction 4): perfbench/worker.py reads
+# sys.modules["scipy"].__version__ right after `import ehaoi.cli`, and
+# test_import_loads_top_level_scipy_only pins it.
+import scipy  # the top level only; no command loads scipy.sparse
 
 from .model import (
     IDLE,
@@ -178,28 +180,73 @@ def _blocks(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return U, R
 
 
-def _recurrent_class(P: scipy.sparse.csr_matrix, start: int) -> np.ndarray:
-    """Indices of the closed communicating class the chain settles in when
-    started from ``start``. Raises if that class is not unique."""
-    from scipy.sparse import csgraph
+def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
+    """Indices, sorted, of the closed communicating class the chain settles
+    in when started from ``start``; state v moves to
+    ``indices[indptr[v]:indptr[v + 1]]``. Raises if that class is not
+    unique.
 
-    count, labels = csgraph.connected_components(P, directed=True, connection="strong")
-    row_labels = labels[np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))]
-    closed = np.ones(count, dtype=bool)
-    closed[row_labels[row_labels != labels[P.indices]]] = False  # an edge leaves
-    reachable = csgraph.breadth_first_order(
-        P, start, directed=True, return_predecessors=False
-    )
-    reached = np.zeros(count, dtype=bool)
-    reached[labels[reachable]] = True
-    candidates = np.flatnonzero(reached & closed)
-    if candidates.size != 1:
+    Tarjan's strongly-connected-components search (SIAM J. Comput. 1(2),
+    1972), iterative so that no chain is too long for it, over the states
+    reachable from ``start`` only. A class is complete when its root
+    leaves the path, and every class it has an edge into is complete
+    before it; so an edge to a completed state leaves the class, an edge
+    to a state still on the stack stays inside it, and the class is
+    closed if no edge of its states leaves it.
+    """
+    ptr, succ = indptr.tolist(), indices.tolist()
+    n = len(ptr) - 1
+    number = [0] * n  # visit order from 1; 0 until visited
+    low = [0] * n     # the least number on the stack reached from the subtree
+    done = [False] * n  # in a completed class
+    leaves = [False] * n  # an edge of the state leaves its class
+    depth = [0] * n   # the state's place on the stack
+    stack: list[int] = []
+    closed: list[list[int]] = []
+    visited = 1
+    number[start] = low[start] = 1
+    stack.append(start)
+    path, edge = [start], [ptr[start]]  # the search path, each state's next edge
+    while path:
+        v = path[-1]
+        for i in range(edge[-1], ptr[v + 1]):
+            w = succ[i]
+            if not number[w]:  # descend to w, back at edge i + 1 later
+                edge[-1] = i + 1
+                visited += 1
+                number[w] = low[w] = visited
+                depth[w] = len(stack)
+                stack.append(w)
+                path.append(w)
+                edge.append(ptr[w])
+                break
+            if done[w]:
+                leaves[v] = True
+            elif number[w] < low[v]:
+                low[v] = number[w]
+        else:  # every edge of v seen
+            path.pop()
+            edge.pop()
+            if low[v] == number[v]:  # v roots a class: pop it
+                members = stack[depth[v]:]
+                del stack[depth[v]:]
+                for u in members:
+                    done[u] = True
+                if not any(leaves[u] for u in members):
+                    closed.append(members)
+            if path:  # back in the parent, through its edge to v
+                p = path[-1]
+                if done[v]:
+                    leaves[p] = True
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+    if len(closed) != 1:
         raise ReducibleChainError(
-            f"{candidates.size} closed communicating classes reachable from "
+            f"{len(closed)} closed communicating classes reachable from "
             f"the start state; the long-run average is ambiguous",
-            int(candidates.size),
+            len(closed),
         )
-    return np.flatnonzero(labels == candidates[0])
+    return np.sort(np.array(closed[0], dtype=np.intp))
 
 
 def _gth(P: np.ndarray) -> np.ndarray:
@@ -233,21 +280,22 @@ def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float]
     equal those at delta_max, the chain is the same at every age, so the
     class is the one ``_recurrent_class`` finds from (age 1, battery 0) at
     phase 0 on the chain with those ages lumped into one; the lumping is
-    exact. Then a linear level reduction with the age as the level
-    (Latouche & Ramaswami, Introduction to Matrix Analytic Methods, SIAM
-    1999): G_a, the probabilities of first reaching age 1 at each of the
-    class's age-1 states, is R_a + U_a G_{a+1}. From W on it is the same at
-    every age, G = (I - U)^-1 R with the rows off the class zero, solved
-    once around the phases through U^0 U^1 ... U^{T-1}, never as a
-    (phase, battery)-square matrix. pi_1 is the stationary vector of the
-    reset chain G_1, and pi_{a+1} = pi_a U_a below the cap D, where
-    pi_D = pi_{D-1} U_{D-1} (I - U)^-1. A class without age-1 states lives
-    at the cap (as under a never-transmit table) and is solved there alone.
-    Below W the passes read the lumped chain's rows: a row off the class
-    has no mass, and no class row moves to it.
+    exact. The search reads that chain's moves as plain CSR arrays, not as
+    a ``scipy.sparse`` matrix: no command loads ``scipy.sparse``, and the
+    module's top-level ``import scipy`` stays only for the benchmark's
+    version read (ROADMAP direction 4). Then a linear level reduction with
+    the age as the level (Latouche & Ramaswami, Introduction to Matrix
+    Analytic Methods, SIAM 1999): G_a, the probabilities of first reaching
+    age 1 at each of the class's age-1 states, is R_a + U_a G_{a+1}. From W
+    on it is the same at every age, G = (I - U)^-1 R with the rows off the
+    class zero, solved once around the phases through U^0 U^1 ... U^{T-1},
+    never as a (phase, battery)-square matrix. pi_1 is the stationary
+    vector of the reset chain G_1, and pi_{a+1} = pi_a U_a below the cap D,
+    where pi_D = pi_{D-1} U_{D-1} (I - U)^-1. A class without age-1 states
+    lives at the cap (as under a never-transmit table) and is solved there
+    alone. Below W the passes read the lumped chain's rows: a row off the
+    class has no mass, and no class row moves to it.
     """
-    from scipy import sparse
-
     U, R = _blocks(m)
     B1, D = m.battery_cap + 1, m.delta_max
     send = actions.reshape(-1, B1, D) == TRANSMIT  # (phase, battery, age)
@@ -265,12 +313,9 @@ def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float]
     aged = np.minimum(np.arange(1, W + 1), W - 1)[:, None, None, None] * K - B1
     index = np.where(cols < B1, cols, cols + aged) + after[:, None, None] * B1
     live = prob > 0.0
-    indptr = np.zeros(W * K + 1, dtype=np.int32)
+    indptr = np.zeros(W * K + 1, dtype=np.intp)
     np.cumsum(live.sum(axis=-1), out=indptr[1:])
-    graph = sparse.csr_matrix(  # int32 indices, which scipy takes without a copy
-        (prob[live], index[live].astype(np.int32), indptr), shape=(W * K, W * K)
-    )
-    cls = _recurrent_class(graph, start=0)
+    cls = _recurrent_class(indptr, index[live], start=0)
     entry = cls[cls < K]  # the class's age-1 states, by phase * battery
     M = entry.size
     # the blocks from W on, by phase, the rows off the class zero; R keeps

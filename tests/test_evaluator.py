@@ -156,20 +156,39 @@ class TestRecurrentClass:
             np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         )
         with pytest.raises(ReducibleChainError) as exc:
-            _recurrent_class(P, start=0)
+            _recurrent_class(P.indptr, P.indices, start=0)
         assert exc.value.closed_classes == 2
 
     def test_unreachable_sink_is_ignored(self):
         P = sparse.csr_matrix(
             np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        np.testing.assert_array_equal(_recurrent_class(P, start=0), [0])
+        np.testing.assert_array_equal(_recurrent_class(P.indptr, P.indices, start=0), [0])
 
     def test_transient_prefix_is_excluded(self):
         P = sparse.csr_matrix(
             np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         )
-        np.testing.assert_array_equal(_recurrent_class(P, start=0), [1, 2])
+        np.testing.assert_array_equal(_recurrent_class(P.indptr, P.indices, start=0), [1, 2])
+
+    @pytest.mark.parametrize("unreachable", [0, 1, 300_000])
+    def test_long_path_and_unreachable_states(self, unreachable):
+        # a path i -> i + 1 of 200 000 states whose last state loops on
+        # itself, as deep a search as a chain can ask for; after it, a
+        # cycle that is a second closed class and a path into state 0,
+        # neither reachable from state 0
+        n, half = 200_000, unreachable // 2
+        indices = np.concatenate([
+            np.minimum(np.arange(1, n + 1), n - 1),
+            n + (np.arange(1, half + 1) % max(half, 1)),
+            np.append(np.arange(n + half + 1, n + unreachable), 0)[: unreachable - half],
+        ])
+        indptr = np.arange(indices.size + 1)
+        np.testing.assert_array_equal(_recurrent_class(indptr, indices, 0), [n - 1])
+        if half:  # the cycle is a closed class of its own
+            np.testing.assert_array_equal(
+                _recurrent_class(indptr, indices, n), np.arange(n, n + half)
+            )
 
     @staticmethod
     def sorted_reference(P, start):
@@ -200,7 +219,8 @@ class TestRecurrentClass:
             if candidates.size == 1:
                 seen["one"] += 1
                 expected = np.flatnonzero(labels == candidates[0])
-                np.testing.assert_array_equal(_recurrent_class(P, start), expected)
+                got = _recurrent_class(P.indptr, P.indices, start)
+                np.testing.assert_array_equal(got, expected)
                 seen["transient_start"] += start not in expected
             else:
                 seen["several"] += 1
@@ -209,7 +229,7 @@ class TestRecurrentClass:
                     "from the start state; the long-run average is ambiguous$"
                 )
                 with pytest.raises(ReducibleChainError, match=message) as exc:
-                    _recurrent_class(P, start)
+                    _recurrent_class(P.indptr, P.indices, start)
                 assert exc.value.closed_classes == candidates.size
             seen["unreachable_sink"] += closed.size > candidates.size
         assert min(seen.values()) >= 10, seen
@@ -354,7 +374,7 @@ def _check_level_reduction(actions, m):
     Returns the distribution in chain order."""
     B1, D = m.battery_cap + 1, m.delta_max
     P = _kernel_chain(np.reshape(actions, (-1, B1 * D)), m)
-    cls = _recurrent_class(P, start=0)
+    cls = _recurrent_class(P.indptr, P.indices, start=0)
     by_age, residual = _stationary(np.asarray(actions), m)
     mu = by_age.transpose(1, 2, 0).ravel()  # (phase, battery, age), as P
     want = np.zeros(P.shape[0])
@@ -451,14 +471,14 @@ class TestLevelReduction:
         # moves alike there, so the lumped chain has two ages
         sizes = []
 
-        def recorded(P, start):
-            sizes.append(P.shape)
-            return _recurrent_class(P, start)
+        def recorded(indptr, indices, start):
+            sizes.append(indptr.size - 1)
+            return _recurrent_class(indptr, indices, start)
 
         monkeypatch.setattr(evaluator, "_recurrent_class", recorded)
         m = ModelParams(0.5, 0.2, 100, 2.0, 10.0, delta_max=400)
         evaluate_exact(Periodic(20), m)
-        assert sizes == [(20 * 101 * 2, 20 * 101 * 2)]
+        assert sizes == [20 * 101 * 2]
 
     # every field, recorded from the level reduction on the per-age
     # blocks; each average and cap_mass is within 2e-16 relative of the
@@ -587,7 +607,7 @@ class TestEvaluateExact:
         )
         kind = Optimal(ThresholdPolicy((3,) * 31))
         P = _kernel_chain([stationary_actions(kind, m)], m)
-        cls = _recurrent_class(P, 0)
+        cls = _recurrent_class(P.indptr, P.indices, 0)
         assert cls.size == P.shape[0] > 5000
         mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
         ages = np.tile(np.arange(1, m.delta_max + 1, dtype=float), m.battery_cap + 1)

@@ -19,6 +19,10 @@ fresh processes time ``modified_via`` at the two fixed points and
 ``evaluate_exact`` at the large one, for ZeroWait, ``Periodic(5)``,
 ``Periodic(20)`` and Optimal with the thresholds ``modified_via`` returns,
 solved once per process before the timed calls (best of a few calls each).
+One more timing, ``exact_first_call_n40400_s``, is a single
+``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
+in its process: a best-of-N time hides one-time costs such as a module the
+first call imports, and this one shows them.
 
 For every metric the output holds each side's per-pair values, median,
 quartiles (``statistics.quantiles``, n = 4) and IQR, and the pairs each
@@ -56,6 +60,7 @@ FIXED_POINTS = {
     "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
     "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
     "exact_periodic20_n40400_s": (LARGE, 3, "", "evaluate_exact(Periodic(20), m)"),
+    "exact_first_call_n40400_s": (LARGE, 1, "", "evaluate_exact(ZeroWait(), m)"),
 }
 IN_PROCESS = """
 import sys, time
@@ -206,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
             name: _in_process(tree, name) for name in FIXED_POINTS})
         report["in_process"] = {
             "command": "a fresh process per side, pair and timing, OpenBLAS one "
-                       "thread: the best of a few calls after the setup",
+                       "thread: the best of `calls` calls after the setup",
             "timings": {name: {"point": {**POINT, **point}, "calls": calls, "setup": setup,
                                "call": call}
                         for name, (point, calls, setup, call) in FIXED_POINTS.items()},
