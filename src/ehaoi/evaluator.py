@@ -200,7 +200,6 @@ def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.
     low = [0] * n     # the least number on the stack reached from the subtree
     done = [False] * n  # in a completed class
     leaves = [False] * n  # an edge of the state leaves its class
-    depth = [0] * n   # the state's place on the stack
     stack: list[int] = []
     closed: list[list[int]] = []
     visited = 1
@@ -215,7 +214,6 @@ def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.
                 edge[-1] = i + 1
                 visited += 1
                 number[w] = low[w] = visited
-                depth[w] = len(stack)
                 stack.append(w)
                 path.append(w)
                 edge.append(ptr[w])
@@ -228,10 +226,11 @@ def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.
             path.pop()
             edge.pop()
             if low[v] == number[v]:  # v roots a class: pop it
-                members = stack[depth[v]:]
-                del stack[depth[v]:]
-                for u in members:
+                members, u = [], -1
+                while u != v:
+                    u = stack.pop()
                     done[u] = True
+                    members.append(u)
                 if not any(leaves[u] for u in members):
                     closed.append(members)
             if path:  # back in the parent, through its edge to v
