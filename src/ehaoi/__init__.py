@@ -9,6 +9,7 @@ from .evaluator import (
     EvalReport,
     ReducibleChainError,
     StepRecord,
+    UnboundedAgeError,
     evaluate_exact,
     evaluate_periodic_exact,
     simulate,
@@ -78,6 +79,7 @@ __all__ = [
     "ThresholdStructureError",
     "TransitionDist",
     "TruncationWarning",
+    "UnboundedAgeError",
     "ZeroWait",
     "bellman_backup_q",
     "decide",

@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--battery-cap", dest="battery_cap", type=int, help="battery capacity")
     common.add_argument("--cost-reliable", dest="cost_reliable", type=float, help="paid backup packet cost")
     common.add_argument("--weight", dest="weight", type=float, help="objective weight on paid energy")
-    common.add_argument("--delta-max", dest="delta_max", type=int, help="age truncation bound")
+    common.add_argument("--delta-max", dest="delta_max", type=int, help="grid ages; a truncated solve's age cap")
     common.add_argument(
         "--eps", dest="eps", type=float,
         help="widest gain certificate the solver accepts (span tolerance on a truncated solve)",

@@ -1,19 +1,17 @@
 """Policy evaluation along two independent routes.
 
-``evaluate_exact`` analyzes the policy-induced Markov chain on the
-truncated state space. Every move advances the age by one (capped at
-``delta_max``) or resets it to 1, and from the age where the policy's
-action table stops changing every age moves alike, so the chain is built
-as per-age blocks on (phase, battery) with those ages collapsed into one.
-On that lumped chain it locates the closed communicating class reachable
-from the system's start state (age 1, empty battery), computes the
-stationary distribution by an exact linear level reduction over the age (no
-iteration, any size), and returns exact long-run averages together with
-their evidence: the balance residual of the distribution and its mass at
-the age cap. If several closed classes were reachable the long-run average
-would depend on chance, so that raises ReducibleChainError; the kernel's
-one-step battery moves make this impossible for sane policies, and any
-occurrence signals a bug.
+``evaluate_exact`` analyzes the policy-induced Markov chain with the age
+never truncated, so ``delta_max`` changes none of its numbers. Every move
+advances the age by one or resets it to 1, and from the age W where the
+action table stops changing every age moves alike, so the chain is per-age
+blocks on (phase, battery) with the ages from W on lumped into one. On that
+chain it finds the closed class reachable from the start state (age 1,
+empty battery), solves it by an exact level reduction over the age, with
+the tail past W in closed form, and returns exact long-run averages with
+their evidence: the balance residual and the tail's mass. Several
+reachable closed classes raise ReducibleChainError (the one-step battery
+moves rule that out for sane policies), and a class that never resets the
+age, whose average age is infinite, raises UnboundedAgeError.
 
 ``simulate`` runs the physical system forward without any age truncation,
 drawing the energy and channel Bernoulli streams from two independently
@@ -38,16 +36,13 @@ solves that chain like any other; ``evaluate_periodic_exact`` is the same
 evaluation for periodic schedules only.
 
 Importing this module loads numpy and the top-level ``scipy`` package
-only, and no command loads more of scipy: the exact evaluation finds the
-recurrent class with its own search over the lumped chain's CSR arrays, so
-``scipy.sparse`` and ``scipy.sparse.csgraph`` are never imported. The
-top-level import stays only for the benchmark's read of scipy's version
-(ROADMAP direction 4).
+only; the recurrent class is found by this module's own search, so no
+command loads ``scipy.sparse`` or ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -97,6 +92,10 @@ class ReducibleChainError(RuntimeError):
         self.closed_classes = closed_classes
 
 
+class UnboundedAgeError(RuntimeError):
+    """Nothing in the chain's closed class resets the age: no finite average."""
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One slot of the physical system, before any truncation."""
@@ -123,7 +122,7 @@ class EvalReport:
     ci_halfwidth: float | None = None  # simulation only, 95% batch means
     rng: str | None = None       # simulation only
     balance_residual: float | None = None  # exact only, ||mu P - mu||_1
-    cap_mass: float | None = None  # exact only, stationary mass at age delta_max
+    cap_mass: float | None = None  # exact only, tail mass: ages >= W (see _stationary)
 
 
 def step(
@@ -159,12 +158,11 @@ def step(
 def _blocks(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The chain's moves as blocks on (phase, battery), by action.
 
-    Every move takes the age from a to min(a + 1, delta_max) or resets it
-    to 1, and the slot phase r to r + 1 mod the period. A row's moves
-    depend only on its action and battery, so each action has a
-    (battery_cap + 1)-square advancing block U and reset block R, row q
-    holding ``transition``'s probabilities by the battery moved to.
-    Cached; the arrays are read-only.
+    Every move takes the age from a to a + 1 or resets it to 1, and the
+    slot phase r to r + 1 mod the period. A row's moves depend only on its
+    action and battery, so each action has a (battery_cap + 1)-square
+    advancing block U and reset block R, row q holding ``transition``'s
+    probabilities by the battery moved to. Cached; the arrays are read-only.
     """
     (up, stay), (c0, c1, c2, c3) = _coefficients(m)
     B1 = m.battery_cap + 1
@@ -251,12 +249,14 @@ def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.
 def _gth(P: np.ndarray) -> np.ndarray:
     """Stationary vector of an irreducible stochastic matrix by GTH state
     reduction (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985). It never
-    subtracts: each pivot is the sum of the eliminated state's exits."""
+    subtracts: each pivot is the sum of the eliminated state's exits, at
+    least 1e-150; below that (or where it underflowed to 0) the states
+    before it hold no visible mass, and the floor keeps every mass finite."""
     A = np.array(P, dtype=float)
     n = A.shape[0]
     for k in range(n - 1, 0, -1):  # censor state k out of the chain
         into, out = A[:k, k], A[k, :k]
-        into /= out.sum()
+        into /= max(out.sum(), 1e-150)
         A[:k, :k] += np.multiply.outer(into, out)
     pi = np.ones(n)
     total = 1.0
@@ -269,39 +269,46 @@ def _gth(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float]:
-    """Stationary distribution of the chain under ``actions`` (one base
-    table per phase, laid end to end as ``stationary_actions`` gives them)
-    on its closed class, by (age, phase, battery) and zero off the class,
-    and its balance residual ||mu P - mu||_1.
+def _around(v: np.ndarray, Ut: np.ndarray, stay: np.ndarray) -> np.ndarray:
+    """v (I - U)^-1 by (phase, battery), U taking phase r to r + 1 by Ut[r]:
+    phase 0 through stay = (I - U^0 ... U^{T-1})^-1, then phase by phase."""
+    around = np.zeros(v.shape[1])
+    for r in range(1, len(v)):
+        around = (around + v[r]) @ Ut[r]
+    y = np.empty_like(v)
+    y[0] = (v[0] + around) @ stay
+    for r in range(1, len(v)):
+        y[r] = v[r] + y[r - 1] @ Ut[r - 1]
+    return y
 
-    From W on, the first age (at least 2) from which every age's actions
-    equal those at delta_max, the chain is the same at every age, so the
-    class is the one ``_recurrent_class`` finds from (age 1, battery 0) at
-    phase 0 on the chain with those ages lumped into one; the lumping is
-    exact. The search reads that chain's moves as plain CSR arrays, not as
-    a ``scipy.sparse`` matrix: no command loads ``scipy.sparse``, and the
-    module's top-level ``import scipy`` stays only for the benchmark's
-    version read (ROADMAP direction 4). Then a linear level reduction with
-    the age as the level (Latouche & Ramaswami, Introduction to Matrix
+
+def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, float]:
+    """Stationary distribution, with the age never truncated, of the chain
+    under ``actions`` (one base table per phase, as ``stationary_actions``
+    lays them out; later ages take the last column) on its closed class:
+    by (age, phase, battery), zero off the class, the last level W holding
+    every age from W on. Also the tail's age excess sum_k k pi_{W+k}, and
+    the balance residual ||mu P - mu||_1 on those W levels.
+
+    From W, the first age (at least 2) from which the actions equal the
+    last column, every age moves alike, so ``_recurrent_class`` finds the
+    class on the chain with those ages lumped into one. Then a level
+    reduction over the age (Latouche & Ramaswami, Introduction to Matrix
     Analytic Methods, SIAM 1999): G_a, the probabilities of first reaching
-    age 1 at each of the class's age-1 states, is R_a + U_a G_{a+1}. From W
-    on it is the same at every age, G = (I - U)^-1 R with the rows off the
-    class zero, solved once around the phases through U^0 U^1 ... U^{T-1},
-    never as a (phase, battery)-square matrix. pi_1 is the stationary
-    vector of the reset chain G_1, and pi_{a+1} = pi_a U_a below the cap D,
-    where pi_D = pi_{D-1} U_{D-1} (I - U)^-1. A class without age-1 states
-    lives at the cap (as under a never-transmit table) and is solved there
-    alone. Below W the passes read the lumped chain's rows: a row off the
-    class has no mass, and no class row moves to it.
+    each of the class's age-1 states, is R_a + U_a G_{a+1}, and
+    G = (I - U)^-1 R from W on, the rows off the class zero. pi_1 is the
+    stationary vector of G_1, pi_{a+1} = pi_a U_a up to pi_W, the tail's
+    mass is x = pi_W (I - U)^-1 and its excess the sum of
+    (x - pi_W)(I - U)^-1. A class without age-1 states never resets the
+    age and raises UnboundedAgeError.
     """
     U, R = _blocks(m)
-    B1, D = m.battery_cap + 1, m.delta_max
-    send = actions.reshape(-1, B1, D) == TRANSMIT  # (phase, battery, age)
+    B1 = m.battery_cap + 1
+    send = actions.reshape(-1, B1, m.delta_max) == TRANSMIT  # (phase, battery, age)
     T = send.shape[0]
     K = T * B1
     W = int(np.flatnonzero((send != send[..., -1:]).any(axis=(0, 1))).max(initial=0)) + 2
-    act = send[..., list(range(W - 1)) + [D - 1]].transpose(2, 0, 1).astype(np.intp)
+    act = send[..., list(range(W - 1)) + [-1]].transpose(2, 0, 1).astype(np.intp)
     q = np.arange(B1)
     prev, after = (np.arange(T) - 1) % T, (np.arange(T) + 1) % T  # phases r - 1, r + 1
     # the lumped chain, age outer, in CSR form; a row lists its resets,
@@ -317,90 +324,81 @@ def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float]
     cls = _recurrent_class(indptr, index[live], start=0)
     entry = cls[cls < K]  # the class's age-1 states, by phase * battery
     M = entry.size
+    if M == 0:
+        raise UnboundedAgeError("no state of the closed class resets the age: "
+                                "the average age is unbounded")
     # the blocks from W on, by phase, the rows off the class zero; R keeps
     # the columns of those age-1 states, into which phase r resets at r + 1
-    inside = np.zeros(W * K, dtype=bool)
-    inside[cls] = True
-    inside = inside[-K:].reshape(T, B1, 1)
+    inside = np.isin(np.arange((W - 1) * K, W * K), cls).reshape(T, B1, 1)
     Ut = U[act[-1], q] * inside
     Rt = R[act[-1], q][..., entry % B1] * inside * (entry // B1 == after[:, None])[:, None]
     Wc, C = Ut[-1], Rt[-1]  # Wc = U^0 U^1 ... U^{T-1}, C = R^0 + U^0 R^1 + ...
     for u, r in zip(Ut[-2::-1], Rt[-2::-1]):
         Wc, C = u @ Wc, r + u @ C
-    mu = np.zeros((D, T, B1))
-    if M == 0:  # the class lives at the cap
-        inflow = np.zeros((T, B1))
-        phase0 = np.flatnonzero(inside[0])
-        mu[-1, 0, phase0] = _gth(Wc[np.ix_(phase0, phase0)])
-    else:
-        stay = np.linalg.inv(np.eye(B1) - Wc)
-        G = np.empty((T, B1, M))
-        G[0] = stay @ C
-        for r in range(T - 1, 0, -1):
-            G[r] = Rt[r] + Ut[r] @ G[(r + 1) % T]
-        # below W, G_a row by row from the lumped chain's moves: an advance
-        # reads G_{a+1}'s row, a reset the row of an identity block for its
-        # age-1 state if that is in the class (else a zero row)
-        place = np.full(K, K + M)
-        place[entry] = np.arange(K, K + M)
-        rows = np.where(cols < B1, place[index % K], index % K)
-        X, Xn = np.zeros((2, K + M + 1, M))
-        X[K : K + M] = Xn[K : K + M] = np.eye(M)
-        X[:K] = G.reshape(K, M)
-        weights = prob[..., None, :]
-        for i in range(W - 2, -1, -1):
-            np.matmul(weights[i], np.take(X, rows[i], axis=0), out=Xn[:K].reshape(T, B1, 1, M))
-            X, Xn = Xn, X
-        mu[0].flat[entry] = _gth(X[entry])
-        # forward, each advance adds to its age + 1 state in the order of
-        # the states it comes from; resets go to a spare slot
-        aging = np.where(cols < B1, K, index % K)
-        for i in range(D - 1):
-            k = min(i, W - 1)
-            into = np.bincount(aging[k].ravel(), (mu[i, ..., None] * prob[k]).ravel(), K + 1)
-            mu[i + 1].flat = into[:K]
-        # pi_D = inflow (I - U)^-1, phase 0 first, once around the cycle
-        inflow, around = mu[-1].copy(), np.zeros(B1)
-        for r in range(1, T):
-            around = (around + inflow[r]) @ Ut[r]
-        mu[-1, 0] = (inflow[0] + around) @ stay
-    for r in range(1, T):
-        mu[-1, r] = inflow[r] + mu[-1, r - 1] @ Ut[r - 1]
-    mu /= mu.sum()
-    # flow = mu P, from the action table: a transmitting row moves by the
-    # transmit blocks and an idle one by the idle block, into the next phase
-    sent = mu * send.transpose(2, 0, 1)
+    stay = np.linalg.inv(np.eye(B1) - Wc)
+    G = np.empty((T, B1, M))
+    G[0] = stay @ C
+    for r in range(T - 1, 0, -1):
+        G[r] = Rt[r] + Ut[r] @ G[(r + 1) % T]
+    # below W, G_a row by row from the lumped chain's moves: an advance
+    # reads G_{a+1}'s row, a reset the row of an identity block for its
+    # age-1 state if that is in the class (else a zero row)
+    place = np.full(K, K + M)
+    place[entry] = np.arange(K, K + M)
+    rows = np.where(cols < B1, place[index % K], index % K)
+    X, Xn = np.zeros((2, K + M + 1, M))
+    X[K : K + M] = Xn[K : K + M] = np.eye(M)
+    X[:K] = G.reshape(K, M)
+    weights = prob[..., None, :]
+    for i in range(W - 2, -1, -1):
+        np.matmul(weights[i], np.take(X, rows[i], axis=0), out=Xn[:K].reshape(T, B1, 1, M))
+        X, Xn = Xn, X
+    mu = np.zeros((W, T, B1))
+    mu[0].flat[entry] = _gth(X[entry])
+    # forward to pi_W, each advance adding to its age + 1 state in the
+    # order of the states it comes from; resets go to a spare slot
+    aging = np.where(cols < B1, K, index % K)
+    for i in range(W - 1):
+        into = np.bincount(aging[i].ravel(), (mu[i, ..., None] * prob[i]).ravel(), K + 1)
+        mu[i + 1].flat = into[:K]
+    inflow = mu[-1].copy()
+    mu[-1] = _around(inflow, Ut, stay)
+    excess = _around(mu[-1] - inflow, Ut, stay).sum()
+    total = mu.sum()
+    mu /= total
+    # flow = mu P on the W levels: a row moves by its action's blocks into
+    # the next phase, the tail level into itself too
+    sent = mu * act
     moved = ((mu - sent) @ U[IDLE] + sent @ U[TRANSMIT])[:, prev]
-    flow = np.zeros_like(mu)
-    flow[1:] = moved[:-1]
+    flow = np.concatenate([(sent.sum(axis=0) @ R[TRANSMIT])[None, prev], moved[:-1]])
     flow[-1] += moved[-1]
-    flow[0] = (sent.sum(axis=0) @ R[TRANSMIT])[prev]
-    return mu, float(np.abs(flow - mu).sum())
+    return mu, float(excess / total), float(np.abs(flow - mu).sum())
 
 
 def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
-    """Exact long-run averages of ``kind`` on the truncated chain.
+    """Exact long-run averages of ``kind`` on the chain whose age is never
+    truncated; ``delta_max`` does not change them.
 
-    A periodic schedule is evaluated on the product chain over
-    (slot mod period, state), which makes it stationary. Its moves still
-    only advance or reset the age, so the same level reduction solves it,
-    with the phase joining the battery level in each age block.
-    ``cap_mass`` is the stationary mass at age delta_max.
+    A threshold above delta_max means "transmit from that age on", as in
+    ``decide``: an Optimal kind's table is built on the model widened to
+    its largest threshold. A periodic schedule is evaluated on the product
+    chain over (slot mod period, state), which makes it stationary, with
+    the phase joining the battery level in each age block. ``cap_mass`` is
+    the mass at the ages from W on, where the action table stops changing.
+    Raises UnboundedAgeError if nothing in the closed class resets the age.
     """
+    if isinstance(kind, Optimal):
+        m = replace(m, delta_max=max(m.delta_max, *kind.thresholds.thresholds))
     actions = stationary_actions(kind, m)
-    mu, residual = _stationary(actions, m)
-    by_age = mu.reshape(m.delta_max, -1).sum(axis=1)
-    average_aoi = float(by_age @ np.arange(1.0, m.delta_max + 1))
-    # the paid states: battery 0, transmitting, by (age, phase)
-    paid = actions.reshape(-1, m.battery_cap + 1, m.delta_max)[:, 0].T == TRANSMIT
-    rate = float(mu[..., 0][paid].sum())
-    return EvalReport(
-        average_cost=average_aoi + m.weight * m.cost_reliable * rate,
-        average_aoi=average_aoi,
-        reliable_energy_rate=rate,
-        balance_residual=residual,
-        cap_mass=float(by_age[-1]),
-    )
+    mu, excess, residual = _stationary(actions, m)
+    W = len(mu)
+    by_age = mu.reshape(W, -1).sum(axis=1)
+    average_aoi = float(by_age @ np.arange(1.0, W + 1) + excess)
+    # the paid states: battery 0, transmitting, at the W levels by phase
+    paid = actions.reshape(-1, m.battery_cap + 1, m.delta_max)[:, 0, list(range(W - 1)) + [-1]]
+    rate = float(mu[..., 0][paid.T == TRANSMIT].sum())
+    cost = average_aoi + m.weight * m.cost_reliable * rate
+    return EvalReport(cost, average_aoi, rate, balance_residual=residual, cap_mass=float(by_age[-1]))
 
 
 def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:

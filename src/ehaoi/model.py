@@ -5,10 +5,10 @@ probability ``p_block``. Every transmission consumes one energy packet.
 Free packets arrive Bernoulli(``lambda_e``) into a battery of capacity
 ``battery_cap``; when the battery is empty, a transmission instead draws
 a paid backup packet at cost ``cost_reliable``, weighted by ``weight`` in
-the objective. The state is (age of information, battery level). Age is
-truncated at ``delta_max`` with saturating dynamics so the chain stays
-finite; pick ``delta_max`` well above any policy threshold and the
-truncation is numerically invisible.
+the objective. The state is (age of information, battery level). The
+kernel, the value grids and relative value iteration truncate the age at
+``delta_max`` with saturating dynamics; policy iteration (the solver) and
+the exact evaluator work on the chain whose age is never truncated.
 
 Value tables throughout the package are plain float arrays indexed in
 ``enumerate_states`` order (battery level outer, age inner). Reshaped to
@@ -56,7 +56,7 @@ class ModelParams:
     battery_cap: int      # battery capacity B, at least 2
     cost_reliable: float  # cost of one paid backup packet, >= 0
     weight: float         # objective weight on the paid-energy term, > 0
-    delta_max: int = 200  # age truncation bound, at least 2
+    delta_max: int = 200  # ages in the kernel and value grids, at least 2
 
     def __post_init__(self):
         for name in ("lambda_e", "p_block", "cost_reliable", "weight"):

@@ -20,11 +20,11 @@ class ThresholdPolicy:
     """Transmit at battery level q exactly when age >= thresholds[q].
 
     A threshold above delta_max means "transmit from that age on", as
-    ``decide`` reads it; the truncated action table of
-    ``stationary_actions`` never transmits in that row. The solver's
-    truncated route (``SolveResult.truncated``) is the exception: there a
-    threshold of delta_max + 1 marks a row that never transmits within the
-    truncated chain.
+    ``decide`` and ``evaluate_exact`` read it; the ``stationary_actions``
+    table, which ends at delta_max, never transmits in that row. The
+    solver's truncated route (``SolveResult.truncated``) is the exception:
+    there a threshold of delta_max + 1 marks a row that never transmits
+    within the truncated chain.
     """
 
     thresholds: tuple[int, ...]

@@ -330,23 +330,28 @@ class TestSweep:
         assert "--axis" in capsys.readouterr().err
 
     def test_truncation_warnings_name_their_grid_point(self, tmp_path, capsys):
-        # all four points put a threshold past half the age cap: one stderr
-        # line each, naming the point, and no Python warning, whose default
-        # display would add a line of the caller's source
+        # lambda_e 1 goes to the truncated route, which warns that it
+        # truncates and that its threshold 9 passes half the age cap: one
+        # stderr line each, naming the point, and no Python warning, whose
+        # default display would add a line of the caller's source. The
+        # policy-iteration points stay silent, though their thresholds
+        # (23 and more) lie past the cap: nothing there depends on it
         out = tmp_path / "sweep.csv"
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
             code = main(["sweep", "--battery-cap", "3", "--delta-max", "8", "--weight", "100",
-                         "--axis", "lambda_e", "--grid", "0.05,0.1,0.2,0.3", "--out", str(out)])
+                         "--axis", "lambda_e", "--grid", "0.05,0.1,1", "--out", str(out)])
         assert code == 0
         assert raised == []
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 4
-        for line, value in zip(lines, ("0.05", "0.1", "0.2", "0.3")):
-            assert line.startswith(f"warning: lambda_e={value}: largest threshold ")
-            assert line.endswith("(delta_max=8); increase delta_max to keep the truncation inert")
-        assert captured.out == f"swept 4 lambda_e value(s) -> {out}\n"
+        assert captured.err.splitlines() == [
+            "warning: lambda_e=1: no transmission can lower the battery; solved on the "
+            "chain truncated at delta_max=8, where threshold 9 means never",
+            "warning: lambda_e=1: largest threshold 9 exceeds half the age cap "
+            "(delta_max=8); increase delta_max to keep the truncation inert",
+        ]
+        assert captured.out == f"swept 3 lambda_e value(s) -> {out}\n"
+        assert [r[2] for r in read_csv(out)[1:5]] == ["23", "21", "19", "12"]
 
 
 # compare's CSV for the arguments of TestCompare.test_rows_and_bytes_are_pinned,
@@ -355,7 +360,7 @@ PINNED_COMPARE = (
     b"axis_value,policy,average_cost,average_aoi,reliable_rate,status\n"
     b"0.3,optimal,3.05934083926,2.84253061848,0.0108405110392,ok\n"
     b"0.3,zero-wait,15.25,1.25,0.7,ok\n"
-    b"0.3,periodic,3.65661125468,3.65661125468,0,ok\n"
+    b"0.3,periodic,3.65731824281,3.65731824281,0,ok\n"
     b"0.3,optimal[sim seed=1],2.884,2.784,0.005,ok\n"
     b"0.3,optimal[sim seed=2],2.972,2.732,0.012,ok\n"
     b"0.3,zero-wait[sim seed=1],15.247,1.227,0.701,ok\n"
@@ -364,7 +369,7 @@ PINNED_COMPARE = (
     b"0.3,periodic[sim seed=2],3.289,3.289,0,ok\n"
     b"0.9,optimal,1.35013083108,1.35013083107,4.84504846399e-13,ok\n"
     b"0.9,zero-wait,3.25,1.25,0.1,ok\n"
-    b"0.9,periodic,2.74999972237,2.74999972237,0,ok\n"
+    b"0.9,periodic,2.75000000397,2.75000000397,0,ok\n"
     b"0.9,optimal[sim seed=1],1.312,1.312,0,ok\n"
     b"0.9,optimal[sim seed=2],1.346,1.346,0,ok\n"
     b"0.9,zero-wait[sim seed=1],2.947,1.227,0.086,ok\n"
@@ -400,14 +405,36 @@ class TestCompare:
 
     def test_rows_and_bytes_are_pinned(self, tmp_path):
         # exact rows, then simulated rows, policy by policy and seed by seed,
-        # at each axis value in grid order (lambda_e 0.3 puts a threshold
-        # past half the age cap, which warns)
+        # at each axis value in grid order
         out = tmp_path / "cmp.csv"
         code = main(["compare", *SMALL, "--axis", "lambda_e", "--grid", "0.3,0.9",
                      "--period", "3", "--periodic-skip-on-empty", "--simulate",
                      "--horizon", "1000", "--seed", "1", "--seed", "2", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == PINNED_COMPARE
+
+    @pytest.mark.parametrize("period, aoi", [(20, "15.5"), (30, "23")])
+    def test_periodic_age_is_the_closed_form(self, tmp_path, period, aoi):
+        # (T + 1)/2 + T p/(1 - p) at the defaults, to all 12 digits
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--axis", "weight", "--grid", "10",
+                     "--period", str(period), "--out", str(out)])
+        assert code == 0
+        assert read_csv(out)[3][1:4] == ["periodic", aoi, aoi]
+
+    def test_age_that_never_resets_fails_per_row(self, tmp_path, capsys):
+        # at p_block 1 - 1e-16 no transmission resets the age: every policy's
+        # average age is unbounded, so each row is an error and the exit 1
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", *SMALL, "--p-block", str(1.0 - 1e-16), "--axis", "weight",
+                     "--grid", "10", "--out", str(out)])
+        assert code == 1
+        rows = read_csv(out)[1:]
+        assert [r[1] for r in rows] == ["optimal", "zero-wait", "periodic"]
+        for r in rows:
+            assert r[2:5] == ["", "", ""]
+            assert r[5].startswith("error:no state of the closed class")
+        assert capsys.readouterr().out == f"compared 1 weight value(s) -> {out}\n"
 
 
 class TestVerify:

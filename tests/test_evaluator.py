@@ -39,6 +39,7 @@ from ehaoi.evaluator import (
     CI_BATCHES,
     T_975_19,
     _blocks,
+    UnboundedAgeError,
     _gth,
     _recurrent_class,
     _stationary,
@@ -255,6 +256,12 @@ class TestStationaryDist:
     def test_gth_handles_two_cycle(self):
         np.testing.assert_array_equal(_gth(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.5, 0.5])
 
+    def test_gth_exit_that_underflowed(self):
+        # state 1 has no exit back to state 0 (in floating point), so all
+        # the mass is on state 1 and none is NaN
+        pi = _gth(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        np.testing.assert_allclose(pi, [0.0, 1.0], rtol=0, atol=1e-149)
+
     def test_gth_masses_beyond_double_range(self):
         # birth-death chain whose masses grow by 1e12 per state: the last
         # state outweighs the first by 1e468
@@ -369,19 +376,37 @@ class TestBlocksMatchKernel:
 
 def _check_level_reduction(actions, m):
     """The level reduction agrees with the direct solve on the closed class
-    of the truncated chain gathered from ``kernel_arrays``, and its balance
-    residual, reported and recomputed on that chain, is at rounding level.
-    Returns the distribution in chain order."""
+    of the truncated chain gathered from ``kernel_arrays``, with that
+    solve's masses at ages W and above summed into the last level: every
+    age from W on moves alike, so the sum is the untruncated tail mass for
+    any delta_max >= W. Its balance residual, reported and recomputed on
+    the chain with those ages lumped, is at rounding level. Returns the
+    distribution by (age level, phase, battery); if no state of the class
+    has age 1, the age never resets, and the reduction must raise
+    UnboundedAgeError instead (returns None)."""
     B1, D = m.battery_cap + 1, m.delta_max
     P = _kernel_chain(np.reshape(actions, (-1, B1 * D)), m)
     cls = _recurrent_class(P.indptr, P.indices, start=0)
-    by_age, residual = _stationary(np.asarray(actions), m)
-    mu = by_age.transpose(1, 2, 0).ravel()  # (phase, battery, age), as P
-    want = np.zeros(P.shape[0])
-    want[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
-    np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
+    if not (cls % D == 0).any():  # nothing in the class resets the age
+        with pytest.raises(UnboundedAgeError):
+            _stationary(np.asarray(actions), m)
+        return None
+    mu, _, residual = _stationary(np.asarray(actions), m)
+    W = len(mu)
+    dist = np.zeros(P.shape[0])
+    dist[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
+    dist = dist.reshape(-1, D)  # by (phase, battery), then age
+    want = np.hstack([dist[:, : W - 1], dist[:, W - 1 :].sum(axis=1, keepdims=True)])
+    got = mu.transpose(1, 2, 0).reshape(-1, W)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert residual <= 1e-14
-    assert np.abs(mu @ P - mu).sum() <= 1e-14
+    # the lumped chain: the rows of ages 1..W, each column moved to its
+    # age's level
+    states = np.arange(P.shape[0]).reshape(-1, D)
+    level = states // D * W + np.minimum(np.arange(D), W - 1)
+    lump = sparse.csr_matrix((np.ones(P.shape[0]), (states.ravel(), level.ravel())))
+    lumped = P[states[:, :W].ravel()] @ lump
+    assert np.abs(got.ravel() @ lumped - got.ravel()).sum() <= 1e-14
     return mu
 
 
@@ -425,9 +450,10 @@ class TestLevelReduction:
     )
     @pytest.mark.parametrize("lam", [0.3, 1.0])
     def test_thresholds_at_and_past_the_cap(self, thresholds, lam):
-        # a threshold of delta_max transmits at the cap only, one of
-        # delta_max + 1 never
-        m = params(lambda_e=lam, battery_cap=3, delta_max=12)
+        # a threshold of delta_max transmits from the cap on; one of
+        # delta_max + 1 does so from age 13 on, on the model widened to
+        # 13 ages, as evaluate_exact reads it
+        m = params(lambda_e=lam, battery_cap=3, delta_max=max(12, *thresholds))
         _check_level_reduction(stationary_actions(Optimal(ThresholdPolicy(thresholds)), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -444,9 +470,9 @@ class TestLevelReduction:
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal(ThresholdPolicy((2, 2, 2)))
         mu = _check_level_reduction(stationary_actions(kind, m), m)
-        cycle = [enumerate_states(m).index(State(a, 2)) for a in (1, 2)]
-        np.testing.assert_array_equal(np.flatnonzero(mu), cycle)
-        np.testing.assert_allclose(mu[cycle], [0.5, 0.5], rtol=0, atol=1e-15)
+        # W = 2: the levels are age 1 and ages 2 and above
+        np.testing.assert_array_equal(np.argwhere(mu), [[0, 0, 2], [1, 0, 2]])
+        np.testing.assert_allclose(mu[:, 0, 2], [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
@@ -454,10 +480,10 @@ class TestLevelReduction:
         mu = _check_level_reduction(stationary_actions(Periodic(8), m), m)
         assert np.isfinite(mu).all()
 
-    def test_never_transmit_sits_at_cap(self):
+    def test_never_transmit_raises(self):
+        # the class is (full battery, every age from 1 on): the age never resets
         m = params(delta_max=7)
-        mu = _check_level_reduction(np.zeros(3 * 7, dtype=np.int8), m)
-        assert mu[enumerate_states(m).index(State(7, 2))] == 1.0
+        assert _check_level_reduction(np.zeros(3 * 7, dtype=np.int8), m) is None
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_smallest_age_cap(self, lam):
@@ -480,21 +506,20 @@ class TestLevelReduction:
         evaluate_exact(Periodic(20), m)
         assert sizes == [20 * 101 * 2]
 
-    # every field, recorded from the level reduction on the per-age
-    # blocks; each average and cap_mass is within 2e-16 relative of the
-    # earlier per-state reduction's
+    # every field, recorded from the level reduction on the untruncated
+    # chain; cap_mass is the mass at ages W and above. The periodic ages
+    # are (T + 1)/2 + T p/(1 - p) (2.75 for T = 3, 15.5 for T = 20), and
+    # their tail masses 1 - (1 - p)/T
     _PINNED = {
-        "periodic-1": (15.249999999959043, 1.2499999999590403, 0.7000000000000001,
-                       5.31751489660194e-18, 1.6383999999999982e-10),
-        "periodic-3": (3.8354099313827623, 2.7491199999999996, 0.05431449656913812,
-                       1.0483472678282299e-16, 0.0007466666666666661),
-        "periodic-3-skip": (3.613862882927078, 3.613862882927078, 0.0,
-                            1.0179980773281083e-16, 0.014333926007199314),
-        "periodic-20": (10.800000000515054, 10.799999999999999, 2.575272372806595e-11,
-                        5.915060375482337e-17, 0.43999999999999995),
-        "never-transmit": (15.0, 15.0, 0.0, 0.0, 1.0),
-        "transient-block": (4.098747454052358, 4.098747454052358, 0.0,
-                            1.4181364416110398e-16, 0.021448172404517695),
+        "periodic-1": (15.25, 1.25, 0.7, 6.938893903907228e-18, 0.19999999999999998),
+        "periodic-3": (3.8362899313827623, 2.75, 0.054314496569138115,
+                       1.0408340855860843e-16, 0.7333333333333333),
+        "periodic-3-skip": (3.6573182428094717, 3.6573182428094717, 0.0,
+                            1.214306433183765e-16, 0.7767849305886437),
+        "periodic-20": (15.500000000515051, 15.499999999999996, 2.575272372806595e-11,
+                        5.933727976227636e-17, 0.96),
+        "transient-block": (4.166666666666666, 4.166666666666666, 0.0,
+                            6.938893903907228e-17, 0.33362175999999993),
     }
 
     @pytest.mark.parametrize("name", list(_PINNED))
@@ -510,7 +535,6 @@ class TestLevelReduction:
             "periodic-3": Periodic(3),
             "periodic-3-skip": Periodic(3, True),
             "periodic-20": Periodic(20),
-            "never-transmit": Explicit(np.zeros((4, 15), dtype=np.int8)),  # class at the cap
             "transient-block": Explicit(transient),
         }[name]
         cost, aoi, rate, residual, cap = self._PINNED[name]
@@ -527,11 +551,12 @@ class TestEvaluateExact:
         assert r.average_cost == pytest.approx(1.25, abs=1e-12)
         assert r.reliable_energy_rate == pytest.approx(0.0, abs=1e-15)
 
-    def test_never_updating_sits_at_age_cap(self):
+    def test_never_updating_has_no_finite_average(self):
+        # the age grows for ever; compare reports a RuntimeError per row
         m = params(delta_max=7)
-        r = evaluate_exact(Explicit(np.zeros((3, 7), dtype=np.int8)), m)
-        assert r.average_cost == pytest.approx(7.0, abs=1e-12)
-        assert r.reliable_energy_rate == 0.0
+        with pytest.raises(UnboundedAgeError, match="resets the age") as exc:
+            evaluate_exact(Explicit(np.zeros((3, 7), dtype=np.int8)), m)
+        assert isinstance(exc.value, RuntimeError)
 
     def test_zero_wait_pays_for_half_the_slots(self):
         # with lambda 1/2 the battery alternates between empty and one packet
@@ -552,21 +577,19 @@ class TestEvaluateExact:
             r = evaluate_exact(kind, m)
             assert r.average_cost == r.average_aoi + m.weight * m.cost_reliable * r.reliable_energy_rate
 
-    def test_agrees_with_solver_gain(self):
+    @pytest.mark.parametrize("delta_max", [20, 400])
+    def test_agrees_with_solver_gain(self, delta_max):
         from ehaoi import modified_via
 
-        # the solver's gain is exact on the untruncated chain, so the
-        # truncated evaluator is compared where its cap holds no mass (at
-        # delta_max 20 the cap alone moves the average by 2.5e-6)
+        # both are exact on the untruncated chain, whatever delta_max is
         m = ModelParams(
             lambda_e=0.5, p_block=0.5, battery_cap=2,
-            cost_reliable=2.0, weight=1.0, delta_max=400,
+            cost_reliable=2.0, weight=1.0, delta_max=delta_max,
         )
         res, tp = modified_via(m, eps=1e-9)
         assert tp.thresholds == (2, 2, 1)
         r = evaluate_exact(Optimal(tp), m)
-        assert r.cap_mass < 1e-100
-        assert r.average_cost == pytest.approx(res.gain, abs=1e-9)
+        assert r.average_cost == pytest.approx(res.gain, abs=1e-12)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 3])
@@ -580,18 +603,66 @@ class TestEvaluateExact:
         _, tp = base_solution
         r = evaluate_exact(Optimal(tp), base_params)
         assert r.balance_residual <= 1e-14
-        assert 0.0 <= r.cap_mass < 1e-100  # the age cap is invisible here
-
-    def test_never_transmit_has_all_mass_at_cap(self):
-        m = params(delta_max=7)
-        r = evaluate_exact(Explicit(np.zeros((3, 7), dtype=np.int8)), m)
-        assert r.cap_mass == 1.0
-        assert r.balance_residual == 0.0
+        # the mass at ages 11 and above, where every battery transmits
+        assert r.cap_mass == pytest.approx(2.4008593290663e-06, rel=1e-9)
 
     def test_periodic_report_carries_its_evidence(self):
+        # every age moves alike (W = 2), so cap_mass is the mass at ages
+        # 2 and above: all but the (1 - p)/5 of the slots after an update
         r = evaluate_periodic_exact(Periodic(5), params(delta_max=120))
         assert r.balance_residual <= 1e-14
-        assert 0.0 < r.cap_mass < 1e-15
+        assert r.cap_mass == pytest.approx(0.84, abs=1e-12)
+
+    @pytest.mark.parametrize("period", [5, 20, 30])
+    def test_periodic_closed_form(self, base_params, period):
+        # a renewal at each scheduled slot with probability 1 - p
+        p = base_params.p_block
+        r = evaluate_exact(Periodic(period), base_params)
+        assert abs(r.average_aoi - ((period + 1) / 2 + period * p / (1 - p))) <= 1e-12
+
+    def test_hard_point_does_not_depend_on_delta_max(self):
+        # lambda_e 0.01, p_block 0.99, weight 100: the largest threshold,
+        # 124, is most of the smallest cap here
+        from ehaoi import modified_via
+
+        hard = dict(lambda_e=0.01, p_block=0.99, battery_cap=20, cost_reliable=2.0, weight=100.0)
+        res, tp = modified_via(ModelParams(**hard, delta_max=200), eps=1e-9)
+        assert tp.thresholds == (124,) * 20 + (78,)
+        for dm in (200, 400, 1600):
+            r = evaluate_exact(Optimal(tp), ModelParams(**hard, delta_max=dm))
+            assert abs(r.average_cost - res.gain) <= 1e-10 * res.gain
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_threshold_past_the_cap_transmits_from_there(self, lam):
+        # as decide reads it: 13 and 40 at delta_max 12 are ages 13 and 40
+        kind = Optimal(ThresholdPolicy((13, 5, 2, 40)))
+        narrow = evaluate_exact(kind, params(lambda_e=lam, battery_cap=3, delta_max=12))
+        wide = evaluate_exact(kind, params(lambda_e=lam, battery_cap=3, delta_max=60))
+        assert abs(narrow.average_cost - wide.average_cost) <= 1e-12 * wide.average_cost
+
+    @pytest.mark.parametrize("far", [1000, 2000])
+    def test_far_threshold_behind_an_underflowing_path(self, far):
+        # battery 0 is entered only by battery 1 transmitting, from age
+        # `far`; at 2000 the reset chain's way there (about 0.5**2000)
+        # underflows to 0, so that state holds no visible mass
+        from ehaoi.solver import _evaluate
+
+        m = params(battery_cap=3)
+        thresholds = (2, far, 4, 1)
+        gain = _evaluate(np.arange(1, far) >= np.array(thresholds)[:, None], m)[0]
+        r = evaluate_exact(Optimal(ThresholdPolicy(thresholds)), m)
+        assert abs(r.average_cost - gain) <= 1e-12 * gain
+
+    def test_large_point_does_not_depend_on_delta_max(self):
+        from ehaoi import modified_via
+
+        large = dict(lambda_e=0.5, p_block=0.2, battery_cap=100, cost_reliable=2.0, weight=10.0)
+        tp = modified_via(ModelParams(**large, delta_max=400), eps=1e-9)[1]
+        for kind in (Optimal(tp), ZeroWait(), Periodic(5), Periodic(20)):
+            a, b = (evaluate_exact(kind, ModelParams(**large, delta_max=dm)) for dm in (400, 1600))
+            for field in ("average_cost", "average_aoi", "reliable_energy_rate"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert abs(x - y) <= 1e-12 * abs(y), (kind, field)
 
     def test_report_has_no_simulation_metadata(self):
         r = evaluate_exact(ZeroWait(), params())

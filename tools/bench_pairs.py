@@ -19,6 +19,9 @@ fresh processes time ``modified_via`` at the two fixed points and
 ``evaluate_exact`` at the large one, for ZeroWait, ``Periodic(5)``,
 ``Periodic(20)`` and Optimal with the thresholds ``modified_via`` returns,
 solved once per process before the timed calls (best of a few calls each).
+The same four evaluations run again with the large point's age cap at
+1600, four times its own (n = 161 600): the exact evaluator works on the
+untruncated chain, so its time should not grow with ``delta_max``.
 One more timing, ``exact_first_call_n40400_s``, is a single
 ``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
 in its process: a best-of-N time hides one-time costs such as a module the
@@ -50,6 +53,7 @@ ROOT = Path(__file__).resolve().parents[1]
 POINT = dict(lambda_e=0.5, p_block=0.2, cost_reliable=2.0, weight=10.0)
 REFERENCE = dict(battery_cap=20, delta_max=200)
 LARGE = dict(battery_cap=100, delta_max=400)
+WIDE = dict(LARGE, delta_max=1600)
 # each in-process timing: the model point, the calls per process, the setup
 # run once before them and the timed call
 OPTIMAL = "optimal = Optimal(modified_via(m)[1])"
@@ -61,6 +65,10 @@ FIXED_POINTS = {
     "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
     "exact_periodic20_n40400_s": (LARGE, 3, "", "evaluate_exact(Periodic(20), m)"),
     "exact_first_call_n40400_s": (LARGE, 1, "", "evaluate_exact(ZeroWait(), m)"),
+    "exact_optimal_n161600_s": (WIDE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
+    "exact_zero_wait_n161600_s": (WIDE, 5, "", "evaluate_exact(ZeroWait(), m)"),
+    "exact_periodic5_n161600_s": (WIDE, 5, "", "evaluate_exact(Periodic(5), m)"),
+    "exact_periodic20_n161600_s": (WIDE, 3, "", "evaluate_exact(Periodic(20), m)"),
 }
 IN_PROCESS = """
 import sys, time
