@@ -504,27 +504,43 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     state, written in place into the first column of the (block, slot)
     state grid; ``block`` - 1 gathers fill the other columns. The ages come
     from one running maximum over the positions after a reset, with the
-    slots before the stretch's first reset continuing the carried-in age."""
+    slots before the stretch's first reset continuing the carried-in age.
+    The stretch buffers are allocated once per run, for the longest
+    stretch, so the yielded arrays are views that the next stretch
+    overwrites."""
     bits, k, move, table = machine.bits, machine.block, machine.move, machine.table
     S = 1 << bits
+    powers = S ** np.arange(k)
     energy, channel = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     t = 0
     state = 0  # (battery 0, age 1), times S
     aoi = 1
+    cap = max(sizes)
+    draw_buf = np.empty(cap)
+    harvest_buf = np.empty(cap, dtype=bool)
+    grid_buf = np.empty((-(-cap // k), k), dtype=np.intp)
+    code_buf = np.empty(len(grid_buf), dtype=np.intp)
+    state_buf = np.empty_like(grid_buf)
+    count = np.arange(1, cap + 1)
+    origin_buf = np.empty(cap, dtype=np.intp)
+    reset_buf = np.empty(cap, dtype=machine.reset.dtype)
+    paid_buf = np.empty(cap, dtype=machine.paid.dtype)
     for n in sizes:
         # the symbols, straight into the zero-padded (block, slot) grid
         blocks = -(-n // k)
-        grid = np.zeros((blocks, k), dtype=np.intp)
+        grid = grid_buf[:blocks]
+        grid.reshape(-1)[n:] = 0
         flat = grid.reshape(-1)[:n]
-        np.less(channel.random(n), m.p_block, out=flat, casting="unsafe")
+        np.less(channel.random(out=draw_buf[:n]), m.p_block, out=flat, casting="unsafe")
         flat <<= 1
-        flat += energy.random(n) < m.lambda_e
+        flat += np.less(energy.random(out=draw_buf[:n]), m.lambda_e, out=harvest_buf[:n])
         if machine.period > 1:
             flat[-t % machine.period :: machine.period] += 4  # t % period == 0
-        code = grid @ S ** np.arange(k)  # first slot lowest; exact in integers
+        # first slot lowest; exact in integers
+        code = np.matmul(grid, powers, out=code_buf[:blocks])
         # the sequential part: each block's first state from the one before
         s = state * S ** (k - 1)
-        idx = np.empty((blocks, k), dtype=np.intp)
+        idx = state_buf[:blocks]
         idx[0, 0] = state
         idx[1:, 0] = [s := table[s + c] for c in code[:-1].tolist()]
         idx[1:, 0] >>= bits * (k - 1)
@@ -536,16 +552,15 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
 
         # a reset at slot j makes the age 1 at slot j + 1; before the first
         # reset the ages continue from the carried-in one
-        reset = machine.reset[idx]
-        ages = np.arange(1, n + 1)
-        origin = np.empty(n, dtype=np.intp)
-        np.multiply(ages[:-1], reset[:-1], out=origin[1:])
+        reset = np.take(machine.reset, idx, out=reset_buf[:n])
+        origin = origin_buf[:n]
+        np.multiply(count[: n - 1], reset[:-1], out=origin[1:])
         first = int(reset.argmax())
         origin[: first + 1 if reset[first] else n] = 1 - aoi
-        ages -= np.maximum.accumulate(origin, out=origin)
+        ages = np.subtract(count[:n], np.maximum.accumulate(origin, out=origin), out=origin)
         aoi = 1 if reset[-1] else int(ages[-1]) + 1
         t += n
-        yield ages, machine.paid[idx]
+        yield ages, np.take(machine.paid, idx, out=paid_buf[:n])
 
 
 def check_run(horizon: int, seed: int) -> None:
@@ -592,14 +607,16 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     aoi_sum = 0
     paid_count = 0
     batch_sums = [0.0] * CI_BATCHES
+    cost_buf = np.empty(max(stretches))
     for i, (ages, paid) in zip(owner, _run(machine, m, seed, stretches)):
         aoi_sum += int(ages.sum())
         paid_count += int(np.count_nonzero(paid))
         if batch and i < CI_BATCHES:
-            costs = ages.astype(float)
-            costs[paid] += paid_price
+            costs = cost_buf[: len(ages)]
+            costs[:] = ages
+            np.add(costs, paid_price, out=costs, where=paid)
             costs[0] += batch_sums[i]  # the batch's running sum so far
-            batch_sums[i] = float(np.cumsum(costs)[-1])  # in slot order, as +=
+            batch_sums[i] = float(np.cumsum(costs, out=costs)[-1])  # in slot order, as +=
 
     average_aoi = aoi_sum / horizon
     rate = paid_count / horizon

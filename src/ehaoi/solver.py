@@ -57,8 +57,9 @@ DEFAULT_MAX_ITER = 100_000
 TIE_TOL = 1e-13
 # A policy iteration table holds at most this many (battery, age) cells.
 # Each cell costs about 60 bytes across the table, its bias and Q values,
-# and each evaluation walks every age of the table, so the cap bounds an
-# evaluation to about 120 MB and a few seconds.
+# and an evaluation walks at most every age of the table, so the cap bounds
+# an evaluation to about 120 MB and a few seconds. The carries kept between
+# evaluations (``_Kept``) hold at most this many floats, 16 MB.
 MAX_TABLE_CELLS = 2_000_000
 
 
@@ -234,7 +235,22 @@ def _runs(send: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return [(int(lo) + 1, int(hi), send[:, lo]) for lo, hi in zip(starts[::-1], ends[::-1])]
 
 
-def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
+class _Kept:
+    """What ``_evaluate`` keeps from one evaluation for the next, within one
+    ``modified_via`` call: its runs from the top as (first age, last age,
+    column bytes), the carry A reached at the bottom of each run (one
+    (B1, B1 + 2) float matrix per run, for the top runs that fit in
+    MAX_TABLE_CELLS floats), and each column's gathered moves."""
+
+    def __init__(self):
+        self.runs: list[tuple[int, int, bytes]] = []
+        self.carries: list[np.ndarray] = []
+        self.moves: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _evaluate(
+    send: np.ndarray, m: ModelParams, kept: _Kept | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact gain and bias of the policy that follows ``send`` (a (battery,
     age <= L) boolean table, True transmitting) and transmits at every age
     above L, on the chain whose age is never truncated.
@@ -245,24 +261,45 @@ def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.n
     advancing moves, so U_a X is one gather of both moves' rows; the one
     dense solve is the (battery_cap + 1)-square system for (h_1, g). Both
     passes over the ages take each run of equal columns' moves once.
+
+    ``kept`` carries work from the previous evaluation of the same model
+    over to this one, and is then updated to this one's. The first pass
+    carries A from age L + 1 down, so the carry at the bottom of a run is a
+    function of L and the runs above it alone, and the top run ends at L.
+    The pass starts from the kept carry below the longest top prefix of
+    runs the two tables share and re-walks only the runs below it. The
+    result is bit for bit the one without ``kept``.
     """
     t = _tail(m)
     B1, L = send.shape
     q = np.arange(B1)
     runs = _runs(send)
+    if kept is None:
+        kept = _Kept()
+    keys = [(lo, hi, col.tobytes()) for lo, hi, col in runs]
     moves = []  # by run: both moves' rows, their weights, the action column
-    for _, _, col in runs:
-        ac = col.astype(np.intp)
-        moves.append((t.cols[ac, q].T.ravel(), t.weights[ac, q].T.ravel(), ac))
+    for (_, _, key), (_, _, col) in zip(keys, runs):
+        mv = kept.moves.get(key)
+        if mv is None:
+            ac = col.astype(np.intp)
+            mv = (t.cols[ac, q].T.ravel(), t.weights[ac, q].T.ravel(), ac)
+        moves.append(mv)
+    start = 0
+    while start < min(len(keys), len(kept.carries)) and keys[start] == kept.runs[start]:
+        start += 1
     # h_a = A (h_1, g, 1), from a = L + 1 down to 1
-    A = np.empty((B1, B1 + 2))
-    A[:, :B1] = t.MR
-    A[:, B1] = -t.slope
-    A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
+    if start:
+        A = kept.carries[start - 1].copy()
+    else:
+        A = np.empty((B1, B1 + 2))
+        A[:, :B1] = t.MR
+        A[:, B1] = -t.slope
+        A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
+    carries = kept.carries[:start]
     both = np.empty((2 * B1, B1 + 2))
     forcing = np.empty((B1, B1 + 2))  # resets, -1 for g, the age
     forcing[:, B1] = -1.0
-    for (lo, hi, _), (rows, w, ac) in zip(runs, moves):
+    for (lo, hi, _), (rows, w, ac) in zip(runs[start:], moves[start:]):
         w = w[:, None]
         forcing[:, :B1] = t.R[ac, q]
         for a in range(hi, lo - 1, -1):
@@ -273,6 +310,10 @@ def _evaluate(send: np.ndarray, m: ModelParams) -> tuple[float, np.ndarray, np.n
             A += forcing
             if ac[0]:
                 A[0, B1 + 1] += t.paid
+        if (len(carries) + 1) * A.size <= MAX_TABLE_CELLS:
+            carries.append(A.copy())
+    kept.runs, kept.carries = keys, carries
+    kept.moves = {key: mv for (_, _, key), mv in zip(keys, moves)}
     # (I - A_h) h_1 - A_g g = A_1, with h_1 = 0 at battery_cap: that
     # unknown's column carries g instead
     lhs = -A[:, : B1 + 1]
@@ -375,9 +416,12 @@ def modified_via(
     is evaluated again if that changed it; the search ends at a table that
     rule leaves unchanged. A row's threshold is its first transmitting age,
     which may lie beyond delta_max; the returned policy transmits at every
-    age from the threshold on. Each evaluation walks every age of the
-    table, so the work grows with the largest threshold (about
-    weight * cost_reliable / 2 at the reference point).
+    age from the threshold on. An evaluation re-walks the table from its
+    first changed run of equal columns down (``_evaluate`` keeps the
+    previous evaluation's carry at the bottom of each run, one (B1, B1 + 2)
+    float matrix per run); when the width L changes it walks every age, so
+    the work grows with the largest threshold (about weight *
+    cost_reliable / 2 at the reference point).
 
     ``gain`` is the exact gain of those thresholds; ``values`` their exact
     bias on the (battery, age <= delta_max) grid, 0 at (age 1,
@@ -410,8 +454,9 @@ def modified_via(
     t = _tail(m)
     send = np.zeros((m.battery_cap + 1, 0), dtype=bool)  # all-transmit
     widths = []  # grows with the evaluations run, not with max_iter
+    kept = _Kept()
     for k in range(max_iter):
-        gain, H, kappa = _evaluate(send, m)
+        gain, H, kappa = _evaluate(send, m, kept)
         idle, tx = _q_values(H, m)
         bracket = _certificate(H, idle, tx)
         widths.append(bracket[1] - bracket[0])

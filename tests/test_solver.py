@@ -31,6 +31,7 @@ from ehaoi.model import PROB_FLOOR, GridShift
 from ehaoi import solver
 from ehaoi.solver import (
     TIE_TOL,
+    _Kept,
     _certificate,
     _evaluate,
     _first_ages,
@@ -204,19 +205,24 @@ class TestRegressionPins:
     returned thresholds and the number of policy evaluations. At lambda_e
     0.99 from battery 6 up, and at weight 0.5 on batteries 0-19, the idle
     and transmit Q values tie at age 1 (their exact gap is within TIE_TOL;
-    see the README), and the ties idle."""
+    see the README), and the ties idle. The large point's 37 evaluations
+    mostly change only age 2 of the table, so they re-walk little of it
+    (``_evaluate``'s kept carries); its pin holds that search path."""
 
     @pytest.mark.parametrize(
-        "lam, weight, gain, iterations, evals, thresholds",
+        "point, gain, iterations, evals, thresholds",
         [
-            (0.5, 10.0, "1.850888814810359", 10, 59,
+            (dict(lambda_e=0.5), "1.850888814810359", 10, 59,
              (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)),
-            (0.99, 10.0, "1.26", 5, 59, (20,) + (2,) * 19 + (1,)),
-            (0.5, 0.5, "1.7500000000000002", 2, 41, (2,) * 20 + (1,)),
+            (dict(lambda_e=0.99), "1.26", 5, 59, (20,) + (2,) * 19 + (1,)),
+            (dict(lambda_e=0.5, weight=0.5), "1.7500000000000002", 2, 41, (2,) * 20 + (1,)),
+            (dict(lambda_e=0.5, battery_cap=100, delta_max=400), "1.8500000000004038", 37, 246,
+             (11, 4) + (3,) * 34 + (2,) * 64 + (1,)),
         ],
+        ids=["reference", "lambda-0.99", "weight-0.5", "large"],
     )
-    def test_modified_via(self, lam, weight, gain, iterations, evals, thresholds):
-        m = ModelParams(**{**REFERENCE, "lambda_e": lam, "weight": weight})
+    def test_modified_via(self, point, gain, iterations, evals, thresholds):
+        m = ModelParams(**{**REFERENCE, **point})
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)  # PI never warns
             res, tp = modified_via(m, eps=1e-9)
@@ -541,11 +547,27 @@ class TestEvaluate:
             send = np.arange(1, L + 1) >= th[:, None]
         else:
             send = rng.random((m.battery_cap + 1, L)) < 0.5
-        gain, H, kappa = _evaluate(send, m)
-        ref_gain, ref_H, ref_kappa = plain_evaluate(send, m)
-        assert gain == ref_gain
-        np.testing.assert_array_equal(H, ref_H)
-        np.testing.assert_array_equal(kappa, ref_kappa)
+        # then through one kept state: the table with only its lowest run
+        # changed, then its top run too, then with one more age
+        low, top = send.copy(), send.copy()
+        if L:
+            low[0, 0] = not low[0, 0]
+            top = low.copy()
+            top[0, -1] = not top[0, -1]
+        wider = np.hstack([top, rng.random((m.battery_cap + 1, 1)) < 0.5])
+        kept = _Kept()
+        for i, table in enumerate([send, low, top, wider]):
+            before = kept.carries
+            ref_gain, ref_H, ref_kappa = plain_evaluate(table, m)
+            for route in (_evaluate(table, m), _evaluate(table, m, kept)):
+                gain, H, kappa = route
+                assert gain == ref_gain
+                np.testing.assert_array_equal(H, ref_H)
+                np.testing.assert_array_equal(kappa, ref_kappa)
+            if i == 1:
+                # the lowest run, and the one above it if they merged, is
+                # re-walked; the carries of every run above are reused
+                assert all(a is b for a, b in zip(before[:-2], kept.carries))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_exact_evaluator(self, seed):

@@ -15,10 +15,11 @@ length; the first pair and every other one after it run the parent first,
 the rest the change first, and the i-th pair (from 0) uses seed
 ``--seed-base`` + i on both sides. Half as many pairs (at least one) of
 ``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
-fresh processes time ``modified_via`` at the two fixed points and
-``evaluate_exact`` at the large one, for ZeroWait, ``Periodic(5)``,
-``Periodic(20)`` and Optimal with the thresholds ``modified_via`` returns,
-solved once per process before the timed calls (best of a few calls each).
+fresh processes time ``modified_via`` at the two fixed points and at the
+large one with weight 100, and ``evaluate_exact`` at the large one, for
+ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and Optimal with the thresholds
+``modified_via`` returns, solved once per process before the timed calls
+(best of a few calls each).
 The same four evaluations run again with the large point's age cap at
 1600, four times its own (n = 161 600): the exact evaluator works on the
 untruncated chain, so its time should not grow with ``delta_max``.
@@ -60,6 +61,9 @@ OPTIMAL = "optimal = Optimal(modified_via(m)[1])"
 FIXED_POINTS = {
     "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9, 100_000)"),
     "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9, 100_000)"),
+    # the point where policy iteration reuses the most of each evaluation
+    "modified_via_n40400_w100_s": (dict(LARGE, weight=100.0), 2, "",
+                                   "modified_via(m, 1e-9, 100_000)"),
     "exact_optimal_n40400_s": (LARGE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
     "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
     "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
