@@ -41,18 +41,7 @@ from .policies import (
     decide,
     stationary_actions,
 )
-from .solver import (
-    ConvergenceError,
-    SolveResult,
-    ThresholdStructureError,
-    TruncationWarning,
-    bellman_backup_q,
-    extract_policy,
-    extract_thresholds,
-    modified_via,
-    q_value,
-    relative_value_iteration,
-)
+from .solver import ConvergenceError, SolveResult, modified_via
 from .verify import StructureReport, run_all_checks
 
 __version__ = "0.1.0"
@@ -76,23 +65,16 @@ __all__ = [
     "StepRecord",
     "StructureReport",
     "ThresholdPolicy",
-    "ThresholdStructureError",
     "TransitionDist",
-    "TruncationWarning",
     "UnboundedAgeError",
     "ZeroWait",
-    "bellman_backup_q",
     "decide",
     "enumerate_states",
     "evaluate_exact",
     "evaluate_periodic_exact",
-    "extract_policy",
-    "extract_thresholds",
     "kernel_arrays",
     "modified_via",
     "one_step_cost",
-    "q_value",
-    "relative_value_iteration",
     "run_all_checks",
     "simulate",
     "state_count",

@@ -14,13 +14,18 @@ import csv
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
-from .evaluator import check_run, evaluate_exact, evaluate_periodic_exact, simulate
+from .evaluator import (
+    UnboundedAgeError,
+    check_run,
+    evaluate_exact,
+    evaluate_periodic_exact,
+    simulate,
+)
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
 from .policies import Optimal, Periodic, ZeroWait
-from .solver import ConvergenceError, TruncationWarning, modified_via
+from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
 
 OK = 0
@@ -28,6 +33,9 @@ FAIL = 1
 USAGE = 2
 
 AXES = ("weight", "lambda_e", "p_block")
+# what a solve raises for a model it cannot solve: exit 1, or a grid
+# point's error rows
+SOLVE_ERRORS = (ConvergenceError, UnboundedAgeError)
 
 
 @dataclass
@@ -173,21 +181,6 @@ def _policy_kind(cfg: RunConfig):
     raise CliUsageError(f"unknown policy {cfg.policy!r}")
 
 
-def _solve(cfg: RunConfig, m: ModelParams, point: str = ""):
-    """``modified_via`` at ``m``. Each TruncationWarning it raises becomes
-    one stderr line, naming the grid point ``point`` (``axis=value: ``) if
-    there is one; any other warning passes on."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        solved = modified_via(m, cfg.eps, cfg.max_iter)
-    for w in caught:
-        if issubclass(w.category, TruncationWarning):
-            print(f"warning: {point}{w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return solved
-
-
 def _derived_path(base: str, suffix: str) -> str:
     if base.endswith(".csv"):
         return base[: -len(".csv")] + suffix + ".csv"
@@ -199,7 +192,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out or "thresholds.csv"
     policy_out = _derived_path(out, "_policy")
     _check_writable(out, policy_out)
-    result, tp = _solve(cfg, m)
+    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
     _write_csv(out, ["q", "threshold"], list(enumerate(tp.thresholds)))
     rows = [
         [s.aoi, s.battery, int(a)]
@@ -223,7 +216,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out or "simulate.csv"
     _check_writable(out)
     if kind is None:
-        kind = Optimal(_solve(cfg, m)[1])
+        kind = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
     rows = []
     costs = []
     for seed in cfg.seeds:
@@ -285,8 +278,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         # the compared policies in row order; optimal's kind comes from the solve
         kinds = {"optimal": None, "zero-wait": ZeroWait(), "periodic": periodic}
         try:
-            kinds["optimal"] = Optimal(_solve(cfg, m, f"{cfg.axis}={_fmt(value)}: ")[1])
-        except ConvergenceError as exc:
+            kinds["optimal"] = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
+        except SOLVE_ERRORS as exc:
             rows += [_compare_row(value, name, error=exc) for name in kinds]
             failed = True
             continue
@@ -317,8 +310,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     failed = False
     for value, m in points:
         try:
-            result, tp = _solve(cfg, m, f"{cfg.axis}={_fmt(value)}: ")
-        except ConvergenceError as exc:
+            result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+        except SOLVE_ERRORS as exc:
             rows.append([value, None, None, None, f"error:{exc}"])
             failed = True
             continue
@@ -333,7 +326,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     m = _model_params(cfg)
     if cfg.out:
         _check_writable(cfg.out)
-    result, tp = _solve(cfg, m)
+    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
     reports = run_all_checks(result.values, m)
     print(f"gain={_fmt(result.gain)} iterations={result.iterations}")
     print(f"thresholds={','.join(str(t) for t in tp.thresholds)}")
@@ -376,14 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--battery-cap", dest="battery_cap", type=int, help="battery capacity")
     common.add_argument("--cost-reliable", dest="cost_reliable", type=float, help="paid backup packet cost")
     common.add_argument("--weight", dest="weight", type=float, help="objective weight on paid energy")
-    common.add_argument("--delta-max", dest="delta_max", type=int, help="grid ages; a truncated solve's age cap")
+    common.add_argument("--delta-max", dest="delta_max", type=int, help="ages in the policy and value grids")
     common.add_argument(
         "--eps", dest="eps", type=float,
-        help="widest gain certificate the solver accepts (span tolerance on a truncated solve)",
+        help="widest gain certificate the solver accepts",
     )
     common.add_argument(
         "--max-iter", dest="max_iter", type=int,
-        help="cap on the solver's policy evaluations (sweeps on a truncated solve)",
+        help="cap on the solver's policy evaluations",
     )
     common.add_argument("--out", dest="out", help="output CSV path")
     common.add_argument("--config", dest="config", help="JSON config file; flags override it")
@@ -442,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliUsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except ConvergenceError as exc:
+    except SOLVE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

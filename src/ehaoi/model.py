@@ -6,17 +6,17 @@ Free packets arrive Bernoulli(``lambda_e``) into a battery of capacity
 ``battery_cap``; when the battery is empty, a transmission instead draws
 a paid backup packet at cost ``cost_reliable``, weighted by ``weight`` in
 the objective. The state is (age of information, battery level). The
-kernel, the value grids and relative value iteration truncate the age at
-``delta_max`` with saturating dynamics; policy iteration (the solver) and
-the exact evaluator work on the chain whose age is never truncated.
+kernel and the value grids truncate the age at ``delta_max`` with
+saturating dynamics; policy iteration (the solver) and the exact evaluator
+work on the chain whose age is never truncated.
 
 Value tables throughout the package are plain float arrays indexed in
 ``enumerate_states`` order (battery level outer, age inner). Reshaped to
-``(battery_cap + 1, delta_max)`` they form the (battery, age) grid on which
-every successor is a fixed shift. ``_coefficients`` gives the branch
-probabilities, which ``GridShift`` (the solver's Bellman operator) and the
-evaluator's per-age blocks are built from; ``transition``/``kernel_arrays``
-stay as the per-state reference they are checked against.
+``(battery_cap + 1, delta_max)`` they form the (battery, age) grid.
+``_coefficients`` gives the branch probabilities that the evaluator's
+per-age blocks, and through them the solver, are built from;
+``transition``/``kernel_arrays`` stay as the per-state reference they are
+checked against.
 """
 
 from __future__ import annotations
@@ -232,151 +232,3 @@ def _coefficients(m: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]
         tuple(pr if pr >= PROB_FLOOR else 0.0 for pr in probs) for probs in raw
     )
     return idle, transmit
-
-
-PAGE = 4096  # bytes
-# Where each of the sweep's five streams starts, in bytes past a PAGE
-# boundary: the padded values, the Bellman output, the term, transmit and age
-# grids. Separate allocations all start at one offset (0x10 in a fresh
-# process). A load whose address matches an earlier, still pending store's in
-# the low 12 bits then waits for that store as if the two overlapped (4K
-# aliasing), and a sweep's streams do that at every element. At n = 4200 and
-# n = 40 400, every layout tried with the starts at least 256 B apart swept in
-# 0.80-0.95 of the time of all five at 0x10 (24 layouts, paired rounds in one
-# process); this one, 512 B apart at the least, was among the fastest at both.
-STREAM_OFFSETS = (0x000, 0x400, 0x800, 0xC00, 0x200)
-
-
-def _staggered(sizes: tuple[int, ...], offsets: tuple[int, ...]) -> list[np.ndarray]:
-    """Float arrays of ``sizes`` doubles cut from one block, the i-th
-    starting ``offsets[i]`` bytes past a 4 KiB boundary."""
-    block = np.empty(sum(sizes) + len(sizes) * PAGE // 8)
-    base = block.ctypes.data  # 8-aligned, as every float array is
-    arrays, pos = [], 0
-    for size, offset in zip(sizes, offsets):
-        pos += (offset - base - 8 * pos) % PAGE // 8
-        arrays.append(block[pos : pos + size])
-        pos += size
-    return arrays
-
-
-class GridShift:
-    """Bellman Q operator as slice operations on the (battery, age) grid.
-
-    Every successor is a shift of the value grid: age + 1 (capped at
-    delta_max) or reset to 1, battery + 1 or - 1 (clipped). Each action's
-    terms are summed in ``transition``'s entry order, left to right, which
-    is how numpy reduces ``kernel_arrays``' length-4 rows, so the result
-    equals the gather over ``kernel_arrays`` bit for bit.
-
-    ``backup`` takes the minimum over actions before it adds the age, which
-    is exact: rounding to nearest is monotone, so x <= y gives
-    fl(x + a) <= fl(y + a), and min(fl(x + a), fl(y + a)) is
-    fl(min(x, y) + a) for any doubles x, y, a. Only an empty battery's
-    transmit Q, which adds the paid price as well, is compared finished.
-
-    The operator owns its input and output: ``values``, the first n entries
-    of a buffer of n + 1 doubles, and ``out``. ``sweep`` writes the Bellman
-    values of ``values`` into ``out``. These two and the three work grids
-    are cut from one block at ``STREAM_OFFSETS``, and every view a sweep
-    reads or writes is made once, here, so a sweep allocates nothing.
-    """
-
-    def __init__(self, m: ModelParams):
-        b_max, dm = m.battery_cap, m.delta_max
-        self.shape = shape = (b_max + 1, dm)
-        n, rows = state_count(m), b_max * dm
-        self.idle, self.transmit = _coefficients(m)
-        self.age = np.arange(1, dm + 1, dtype=float)
-        self.paid_age = self.age + m.weight * m.cost_reliable
-        x, out, term, tx, age_grid = _staggered((n + 1, n, rows, rows, rows), STREAM_OFFSETS)
-        self.values, self.out = x[:n], out
-        self._term = term.reshape(b_max, dm)
-        self._tx = tx.reshape(b_max, dm)
-        # the age of every row but battery 0's, laid out like them
-        self._age_grid = age_grid.reshape(b_max, dm)
-        self._age_grid[:] = self.age
-        self._reset = np.empty((b_max + 1, 1))
-        self._col = np.empty((b_max, 1))  # one reset term per battery row
-        self._idle0 = np.empty(dm)
-        # the views of ``_sums``: ``x`` read from entry 1 on, as the same
-        # grid, is v at age + 1 except at each row's last age, which holds
-        # the next row's age-1 value
-        grid = x[:-1].reshape(shape)
-        aged = x[1:].reshape(shape)  # aged[b, j] = v at (min(j + 2, delta_max), b)
-        self._first, self._last = grid[:, 0], grid[:, -1]
-        self._row_ends, self._inner_ends = x[dm::dm], x[dm:-1:dm]
-        self._aged_up, self._aged_stay, self._aged_top = aged[1:], aged[:-1], aged[-1]
-        self._reset_col, self._reset_up_col = self._reset[:, 0], self._reset[1:, 0]
-        self._reset_up, self._reset_stay = self._reset[1:], self._reset[:-1]
-        best = out.reshape(shape)
-        self._best0, self._best_up = best[0], best[1:]
-        self._idle_lo, self._idle_top = best[:-1], best[-1]
-        self._tx0 = self._tx[0]
-
-    def _sums(self) -> None:
-        """The Q values of ``values`` less the one-step cost: idle for every
-        battery level, in ``out``, and transmit for levels 1..battery_cap,
-        in ``_tx``. Battery q >= 1 spends down to q - 1; an empty battery
-        pays for a backup packet and so has the successors, and the sum, of
-        battery 1.
-
-        The age-shifted values are read in place from the padded buffer: the
-        age-1 column is saved, each row's end is overwritten with its
-        age-delta_max value (the cap), the sums read the shifted view, and
-        the column is written back, so ``values`` ends as it began and only
-        the spare entry after them changes."""
-        term, tx = self._term, self._tx
-        np.copyto(self._reset_col, self._first)  # age 1
-        np.copyto(self._row_ends, self._last)
-        up, stay = self.idle
-        np.multiply(self._aged_up, up, out=self._idle_lo)
-        np.multiply(self._aged_stay, stay, out=term)
-        np.add(self._idle_lo, term, out=self._idle_lo)
-        np.copyto(self._idle_top, self._aged_top)  # a full battery idles with probability 1
-        c0, c1, c2, c3 = self.transmit
-        np.multiply(self._aged_up, c0, out=tx)
-        col = self._col
-        np.multiply(self._reset_up, c1, out=col)
-        np.copyto(term, col)  # a whole-grid add, not one per row
-        np.add(tx, term, out=tx)
-        np.multiply(self._aged_stay, c2, out=term)
-        np.add(tx, term, out=tx)
-        np.multiply(self._reset_stay, c3, out=col)
-        np.copyto(term, col)
-        np.add(tx, term, out=tx)
-        np.copyto(self._inner_ends, self._reset_up_col)
-
-    def sweep(self) -> None:
-        """``out`` = the Bellman values of ``values``, the minimum over
-        actions of ``backup_q``, bit for bit."""
-        self._sums()
-        # an empty battery's transmit Q adds the paid price as well, so its
-        # row compares the finished Q values
-        idle0 = np.add(self._best0, self.age, out=self._idle0)
-        np.add(self.paid_age, self._tx0, out=self._best0)
-        np.minimum(idle0, self._best0, out=self._best0)
-        np.minimum(self._best_up, self._tx, out=self._best_up)
-        np.add(self._best_up, self._age_grid, out=self._best_up)
-
-    def _load(self, v: np.ndarray) -> None:
-        """Copy a caller's n values, flat or as the grid, into ``values``;
-        a table of any other size raises ValueError."""
-        np.copyto(self.values, np.reshape(np.asarray(v, dtype=float), self.values.shape))
-
-    def backup_q(self, v: np.ndarray) -> np.ndarray:
-        """Q-values for every (action, state) pair as a (2, n) array."""
-        self._load(v)
-        self._sums()
-        q = np.empty((2,) + self.shape)
-        np.add(self.out.reshape(self.shape), self.age, out=q[IDLE])
-        np.add(self.paid_age, self._tx0, out=q[TRANSMIT, 0])
-        np.add(self._tx, self.age, out=q[TRANSMIT, 1:])
-        return q.reshape(2, -1)
-
-    def backup(self, v: np.ndarray) -> np.ndarray:
-        """Bellman values, the minimum over actions of ``backup_q``, bit for
-        bit, as an (n,) array."""
-        self._load(v)
-        self.sweep()
-        return self.out.copy()

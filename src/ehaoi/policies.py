@@ -21,10 +21,7 @@ class ThresholdPolicy:
 
     A threshold above delta_max means "transmit from that age on", as
     ``decide`` and ``evaluate_exact`` read it; the ``stationary_actions``
-    table, which ends at delta_max, never transmits in that row. The
-    solver's truncated route (``SolveResult.truncated``) is the exception:
-    there a threshold of delta_max + 1 marks a row that never transmits
-    within the truncated chain.
+    table, which ends at delta_max, never transmits in that row.
     """
 
     thresholds: tuple[int, ...]

@@ -1,5 +1,4 @@
-"""Average-cost solver: policy iteration on the untruncated chain, and
-relative value iteration as its oracle.
+"""Average-cost solver: policy iteration on the untruncated chain.
 
 ``modified_via`` solves by policy iteration: each policy, a (battery,
 age <= L) table that transmits above L, is evaluated exactly on the chain
@@ -8,44 +7,27 @@ the age), improved on the Q values at ages <= L + 1 with the tail in closed
 form (``_improve``), and the gain of the result is certified by one Bellman
 backup of its bias (``_certificate``). One tie rule holds throughout: a
 state transmits only where its transmit Q value is below its idle one by
-more than ``TIE_TOL``, so ties idle. Models whose transmissions can never
-lower the battery or never reset the age have no untruncated solution to
-evaluate; ``modified_via`` solves those by relative value iteration and
-says so (``SolveResult.truncated`` and a TruncationWarning).
+more than ``TIE_TOL``, so ties idle.
 
-``relative_value_iteration`` runs value iteration on the chain truncated at
-``delta_max``, normalized against a fixed reference state and stopped on the
-span seminorm of the Bellman update. Every sweep is ``GridShift.sweep``, and
-its full argmin (``extract_policy``) compares the Q values of ``backup_q``
-under the same tie rule.
+Two kinds of model degenerate. Where no transmission can lower the battery
+(lambda_e within about 1e-15 of 1), the search starts from, and keeps, a
+table that idles at age 1 on batteries 1..battery_cap - 1, so battery_cap
+is the one closed class. Where none can reset the age (p_block that close
+to 1), the gain is infinite and ``modified_via`` raises UnboundedAgeError.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluator import _blocks
-from .model import (
-    IDLE,
-    TRANSMIT,
-    DomainError,
-    GridShift,
-    ModelParams,
-    State,
-    _coefficients,
-    is_int,
-    is_real,
-    one_step_cost,
-    state_count,
-    state_index,
-    transition,
-)
+from .evaluator import UnboundedAgeError, _blocks
+from .model import IDLE, TRANSMIT, DomainError, ModelParams, _coefficients, is_int, is_real
 from .policies import Optimal, ThresholdPolicy, stationary_actions
 
 DEFAULT_EPS = 1e-9
@@ -72,46 +54,16 @@ class ConvergenceError(RuntimeError):
         self.span_residual = span_residual
 
 
-class ThresholdStructureError(ValueError):
-    """A policy row goes back to idling above an age that transmits.
-
-    ``witnesses`` lists (battery, first transmitting age, later idle age)
-    triples, one per offending row.
-    """
-
-    def __init__(self, message: str, witnesses: list[tuple[int, int, int]]):
-        super().__init__(message)
-        self.witnesses = witnesses
-
-
-class TruncationWarning(UserWarning):
-    """A threshold is high enough that the age cap may distort the solution."""
-
-
 @dataclass
 class SolveResult:
-    gain: float               # long-run average cost per slot
-    values: np.ndarray        # relative values, enumerate_states order
+    gain: float               # exact gain of the returned thresholds
+    values: np.ndarray        # their exact bias, enumerate_states order
     policy: np.ndarray        # 0/1 action per state
-    iterations: int           # policy evaluations (PI) or sweeps (RVI)
+    iterations: int           # policy evaluations
     span_residual: float      # width of gain_bracket
-    span_history: np.ndarray  # that width after each evaluation or sweep
-    argmin_evals: int         # sum_q min(threshold_q, delta_max); n for the full argmin
-    gain_bracket: tuple[float, float] = (-np.inf, np.inf)  # (lo, hi) around the optimal gain
-    truncated: bool = False   # solved by RVI on the chain truncated at delta_max
-
-
-def q_value(v: np.ndarray, s: State, a: int, m: ModelParams) -> float:
-    """One-step lookahead value of (s, a) against value table ``v``."""
-    total = one_step_cost(s, a, m)
-    for ns, pr in transition(s, a, m).entries:
-        total += pr * float(v[state_index(ns, m)])
-    return float(total)
-
-
-def bellman_backup_q(v: np.ndarray, m: ModelParams) -> np.ndarray:
-    """Q-values for every (action, state) pair as a (2, n) array."""
-    return GridShift(m).backup_q(v)
+    span_history: np.ndarray  # that width after each evaluation
+    argmin_evals: int         # sum_q min(threshold_q, delta_max)
+    gain_bracket: tuple[float, float]  # (lo, hi) around the optimal gain
 
 
 def _check_stopping(eps: float, max_iter: int) -> None:
@@ -119,57 +71,6 @@ def _check_stopping(eps: float, max_iter: int) -> None:
         raise DomainError(f"eps must be a finite number > 0, got {eps!r}")
     if not (is_int(max_iter) and max_iter >= 1):
         raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
-
-
-def _iterate_values(m: ModelParams, eps: float, max_iter: int):
-    _check_stopping(eps, max_iter)
-    op = GridShift(m)
-    ref = state_index(State(1, m.battery_cap), m)
-    # the sweep reads the values and writes the Bellman values into buffers
-    # the operator owns (GridShift.sweep)
-    v, tv = op.values, op.out
-    v[:] = 0.0
-    spans = []  # grows with the sweeps run, not with max_iter
-    span = np.inf
-    for k in range(max_iter):
-        op.sweep()
-        # the update into v's own buffer: v is renormalized from tv below
-        np.subtract(tv, v, out=v)
-        hi = float(v.max())
-        lo = float(v.min())
-        span = hi - lo
-        spans.append(span)
-        np.subtract(tv, tv[ref], out=v)
-        if span <= eps:
-            gain = 0.5 * (hi + lo)
-            # a copy, so the result does not hold the operator's block
-            return v.copy(), gain, (lo, hi), k + 1, span, np.array(spans)
-    raise ConvergenceError(
-        f"span residual {span:.3e} after {max_iter} iterations (eps={eps:.3e})",
-        max_iter,
-        span,
-    )
-
-
-def relative_value_iteration(
-    m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
-) -> SolveResult:
-    """Solve the truncated average-cost problem by value iteration; greedy
-    policy via full argmin. ``gain_bracket`` is the Odoni bracket (min and
-    max of the last Bellman update's change), ``gain`` its midpoint."""
-    v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
-    policy = extract_policy(v, m)
-    return SolveResult(
-        gain, v, policy, iters, span, spans, state_count(m), gain_bracket=bracket,
-        truncated=True,
-    )
-
-
-def extract_policy(v: np.ndarray, m: ModelParams) -> np.ndarray:
-    """Greedy 0/1 action per state: transmit where the transmit Q value is
-    below the idle one by more than TIE_TOL, so ties idle."""
-    q = bellman_backup_q(v, m)
-    return (q[TRANSMIT] < q[IDLE] - TIE_TOL).astype(np.int8)
 
 
 class _Tail(NamedTuple):
@@ -367,7 +268,7 @@ def _certificate(H: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> tuple[float
 
 
 def _improve(
-    send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, reach: int
+    send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, reach: int, pin: bool
 ) -> np.ndarray | None:
     """The next table from the idle-minus-transmit Q ``gap`` at ages
     1..L + 1 (by age, battery) of the policy ``send``, or None if it would
@@ -379,7 +280,8 @@ def _improve(
     at age L + 1 + k, and every state there transmits now, so each row's
     idle ages there are counted in closed form; at most ``reach`` of them
     switch (switching only some of the states that gain still improves the
-    policy). The table is cut after its last idle age.
+    policy). With ``pin`` batteries 1..battery_cap - 1 idle at age 1
+    whatever the gap. The table is cut after its last idle age.
     """
     B1, L = send.shape
     gap = gap.T
@@ -399,6 +301,8 @@ def _improve(
     table = np.ones((B1, int(ages)), dtype=bool)
     table[:, : L + 1] = head
     table[:, L + 1 :] = np.arange(1, table.shape[1] - L) > idle[:, None]
+    if pin:
+        table[1:-1, 0] = False
     width = int(np.flatnonzero(~table.all(axis=0)).max(initial=-1)) + 1
     return table[:, :width]
 
@@ -414,14 +318,27 @@ def modified_via(
     by more than ``TIE_TOL``. Once no state changes, the table transmits
     where transmitting is better by more than ``TIE_TOL`` (ties idle), and
     is evaluated again if that changed it; the search ends at a table that
-    rule leaves unchanged. A row's threshold is its first transmitting age,
-    which may lie beyond delta_max; the returned policy transmits at every
-    age from the threshold on. An evaluation re-walks the table from its
-    first changed run of equal columns down (``_evaluate`` keeps the
-    previous evaluation's carry at the bottom of each run, one (B1, B1 + 2)
-    float matrix per run); when the width L changes it walks every age, so
-    the work grows with the largest threshold (about weight *
-    cost_reliable / 2 at the reference point).
+    rule leaves unchanged, or at the first table it evaluates a second
+    time. Such a repeat is a cycle: at exact ties the rounding of the Q
+    gaps depends on the table, and can exceed ``TIE_TOL``, so Puterman's
+    termination argument (Markov Decision Processes, 1994, section 8.6),
+    made in exact arithmetic, does not hold. A table is recognized by its
+    SHA-256 digest, 32 bytes per evaluation. A row's threshold is its first
+    transmitting age, which may lie beyond delta_max; the returned policy
+    transmits at every age from the threshold on. An evaluation re-walks
+    the table from its first changed run of equal columns down
+    (``_evaluate`` keeps the previous evaluation's carry at the bottom of
+    each run, one (B1, B1 + 2) float matrix per run); when the width L
+    changes it walks every age, so the work grows with the largest
+    threshold (about weight * cost_reliable / 2 at the reference point).
+
+    Where no transmission can lower the battery (``_coefficients`` drops
+    both of those branches, below PROB_FLOOR, when lambda_e lies within
+    about 1e-15 of 1), a row that transmitted at every age would be a
+    closed class of its own and the bias would not be unique. There the
+    search starts from the table that idles at age 1 on every battery below
+    battery_cap, and batteries 1..battery_cap - 1 stay idle at age 1: those
+    rows are transient, and battery_cap is the one closed class.
 
     ``gain`` is the exact gain of those thresholds; ``values`` their exact
     bias on the (battery, age <= delta_max) grid, 0 at (age 1,
@@ -434,40 +351,41 @@ def modified_via(
     Raises ConvergenceError when the policy still changes after
     ``max_iter`` evaluations, when a table would hold more than
     ``MAX_TABLE_CELLS`` (battery, age) cells, or when the final certificate
-    is wider than ``eps``. No TruncationWarning: nothing here depends on delta_max.
-
-    A model in which no transmission can lower the battery, or none can
-    reset the age, is solved by relative value iteration on the chain
-    truncated at delta_max instead (``_truncated_thresholds``), with a
-    TruncationWarning and ``truncated`` set in the result: ``_coefficients``
-    drops both branches of the kind (below PROB_FLOOR) when lambda_e or
-    p_block lies within about 1e-15 of 1. The untruncated chain then has
-    no unique bias (every battery level above 0 is a closed class of its
-    own under all-transmit) or no finite gain (the age grows for ever).
+    is wider than ``eps``. Raises UnboundedAgeError where no transmission
+    can reset the age (p_block within about 1e-15 of 1): the age then
+    grows for ever and the gain is infinite.
     """
     _check_stopping(eps, max_iter)
     _, c1, c2, c3 = _coefficients(m)[TRANSMIT]
-    if not (c2 or c3):
-        return _truncated_thresholds(m, eps, max_iter, "lower the battery")
-    if not (c1 or c3):
-        return _truncated_thresholds(m, eps, max_iter, "reset the age")
+    if not (c1 or c3):  # as evaluate_exact finds for every policy here
+        raise UnboundedAgeError("no state of the closed class resets the age: "
+                                "the average age is unbounded")
     t = _tail(m)
-    send = np.zeros((m.battery_cap + 1, 0), dtype=bool)  # all-transmit
+    B1 = m.battery_cap + 1
+    pin = not (c2 or c3)  # no transmission can lower the battery
+    send = np.zeros((B1, 0), dtype=bool)  # all-transmit
+    if pin:  # idle at age 1 below battery_cap
+        send = np.arange(B1)[:, None] == m.battery_cap
     widths = []  # grows with the evaluations run, not with max_iter
+    seen = set()  # the evaluated tables' digests
     kept = _Kept()
     for k in range(max_iter):
         gain, H, kappa = _evaluate(send, m, kept)
         idle, tx = _q_values(H, m)
         bracket = _certificate(H, idle, tx)
         widths.append(bracket[1] - bracket[0])
+        digest = hashlib.sha256(send.tobytes() + repr(send.shape).encode()).digest()
+        if digest in seen:
+            break
+        seen.add(digest)
         gap = (idle - tx)[: send.shape[1] + 1]
         # a table at most doubles per step: a far threshold takes a few
         # steps, and a transient policy cannot ask for a table of tens of
         # thousands of ages, as unbounded moves did
         reach = send.shape[1] + 1
-        nxt = _improve(send, gap, t.rise, True, reach)
+        nxt = _improve(send, gap, t.rise, True, reach, pin)
         if nxt is not None and np.array_equal(nxt, send):
-            nxt = _improve(send, gap, t.rise, False, reach)
+            nxt = _improve(send, gap, t.rise, False, reach, pin)
             if nxt is not None and np.array_equal(nxt, send):
                 break
         if nxt is None:
@@ -493,8 +411,10 @@ def modified_via(
             k + 1,
             width,
         )
-    B1, L = send.shape
-    tp = ThresholdPolicy(tuple(_first_ages(np.hstack([send, np.ones((B1, 1), dtype=bool)]))))
+    # every row transmits above the table: its threshold is its first
+    # transmitting age
+    ends = np.hstack([send, np.ones((B1, 1), dtype=bool)])
+    tp = ThresholdPolicy(tuple((ends.argmax(axis=1) + 1).tolist()))
     dm = m.delta_max
     grid = np.empty((dm, B1))
     known = min(dm, len(H))
@@ -506,74 +426,3 @@ def modified_via(
         np.array(widths), evals, gain_bracket=bracket,
     )
     return result, tp
-
-
-def _truncated_thresholds(
-    m: ModelParams, eps: float, max_iter: int, reason: str
-) -> tuple[SolveResult, ThresholdPolicy]:
-    """``modified_via`` by relative value iteration on the truncated chain:
-    ``iterations`` counts sweeps, the gain is the midpoint of the Odoni
-    bracket, and a row that never transmits within delta_max ages gets
-    threshold delta_max + 1."""
-    warnings.warn(
-        f"no transmission can {reason}; "
-        f"solved on the chain truncated at delta_max={m.delta_max}, where "
-        f"threshold {m.delta_max + 1} means never",
-        TruncationWarning,
-        stacklevel=3,
-    )
-    v, gain, bracket, iters, span, spans = _iterate_values(m, eps, max_iter)
-    greedy = extract_policy(v, m).reshape(m.battery_cap + 1, m.delta_max)
-    tp = ThresholdPolicy(tuple(_first_ages(greedy == TRANSMIT)))
-    _warn_if_truncation_tight(tp, m)
-    evals = sum(min(th, m.delta_max) for th in tp.thresholds)
-    result = SolveResult(
-        gain, v, stationary_actions(Optimal(tp), m), iters, span, spans, evals,
-        gain_bracket=bracket, truncated=True,
-    )
-    return result, tp
-
-
-def _first_ages(hits: np.ndarray) -> list[int]:
-    """Per row of a (battery, age) boolean table, its first age that is
-    True, or delta_max + 1 for a row with none."""
-    return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, hits.shape[1] + 1).tolist()
-
-
-def extract_thresholds(policy: np.ndarray, m: ModelParams) -> ThresholdPolicy:
-    """Read per-battery thresholds off a 0/1 policy table.
-
-    Raises ThresholdStructureError when some row idles again above its
-    first transmitting age, i.e. the policy is not of threshold form.
-    """
-    arr = np.asarray(policy).reshape(m.battery_cap + 1, m.delta_max)
-    thresholds = _first_ages(arr == TRANSMIT)
-    ages = np.arange(1, m.delta_max + 1)
-    holes = _first_ages((arr == IDLE) & (ages > np.array(thresholds)[:, None]))
-    witnesses = [
-        (q, first, hole)
-        for q, (first, hole) in enumerate(zip(thresholds, holes))
-        if hole <= m.delta_max
-    ]
-    if witnesses:
-        detail = ", ".join(
-            f"(q={q}, transmit at age {lo}, idle at age {hi})" for q, lo, hi in witnesses
-        )
-        raise ThresholdStructureError(
-            f"policy is not threshold-form: {detail}", witnesses
-        )
-    tp = ThresholdPolicy(tuple(thresholds))
-    _warn_if_truncation_tight(tp, m)
-    return tp
-
-
-def _warn_if_truncation_tight(tp: ThresholdPolicy, m: ModelParams) -> None:
-    worst = max(tp.thresholds)
-    if worst > m.delta_max / 2:
-        warnings.warn(
-            f"largest threshold {worst} exceeds half the age cap "
-            f"(delta_max={m.delta_max}); increase delta_max to keep the "
-            f"truncation inert",
-            TruncationWarning,
-            stacklevel=3,
-        )

@@ -7,8 +7,10 @@ a higher battery level dominate a p_block fraction of the lower level's,
 and the idle-minus-transmit Q gap grows with age. Checks report the worst
 violation instead of raising so a falsified property is easy to inspect.
 
-Age pairs touching the truncation boundary are excluded from the increment
-and submodularity checks: saturation flattens the last column by design.
+Age pairs touching the grid's last age are excluded from the increment
+checks, and the submodularity check reads the Q values at the ages whose
+successors lie on the grid (1..delta_max - 1), from the solver's own
+``_q_values``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IDLE, TRANSMIT, ModelParams, State
-from .solver import bellman_backup_q
+from .model import ModelParams, State
+from .solver import _q_values
 
 DEFAULT_TOL = 1e-8
 
@@ -99,10 +101,9 @@ def check_increment_mixed(v, m: ModelParams, tol: float = DEFAULT_TOL) -> Struct
 
 def check_submodular(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
     """The idle-minus-transmit Q gap never shrinks as age grows."""
-    q = bellman_backup_q(v, m)
-    gap = (q[IDLE] - q[TRANSMIT]).reshape(m.battery_cap + 1, m.delta_max)
-    inner = gap[:, : m.delta_max - 1]
-    viol = inner[:, :-1] - inner[:, 1:]
+    idle, tx = _q_values(_grid(v, m).T, m)
+    gap = (idle - tx).T  # (battery, age 1..delta_max - 1)
+    viol = gap[:, :-1] - gap[:, 1:]
     return _report(
         "submodular-gap",
         viol,

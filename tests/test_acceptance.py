@@ -26,8 +26,6 @@ from ehaoi import (
     enumerate_states,
     evaluate_exact,
     evaluate_periodic_exact,
-    extract_policy,
-    extract_thresholds,
     modified_via,
     run_all_checks,
     simulate,
@@ -35,6 +33,7 @@ from ehaoi import (
     transition,
 )
 from ehaoi.cli import main as cli_main
+from oracles import extract_policy, extract_thresholds
 
 REFERENCE = dict(
     lambda_e=0.5,

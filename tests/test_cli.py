@@ -187,6 +187,20 @@ class TestSolve:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "taken_policy.csv"]
         assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["simulate", "--horizon", "100", "--seed", "1"], ["verify"]],
+        ids=["solve", "simulate", "verify"],
+    )
+    def test_age_that_never_resets_exits_one(self, tmp_path, capsys, argv):
+        # one stderr line and no traceback, as for any failed solve
+        out = tmp_path / "x.csv"
+        code = main([*argv, *SMALL, "--p-block", str(1.0 - 1e-16), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no state of the closed class resets the age: "
+                                "the average age is unbounded\n")
+        assert captured.out == ""
+
 
 class TestConfigResolution:
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -329,13 +343,11 @@ class TestSweep:
         assert main(["sweep", *SMALL]) == 2
         assert "--axis" in capsys.readouterr().err
 
-    def test_truncation_warnings_name_their_grid_point(self, tmp_path, capsys):
-        # lambda_e 1 goes to the truncated route, which warns that it
-        # truncates and that its threshold 9 passes half the age cap: one
-        # stderr line each, naming the point, and no Python warning, whose
-        # default display would add a line of the caller's source. The
-        # policy-iteration points stay silent, though their thresholds
-        # (23 and more) lie past the cap: nothing there depends on it
+    def test_lambda_one_point_prints_no_warning(self, tmp_path, capsys):
+        # lambda_e 1 is solved by policy iteration like the other points,
+        # holding batteries 1..2 idle at age 1 (threshold 2); no point
+        # writes to stderr or raises a Python warning, though thresholds
+        # (23 and more) lie past the age cap: nothing depends on it
         out = tmp_path / "sweep.csv"
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
@@ -344,14 +356,27 @@ class TestSweep:
         assert code == 0
         assert raised == []
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "warning: lambda_e=1: no transmission can lower the battery; solved on the "
-            "chain truncated at delta_max=8, where threshold 9 means never",
-            "warning: lambda_e=1: largest threshold 9 exceeds half the age cap "
-            "(delta_max=8); increase delta_max to keep the truncation inert",
-        ]
+        assert captured.err == ""
         assert captured.out == f"swept 3 lambda_e value(s) -> {out}\n"
-        assert [r[2] for r in read_csv(out)[1:5]] == ["23", "21", "19", "12"]
+        rows = read_csv(out)[1:]
+        assert [r[2] for r in rows[:4]] == ["23", "21", "19", "12"]
+        assert [r[2] for r in rows[9:11]] == ["2", "2"]
+        assert {r[3] for r in rows[8:]} == {"1.25"}
+
+    def test_age_that_never_resets_fails_per_row(self, tmp_path, capsys):
+        # at p_block 1 - 1e-16 no transmission resets the age, so the solve
+        # raises; the other point's rows stay
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", *SMALL, "--axis", "p_block", "--grid", f"0.2,{1.0 - 1e-16!r}",
+                     "--out", str(out)])
+        assert code == 1
+        rows = read_csv(out)[1:]
+        assert [r[4] for r in rows[:4]] == ["ok"] * 4
+        assert rows[4] == ["1", "", "", "", "error:no state of the closed class resets the "
+                           "age: the average age is unbounded"]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f"swept 2 p_block value(s) -> {out}\n"
 
 
 # compare's CSV for the arguments of TestCompare.test_rows_and_bytes_are_pinned,
@@ -434,7 +459,9 @@ class TestCompare:
         for r in rows:
             assert r[2:5] == ["", "", ""]
             assert r[5].startswith("error:no state of the closed class")
-        assert capsys.readouterr().out == f"compared 1 weight value(s) -> {out}\n"
+        captured = capsys.readouterr()
+        assert captured.out == f"compared 1 weight value(s) -> {out}\n"
+        assert captured.err == ""
 
 
 class TestVerify:

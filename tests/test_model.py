@@ -15,6 +15,7 @@ from ehaoi import (
     state_index,
     transition,
 )
+from ehaoi.model import PROB_FLOOR
 
 
 def small_params(**overrides):
@@ -273,3 +274,10 @@ class TestKernelArrays:
 
     def test_cache_returns_same_object(self):
         assert kernel_arrays(small_params()) is kernel_arrays(small_params())
+
+    def test_dust_entry_is_dropped(self):
+        # p_block * (1 - lambda_e) falls below PROB_FLOOR, so transition()
+        # drops that successor
+        m = small_params(lambda_e=1.0 - 1e-16)
+        assert 0.0 < m.p_block * (1.0 - m.lambda_e) < PROB_FLOOR
+        assert (kernel_arrays(m).prob[TRANSMIT] > 0.0).sum(axis=1).max() == 2

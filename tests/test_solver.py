@@ -14,31 +14,29 @@ from ehaoi import (
     Optimal,
     State,
     ThresholdPolicy,
-    ThresholdStructureError,
-    TruncationWarning,
-    bellman_backup_q,
+    UnboundedAgeError,
     evaluate_exact,
-    kernel_arrays,
-    extract_policy,
-    extract_thresholds,
     modified_via,
-    q_value,
-    relative_value_iteration,
     state_count,
     stationary_actions,
 )
-from ehaoi.model import PROB_FLOOR, GridShift
 from ehaoi import solver
 from ehaoi.solver import (
     TIE_TOL,
     _Kept,
     _certificate,
     _evaluate,
-    _first_ages,
     _improve,
-    _iterate_values,
     _q_values,
     _tail,
+)
+from oracles import (
+    ThresholdStructureError,
+    bellman_backup_q,
+    extract_policy,
+    extract_thresholds,
+    q_value,
+    relative_value_iteration,
 )
 
 
@@ -120,84 +118,15 @@ class TestQValue:
                 assert q[a, i] == pytest.approx(q_value(v, s, a, m), abs=1e-12)
 
 
-def gather_backup_q(v, m):
-    """The Bellman backup gathered from ``kernel_arrays``, the per-state oracle."""
-    kern = kernel_arrays(m)
-    return kern.cost + (kern.prob * v[kern.next_idx]).sum(axis=2)
-
-
 REFERENCE = dict(
     p_block=0.2, battery_cap=20, cost_reliable=2.0, weight=10.0, delta_max=200
 )
-
-
-class TestShiftBackupMatchesKernel:
-    @pytest.mark.parametrize("size", ["minimal", "small", "reference"])
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
-    def test_bit_identical_to_gather(self, lam, size):
-        if size == "minimal":
-            m = tiny_params(lambda_e=lam, battery_cap=2, delta_max=2, cost_reliable=0.0)
-        elif size == "small":
-            m = tiny_params(lambda_e=lam, battery_cap=3, delta_max=7)
-        else:
-            m = ModelParams(lambda_e=lam, **REFERENCE)
-        op = GridShift(m)
-        rng = np.random.default_rng(11)
-        for scale in (1e-3, 1.0, 1e4):
-            v = rng.normal(size=state_count(m)) * scale
-            want = gather_backup_q(v, m)
-            assert np.array_equal(bellman_backup_q(v, m), want)
-            # the sweep's Bellman values add the age after the minimum
-            assert np.array_equal(op.backup(v), want.min(axis=0))
-
-    def test_takes_exactly_n_values_of_any_shape(self):
-        # the value grid as (battery, age) gives the Q values of its
-        # flattened form; a table of the wrong size raises, never broadcasts
-        m = tiny_params(battery_cap=3, delta_max=7)
-        v = np.random.default_rng(5).normal(size=state_count(m))
-        grid = v.reshape(m.battery_cap + 1, m.delta_max)
-        assert np.array_equal(bellman_backup_q(grid, m), bellman_backup_q(v, m))
-        assert np.array_equal(GridShift(m).backup(grid), GridShift(m).backup(v))
-        assert np.array_equal(extract_policy(grid, m), extract_policy(v, m))
-        for wrong in (1.0, np.ones(1), v[:-1], np.append(v, 0.0)):
-            with pytest.raises(ValueError):
-                bellman_backup_q(wrong, m)
-            with pytest.raises(ValueError):
-                GridShift(m).backup(wrong)
-
-    def test_dust_entry_is_dropped(self):
-        # p_block * (1 - lambda_e) falls below PROB_FLOOR, so transition()
-        # drops that successor; the bit-identity above covers the drop
-        m = tiny_params(lambda_e=1.0 - 1e-16)
-        assert 0.0 < m.p_block * (1.0 - m.lambda_e) < PROB_FLOOR
-        assert (kernel_arrays(m).prob[TRANSMIT] > 0.0).sum(axis=1).max() == 2
 
 
 FIXED_POINTS = {
     "reference": ModelParams(lambda_e=0.5, **REFERENCE),
     "large": ModelParams(lambda_e=0.5, **{**REFERENCE, "battery_cap": 100, "delta_max": 400}),
 }
-
-
-class TestSweepLayout:
-    @pytest.mark.parametrize("point", list(FIXED_POINTS))
-    def test_streams_start_apart_within_a_page(self, point):
-        # a sweep streams these five arrays, cut from one block; stores to
-        # one and loads from another whose addresses agree in their low 12
-        # bits stall
-        op = GridShift(FIXED_POINTS[point])
-        streams = [op.values, op.out, op._term, op._tx, op._age_grid]
-        assert all(a.base is streams[0].base for a in streams)
-        offsets = [a.ctypes.data % 4096 for a in streams]
-        for i, a in enumerate(offsets):
-            for b in offsets[i + 1:]:
-                assert min((a - b) % 4096, (b - a) % 4096) >= 256, offsets
-
-    def test_returned_values_own_their_memory(self):
-        # a view would keep the operator's whole block alive
-        m = tiny_params()
-        v = _iterate_values(m, 1e-9, 100_000)[0]
-        assert v.base is None and v.size == state_count(m)
 
 
 class TestRegressionPins:
@@ -224,7 +153,7 @@ class TestRegressionPins:
     def test_modified_via(self, point, gain, iterations, evals, thresholds):
         m = ModelParams(**{**REFERENCE, **point})
         with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)  # PI never warns
+            warnings.simplefilter("error")  # the solver never warns
             res, tp = modified_via(m, eps=1e-9)
         assert repr(res.gain) == gain
         assert res.iterations == iterations
@@ -297,65 +226,6 @@ class TestRelativeValueIteration:
         assert exc.value.iterations == 2
         assert exc.value.span_residual > 1e-12
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf"), True])
-    def test_bad_eps_rejected(self, eps):
-        with pytest.raises(DomainError):
-            relative_value_iteration(tiny_params(), eps=eps)
-
-    def test_bad_max_iter_rejected(self):
-        with pytest.raises(DomainError):
-            relative_value_iteration(tiny_params(), max_iter=0)
-
-    @pytest.mark.parametrize("max_iter", [True, 10.0])
-    def test_max_iter_must_be_an_int_not_a_bool(self, max_iter):
-        # True used to run one sweep
-        with pytest.raises(DomainError, match="max_iter"):
-            relative_value_iteration(tiny_params(), max_iter=max_iter)
-
-    @pytest.mark.parametrize(
-        "m, eps",
-        [
-            (ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=20,
-                         cost_reliable=2.0, weight=10.0, delta_max=200), 1e-9),
-            (tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12), 1e-9),
-            # the layout's edges: delta_max 2 and 3 (every age a row's first or
-            # last), battery_cap 2, lambda_e near and at 1, a free backup packet
-            (tiny_params(lambda_e=1.0 - 1e-16, battery_cap=2, delta_max=2, cost_reliable=0.0), 1e-9),
-            (tiny_params(lambda_e=0.01, battery_cap=2, delta_max=3), 1e-9),
-            (tiny_params(lambda_e=0.99, battery_cap=3, delta_max=2, cost_reliable=0.0), 1e-9),
-            (tiny_params(lambda_e=0.5, battery_cap=4, delta_max=12, cost_reliable=0.0), 1e-9),
-            (tiny_params(lambda_e=1.0, battery_cap=7, delta_max=41), 1e-9),
-            (ModelParams(lambda_e=0.99, p_block=0.2, battery_cap=20,
-                         cost_reliable=0.0, weight=10.0, delta_max=200), 1e-9),
-            # the large fixed point, 101 rows of 400 ages, in 841 sweeps
-            (ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=100,
-                         cost_reliable=2.0, weight=10.0, delta_max=400), 0.1),
-        ],
-        ids=["reference", "4x12-lambda1", "3x2-dust-free", "3x3-lambda0.01",
-             "4x2-lambda0.99-free", "5x12-free", "8x41-lambda1", "reference-lambda0.99-free",
-             "large-eps0.1"],
-    )
-    def test_iteration_equals_reference_loop(self, m, eps):
-        # the sweep loop written out plainly: Q values, their minimum, a
-        # separate difference array, then the renormalization
-        ref = m.delta_max * m.battery_cap  # State(1, battery_cap)
-        v = np.zeros(state_count(m))
-        spans = []
-        for k in range(100_000):
-            tv = bellman_backup_q(v, m).min(axis=0)
-            diff = tv - v
-            hi, lo = float(diff.max()), float(diff.min())
-            spans.append(hi - lo)
-            v = tv - tv[ref]
-            if hi - lo <= eps:
-                break
-        got_v, gain, bracket, iterations, span, history = _iterate_values(m, eps, 100_000)
-        assert np.array_equal(got_v, v)
-        assert gain == 0.5 * (hi + lo)
-        assert bracket == (lo, hi)
-        assert iterations == k + 1 and span == spans[-1]
-        assert np.array_equal(history, np.array(spans))
-
 
 class TestExtractPolicy:
     def test_exact_ties_resolve_to_idle(self):
@@ -406,6 +276,21 @@ class TestModifiedVia:
     def test_policy_expands_from_thresholds(self, base_params, base_solution):
         res, tp = base_solution
         np.testing.assert_array_equal(stationary_actions(Optimal(tp), base_params), res.policy)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf"), True])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(DomainError):
+            modified_via(tiny_params(), eps=eps)
+
+    def test_bad_max_iter_rejected(self):
+        with pytest.raises(DomainError):
+            modified_via(tiny_params(), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [True, 10.0])
+    def test_max_iter_must_be_an_int_not_a_bool(self, max_iter):
+        # True used to run one evaluation
+        with pytest.raises(DomainError, match="max_iter"):
+            modified_via(tiny_params(), max_iter=max_iter)
 
 
 def threshold_table(thresholds):
@@ -474,7 +359,7 @@ class TestHardPoint:
             m = ModelParams(lambda_e=0.01, p_block=0.99, battery_cap=20,
                             cost_reliable=2.0, weight=100.0, delta_max=dm)
             with warnings.catch_warnings():
-                warnings.simplefilter("error", TruncationWarning)  # PI never warns
+                warnings.simplefilter("error")  # the solver never warns
                 res, tp = modified_via(m, eps=1e-9)
             assert tp.thresholds == (124,) * 20 + (78,)
             assert res.span_residual <= 1e-9
@@ -600,50 +485,83 @@ class TestEvaluate:
         assert abs(gain - closed) <= 1e-12
 
 
-class TestTruncatedRoute:
-    """Models that modified_via hands to RVI on the truncated chain."""
+class TestDegenerateModels:
+    """lambda_e or p_block within about 1e-15 of 1, where _coefficients
+    drops both transmit branches that lower the battery, or both that
+    reset the age."""
 
-    @staticmethod
-    def solve_warned(m, reason):
-        # the route is announced first, then (thresholds of 13 at
-        # delta_max 12) the usual truncation warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solved = modified_via(m, eps=1e-9)
-        messages = [str(w.message) for w in caught]
-        assert [w.category for w in caught] == [TruncationWarning, TruncationWarning]
-        assert messages[0] == (
-            f"{reason}solved on the chain truncated at delta_max=12, where "
-            f"threshold 13 means never"
-        )
-        return solved
+    @pytest.mark.parametrize(
+        "lam, p, cap, weight",
+        [(1.0, 0.01, 2, 10.0), (1.0, 0.3, 20, 10.0), (1.0, 0.8, 5, 0.5),
+         (1.0 - 1e-16, 0.5, 20, 1000.0), (1.0 - 1e-16, 0.95, 100, 100.0)],
+    )
+    def test_battery_that_never_falls(self, lam, p, cap, weight):
+        # free energy every slot: the optimum transmits at every age once
+        # the battery is full, so the gain is the mean age under constant
+        # updating; batteries 1..cap - 1 idle at age 1 on the way up
+        m = ModelParams(lambda_e=lam, p_block=p, battery_cap=cap, cost_reliable=2.0,
+                        weight=weight, delta_max=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the solver never warns
+            res, tp = modified_via(m, eps=1e-9)
+        assert abs(res.gain * (1.0 - p) - 1.0) <= 1e-12
+        assert res.span_residual <= 1e-9
+        assert tp.thresholds[1:-1] == (2,) * (cap - 1)
+        assert tp.thresholds[-1] == 1
+        lo, hi = res.gain_bracket
+        assert lo <= res.gain
 
-    def test_battery_that_never_falls(self):
-        # at lambda_e 1 every battery level above 0 is a closed class under
-        # all-transmit, so the bias equations have no unique solution
-        m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=12)
-        res, tp = self.solve_warned(m, "no transmission can lower the battery; ")
-        rvi = relative_value_iteration(m, eps=1e-9)
-        assert (res.gain, res.iterations) == (rvi.gain, rvi.iterations)
-        np.testing.assert_array_equal(res.policy, rvi.policy)
-        assert tp.thresholds == (13, 1, 1, 1)
-        assert res.truncated and rvi.truncated
+    def test_no_row_closes_its_own_class(self):
+        # at lambda_e 1 a row that transmits at every age keeps the battery
+        # where it is, a closed class of its own. Started idle at age 1 on
+        # batteries 0..19 but not held there, the improvement makes some
+        # rows of this model transmit at every age, and the bias solve is
+        # singular
+        m = ModelParams(lambda_e=1.0, p_block=0.95, battery_cap=20, cost_reliable=2.0,
+                        weight=10.0, delta_max=200)
+        res, tp = modified_via(m, eps=1e-9)
+        assert abs(res.gain - 20.0) <= 1e-12
+        assert tp.thresholds[1:] == (2,) * 19 + (1,)
+        assert res.iterations <= 12
+
+    def test_gain_in_the_oracle_bracket(self):
+        m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=30)
+        res, _ = modified_via(m, eps=1e-9)
+        lo, hi = relative_value_iteration(m, eps=1e-9).gain_bracket
+        assert lo <= res.gain <= hi
 
     def test_age_that_never_resets(self):
         # at p_block 1 - 1e-16 both resetting branches fall below
-        # PROB_FLOOR: the untruncated age grows for ever, and (I - U_transmit)
-        # would be singular to rounding
-        m = tiny_params(p_block=1.0 - 1e-16, battery_cap=3, delta_max=12)
-        res, tp = self.solve_warned(m, "no transmission can reset the age; ")
-        rvi = relative_value_iteration(m, eps=1e-9)
-        assert (res.gain, res.iterations) == (rvi.gain, rvi.iterations)
-        assert tp.thresholds == tuple(_first_ages(
-            rvi.policy.reshape(m.battery_cap + 1, m.delta_max) == TRANSMIT))
-        assert res.truncated
+        # PROB_FLOOR: the untruncated age grows for ever
+        for lam in (0.5, 1.0):
+            m = tiny_params(lambda_e=lam, p_block=1.0 - 1e-16, battery_cap=3, delta_max=12)
+            with pytest.raises(UnboundedAgeError, match="the average age is unbounded"):
+                modified_via(m, eps=1e-9)
 
-    def test_policy_iteration_is_not_marked(self):
-        res, _ = modified_via(FIXED_POINTS["reference"], eps=1e-9)
-        assert not res.truncated
+
+class TestRepeatedTable:
+    def test_cycle_ends_at_the_first_table_seen_twice(self, monkeypatch):
+        # at this model the Q gaps of exact ties at age 1 are rounding that
+        # depends on the table, and exceeds TIE_TOL, so the tables repeat
+        # with period 10 and the search used to run to max_iter
+        evaluated = []
+
+        def recording(send, m, kept=None):
+            evaluated.append(send.copy())
+            return _evaluate(send, m, kept)
+
+        monkeypatch.setattr(solver, "_evaluate", recording)
+        m = ModelParams(**{**REFERENCE, "lambda_e": 0.95, "p_block": 0.95, "weight": 0.5})
+        res, tp = modified_via(m, eps=1e-9, max_iter=200)
+        assert res.iterations == len(evaluated) < 200
+        last = evaluated[-1]
+        repeats = [i for i, t in enumerate(evaluated[:-1]) if np.array_equal(t, last)]
+        assert len(repeats) == 1
+        assert len({(t.shape, t.tobytes()) for t in evaluated[:-1]}) == len(evaluated) - 1
+        assert tp.thresholds == tuple(np.hstack([last, np.ones((21, 1), bool)]).argmax(axis=1) + 1)
+        assert res.span_residual <= 1e-9
+        lo, hi = res.gain_bracket
+        assert lo <= res.gain
 
 
 class TestFarThresholds:
@@ -654,11 +572,10 @@ class TestFarThresholds:
         # step, so that takes a few evaluations
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, "weight": weight})
         with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)  # PI never warns
+            warnings.simplefilter("error")  # the solver never warns
             res, tp = modified_via(m, eps=1e-9)
         assert tp.thresholds[0] == threshold
         assert res.iterations <= 12
-        assert not res.truncated
         lo, hi = res.gain_bracket
         assert lo <= res.gain and hi - lo <= 1e-9
 
@@ -731,14 +648,14 @@ class TestTieRule:
                "hard": {"lambda_e": 0.01, "p_block": 0.99, "weight": 100.0}}[point],
         })
         with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)  # PI never warns
+            warnings.simplefilter("error")  # the solver never warns
             _, tp = modified_via(m, eps=1e-9)
         th = np.array(tp.thresholds)
         send = np.arange(1, th.max()) >= th[:, None]
         _, H, _ = _evaluate(send, m)
         idle, tx = _q_values(H, m)
         gap = (idle - tx)[: send.shape[1] + 1]
-        np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max), send)
+        np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max, False), send)
 
 
 class TestThresholdPolicy:
@@ -767,8 +684,7 @@ class TestThresholdPolicy:
 class TestExtractThresholds:
     def test_all_idle_row_maps_to_never(self):
         m = tiny_params()
-        with pytest.warns(TruncationWarning):
-            tp = extract_thresholds(np.zeros(state_count(m), dtype=np.int8), m)
+        tp = extract_thresholds(np.zeros(state_count(m), dtype=np.int8), m)
         assert tp.thresholds == (5, 5, 5)
 
     def test_all_transmit_maps_to_one(self):
@@ -788,20 +704,3 @@ class TestExtractThresholds:
         with pytest.raises(ThresholdStructureError) as exc:
             extract_thresholds(table.reshape(-1), m)
         assert exc.value.witnesses == [(1, 2, 3)]
-
-
-class TestTruncationWarning:
-    def test_tight_threshold_warns(self):
-        m = tiny_params(battery_cap=3, delta_max=8)
-        table = stationary_actions(Optimal(ThresholdPolicy((5, 1, 1, 1))), m)
-        with pytest.warns(TruncationWarning):
-            extract_thresholds(table, m)
-
-    def test_loose_threshold_silent(self):
-        m = tiny_params(battery_cap=3, delta_max=8)
-        table = stationary_actions(Optimal(ThresholdPolicy((4, 1, 1, 1))), m)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            extract_thresholds(table, m)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ehaoi import ModelParams, State, modified_via, run_all_checks
+from ehaoi import IDLE, TRANSMIT, ModelParams, State, modified_via, run_all_checks
+from ehaoi.solver import _q_values
 from ehaoi.verify import (
     check_increment_aoi,
     check_increment_mixed,
@@ -9,6 +10,8 @@ from ehaoi.verify import (
     check_monotone_battery,
     check_submodular,
 )
+from oracles import bellman_backup_q
+from test_solver import _acceptance_points
 
 
 def params(**overrides):
@@ -117,6 +120,19 @@ class TestSubmodular:
         m = params(delta_max=30)
         res, _ = modified_via(m, eps=1e-9)
         assert check_submodular(res.values, m).passed
+
+    def test_gap_matches_the_oracle_at_the_acceptance_points(self):
+        # the check reads the solver's Q values; the per-state gather over
+        # kernel_arrays sums the same terms in another order
+        for m in _acceptance_points():
+            res, _ = modified_via(m, eps=1e-9)
+            grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
+            idle, tx = _q_values(grid.T, m)
+            q = bellman_backup_q(res.values, m).reshape((2,) + grid.shape)
+            gap = (q[IDLE] - q[TRANSMIT])[:, :-1]  # ages whose successors are on the grid
+            assert np.abs((idle - tx).T - gap).max() <= 1e-12, m
+            worst = (gap[:, :-1] - gap[:, 1:]).max()
+            assert abs(check_submodular(res.values, m).worst - worst) <= 1e-12, m
 
     def test_flat_values_are_degenerate_pass(self):
         # constant v: the Q gap is constant in age (transmit cost aside)
