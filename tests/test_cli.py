@@ -55,6 +55,16 @@ class TestSolve:
         echoed = capsys.readouterr().out
         assert "gain=" in echoed and "argmin_evals=" in echoed
 
+    def test_lambda_one_writes_threshold_two_below_the_cap(self, tmp_path, capsys):
+        # solved by policy iteration like any other model: exact gain
+        # 1/(1 - p_block), a zero-width certificate, nothing on stderr
+        out = tmp_path / "thr.csv"
+        assert main(["solve", *SMALL, "--lambda-e", "1", "--out", str(out)]) == 0
+        assert read_csv(out)[1:] == [["0", "21"], ["1", "2"], ["2", "2"], ["3", "1"]]
+        captured = capsys.readouterr()
+        assert captured.out.startswith("gain=1.25 iterations=5 span_residual=0.000e+00 ")
+        assert captured.err == ""
+
     def test_huge_iteration_cap_reserves_nothing(self, tmp_path, capsys):
         # the certificate history grows with the policy evaluations run,
         # not with --max-iter
@@ -480,6 +490,13 @@ class TestVerify:
         assert rows[0] == ["check", "passed", "worst", "tol", "witness"]
         assert len(rows) == 6
         assert all(r[1] == "1" for r in rows[1:])
+
+    def test_lambda_one_passes_all_checks(self, capsys):
+        # free energy every slot: batteries 1 and 2 idle at age 1 only
+        assert main(["verify", *SMALL, "--lambda-e", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["gain=1.25 iterations=5", "thresholds=21,2,2,1"]
+        assert [l.split(":")[1].split()[0] for l in lines[2:]] == ["PASS"] * 5
 
     def test_non_convergence_exits_one(self, capsys):
         # SMALL takes five policy evaluations

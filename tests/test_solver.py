@@ -123,6 +123,31 @@ REFERENCE = dict(
 )
 
 
+class TestSolverQValues:
+    @pytest.mark.parametrize("size", ["minimal", "small", "reference"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.0 - 1e-16])
+    def test_match_the_written_out_dynamics(self, lam, size):
+        # _q_values, which policy iteration and verify read, against the
+        # term-by-term backup at ages 1..delta_max - 1, whose successors lie
+        # on the grid; at lambda_e 1 - 1e-16 the written-out dynamics keep
+        # the transmit branch below PROB_FLOOR that the solver drops
+        if size == "minimal":
+            m = tiny_params(lambda_e=lam, battery_cap=2, delta_max=2, cost_reliable=0.0)
+        elif size == "small":
+            m = tiny_params(lambda_e=lam, battery_cap=3, delta_max=7)
+        else:
+            m = ModelParams(lambda_e=lam, **REFERENCE)
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e4):
+            v = rng.normal(size=state_count(m)) * scale
+            idle, tx = _q_values(v.reshape(m.battery_cap + 1, m.delta_max).T, m)
+            want = reference_backup_q(v, m).reshape(2, m.battery_cap + 1, m.delta_max)
+            want = want[:, :, :-1]
+            tol = 1e-15 * np.abs(want).max()
+            np.testing.assert_allclose(idle.T, want[IDLE], rtol=0.0, atol=tol)
+            np.testing.assert_allclose(tx.T, want[TRANSMIT], rtol=0.0, atol=tol)
+
+
 FIXED_POINTS = {
     "reference": ModelParams(lambda_e=0.5, **REFERENCE),
     "large": ModelParams(lambda_e=0.5, **{**REFERENCE, "battery_cap": 100, "delta_max": 400}),
@@ -523,6 +548,18 @@ class TestDegenerateModels:
         assert abs(res.gain - 20.0) <= 1e-12
         assert tp.thresholds[1:] == (2,) * 19 + (1,)
         assert res.iterations <= 12
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_pin_holds_the_middle_rows_idle_at_age_one(self, keep):
+        # transmitting is better everywhere by far more than TIE_TOL; only
+        # batteries 1..battery_cap - 1 stay idle, and only at age 1
+        m = tiny_params(lambda_e=1.0, battery_cap=3)
+        send = np.zeros((4, 2), dtype=bool)
+        gap = np.ones((3, 4))
+        rise = _tail(m).rise
+        assert _improve(send, gap, rise, keep, 3, False).shape == (4, 0)  # all-transmit
+        pinned = _improve(send, gap, rise, keep, 3, True)
+        np.testing.assert_array_equal(pinned, [[True], [False], [False], [True]])
 
     def test_gain_in_the_oracle_bracket(self):
         m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=30)

@@ -134,6 +134,21 @@ class TestSubmodular:
             worst = (gap[:, :-1] - gap[:, 1:]).max()
             assert abs(check_submodular(res.values, m).worst - worst) <= 1e-12, m
 
+    @pytest.mark.parametrize("lam", [1.0, 1.0 - 1e-16])
+    def test_reads_the_solution_where_the_battery_never_falls(self, lam):
+        # policy iteration pins batteries 1..battery_cap - 1 idle at age 1
+        # here; the check reads its bias like any other
+        m = params(lambda_e=lam, battery_cap=5, delta_max=40)
+        res, _ = modified_via(m, eps=1e-9)
+        grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
+        idle, tx = _q_values(grid.T, m)
+        q = bellman_backup_q(res.values, m).reshape((2,) + grid.shape)
+        gap = (q[IDLE] - q[TRANSMIT])[:, :-1]
+        assert np.abs((idle - tx).T - gap).max() <= 1e-12
+        report = check_submodular(res.values, m)
+        assert report.passed
+        assert abs(report.worst - (gap[:, :-1] - gap[:, 1:]).max()) <= 1e-12
+
     def test_flat_values_are_degenerate_pass(self):
         # constant v: the Q gap is constant in age (transmit cost aside)
         m = params()
