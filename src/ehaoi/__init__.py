@@ -36,7 +36,6 @@ from .policies import (
     Optimal,
     Periodic,
     PolicyKind,
-    ThresholdPolicy,
     ZeroWait,
     decide,
     stationary_actions,
@@ -64,7 +63,6 @@ __all__ = [
     "State",
     "StepRecord",
     "StructureReport",
-    "ThresholdPolicy",
     "TransitionDist",
     "UnboundedAgeError",
     "ZeroWait",

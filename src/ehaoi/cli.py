@@ -24,7 +24,7 @@ from .evaluator import (
     simulate,
 )
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
-from .policies import Optimal, Periodic, ZeroWait
+from .policies import Periodic, ZeroWait, stationary_actions
 from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
 
@@ -192,11 +192,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out or "thresholds.csv"
     policy_out = _derived_path(out, "_policy")
     _check_writable(out, policy_out)
-    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
-    _write_csv(out, ["q", "threshold"], list(enumerate(tp.thresholds)))
+    result, kind = modified_via(m, cfg.eps, cfg.max_iter)
+    _write_csv(out, ["q", "threshold"], list(enumerate(kind.thresholds)))
     rows = [
         [s.aoi, s.battery, int(a)]
-        for s, a in zip(enumerate_states(m), result.policy)
+        for s, a in zip(enumerate_states(m), stationary_actions(kind, m))
     ]
     _write_csv(policy_out, ["delta", "q", "action"], rows)
     print(
@@ -216,7 +216,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out or "simulate.csv"
     _check_writable(out)
     if kind is None:
-        kind = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
+        kind = modified_via(m, cfg.eps, cfg.max_iter)[1]
     rows = []
     costs = []
     for seed in cfg.seeds:
@@ -275,14 +275,14 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows = []
     failed = False
     for value, m in points:
-        # the compared policies in row order; optimal's kind comes from the solve
-        kinds = {"optimal": None, "zero-wait": ZeroWait(), "periodic": periodic}
+        # the compared policies in row order; a failed solve fails the
+        # optimal row alone, as the baselines do not depend on it
+        kinds = {"zero-wait": ZeroWait(), "periodic": periodic}
         try:
-            kinds["optimal"] = Optimal(modified_via(m, cfg.eps, cfg.max_iter)[1])
+            kinds = {"optimal": modified_via(m, cfg.eps, cfg.max_iter)[1], **kinds}
         except SOLVE_ERRORS as exc:
-            rows += [_compare_row(value, name, error=exc) for name in kinds]
+            rows.append(_compare_row(value, "optimal", error=exc))
             failed = True
-            continue
         for name, kind in kinds.items():
             # the evaluators are looked up at call time, where the benchmark's
             # tracer (perfbench/worker.py) has rebound them

@@ -95,6 +95,10 @@ class ReducibleChainError(RuntimeError):
 class UnboundedAgeError(RuntimeError):
     """Nothing in the chain's closed class resets the age: no finite average."""
 
+    def __init__(self, message: str = "no state of the closed class resets the age: "
+                 "the average age is unbounded"):
+        super().__init__(message)
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -325,8 +329,7 @@ def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float,
     entry = cls[cls < K]  # the class's age-1 states, by phase * battery
     M = entry.size
     if M == 0:
-        raise UnboundedAgeError("no state of the closed class resets the age: "
-                                "the average age is unbounded")
+        raise UnboundedAgeError()
     # the blocks from W on, by phase, the rows off the class zero; R keeps
     # the columns of those age-1 states, into which phase r resets at r + 1
     inside = np.isin(np.arange((W - 1) * K, W * K), cls).reshape(T, B1, 1)
@@ -388,7 +391,7 @@ def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
     Raises UnboundedAgeError if nothing in the closed class resets the age.
     """
     if isinstance(kind, Optimal):
-        m = replace(m, delta_max=max(m.delta_max, *kind.thresholds.thresholds))
+        m = replace(m, delta_max=max(m.delta_max, *kind.thresholds))
     actions = stationary_actions(kind, m)
     mu, excess, residual = _stationary(actions, m)
     W = len(mu)
@@ -442,7 +445,7 @@ def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
     if isinstance(kind, Optimal):
         # a row whose threshold exceeds the horizon never transmits, so the
         # ages need telling apart only up to the other rows' thresholds
-        thr = kind.thresholds.thresholds
+        thr = kind.thresholds
         rows, span = len(thr), max((a for a in thr if a <= horizon), default=1)
     elif isinstance(kind, Explicit):
         rows, span = kind.actions.shape

@@ -16,25 +16,6 @@ from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int, stat
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """Transmit at battery level q exactly when age >= thresholds[q].
-
-    A threshold above delta_max means "transmit from that age on", as
-    ``decide`` and ``evaluate_exact`` read it; the ``stationary_actions``
-    table, which ends at delta_max, never transmits in that row.
-    """
-
-    thresholds: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.thresholds:
-            raise DomainError("thresholds must be non-empty")
-        for t in self.thresholds:
-            if not (is_int(t) and t >= 1):
-                raise DomainError(f"thresholds must be ints >= 1, got {t!r}")
-
-
-@dataclass(frozen=True)
 class ZeroWait:
     """Transmit every slot, paying for backup energy whenever the battery is empty."""
 
@@ -62,9 +43,22 @@ class Periodic:
 
 @dataclass(frozen=True)
 class Optimal:
-    """Solver output: transmit when age reaches the battery level's threshold."""
+    """Solver output: transmit at battery level q exactly when age >=
+    thresholds[q].
 
-    thresholds: ThresholdPolicy
+    A threshold above delta_max means "transmit from that age on", as
+    ``decide`` and ``evaluate_exact`` read it; the ``stationary_actions``
+    table, which ends at delta_max, never transmits in that row.
+    """
+
+    thresholds: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.thresholds:
+            raise DomainError("thresholds must be non-empty")
+        for t in self.thresholds:
+            if not (is_int(t) and t >= 1):
+                raise DomainError(f"thresholds must be ints >= 1, got {t!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +81,6 @@ class Explicit:
         arr = raw.astype(np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "actions", arr)
-
-    @classmethod
-    def from_state_order(cls, flat: np.ndarray, m: ModelParams) -> "Explicit":
-        flat = np.asarray(flat)
-        if flat.size != state_count(m):
-            raise DomainError(
-                f"expected {state_count(m)} actions, got {flat.size}"
-            )
-        return cls(flat.reshape(m.battery_cap + 1, m.delta_max))
 
 
 PolicyKind = Union[ZeroWait, Periodic, Optimal, Explicit]
@@ -120,7 +105,7 @@ def decide(kind: PolicyKind, s: State, t: int) -> int:
             return IDLE
         return TRANSMIT
     if isinstance(kind, Optimal):
-        thr = kind.thresholds.thresholds
+        thr = kind.thresholds
         if s.battery >= len(thr):
             raise DomainError(f"battery {s.battery} outside threshold table")
         return TRANSMIT if s.aoi >= thr[s.battery] else IDLE
@@ -151,7 +136,7 @@ def stationary_actions(kind: PolicyKind, m: ModelParams) -> np.ndarray:
             table[0, 0] = IDLE
         return table.reshape(-1)
     if isinstance(kind, Optimal):
-        thr = kind.thresholds.thresholds
+        thr = kind.thresholds
         if len(thr) != m.battery_cap + 1:
             raise DomainError(f"expected {m.battery_cap + 1} thresholds, got {len(thr)}")
         ages = np.arange(1, m.delta_max + 1)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .evaluator import UnboundedAgeError, _blocks
 from .model import IDLE, TRANSMIT, DomainError, ModelParams, _coefficients, is_int, is_real
-from .policies import Optimal, ThresholdPolicy, stationary_actions
+from .policies import Optimal
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -56,9 +56,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SolveResult:
-    gain: float               # exact gain of the returned thresholds
-    values: np.ndarray        # their exact bias, enumerate_states order
-    policy: np.ndarray        # 0/1 action per state
+    gain: float               # exact gain of the returned Optimal policy
+    values: np.ndarray        # its exact bias, enumerate_states order
     iterations: int           # policy evaluations
     span_residual: float      # width of gain_bracket
     span_history: np.ndarray  # that width after each evaluation
@@ -309,9 +308,9 @@ def _improve(
 
 def modified_via(
     m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
-) -> tuple[SolveResult, ThresholdPolicy]:
+) -> tuple[SolveResult, Optimal]:
     """Solve by policy iteration on the untruncated chain and return the
-    optimal thresholds.
+    optimal thresholds as an ``Optimal`` policy.
 
     Starts from all-transmit and evaluates each policy exactly
     (``_evaluate``). A state keeps its action unless the other one is better
@@ -324,8 +323,9 @@ def modified_via(
     termination argument (Markov Decision Processes, 1994, section 8.6),
     made in exact arithmetic, does not hold. A table is recognized by its
     SHA-256 digest, 32 bytes per evaluation. A row's threshold is its first
-    transmitting age, which may lie beyond delta_max; the returned policy
-    transmits at every age from the threshold on. An evaluation re-walks
+    transmitting age, which may lie beyond delta_max; the returned
+    ``Optimal`` transmits at every age from the threshold on, and ``decide``,
+    ``evaluate_exact`` and ``simulate`` take it as is. An evaluation re-walks
     the table from its first changed run of equal columns down
     (``_evaluate`` keeps the previous evaluation's carry at the bottom of
     each run, one (B1, B1 + 2) float matrix per run); when the width L
@@ -340,7 +340,7 @@ def modified_via(
     battery_cap, and batteries 1..battery_cap - 1 stay idle at age 1: those
     rows are transient, and battery_cap is the one closed class.
 
-    ``gain`` is the exact gain of those thresholds; ``values`` their exact
+    ``gain`` is the exact gain of that policy; ``values`` its exact
     bias on the (battery, age <= delta_max) grid, 0 at (age 1,
     battery_cap); ``iterations`` the number of evaluations;
     ``gain_bracket`` the certificate [min(Th - h), max(Th - h)] over the
@@ -358,8 +358,7 @@ def modified_via(
     _check_stopping(eps, max_iter)
     _, c1, c2, c3 = _coefficients(m)[TRANSMIT]
     if not (c1 or c3):  # as evaluate_exact finds for every policy here
-        raise UnboundedAgeError("no state of the closed class resets the age: "
-                                "the average age is unbounded")
+        raise UnboundedAgeError()
     t = _tail(m)
     B1 = m.battery_cap + 1
     pin = not (c2 or c3)  # no transmission can lower the battery
@@ -414,15 +413,14 @@ def modified_via(
     # every row transmits above the table: its threshold is its first
     # transmitting age
     ends = np.hstack([send, np.ones((B1, 1), dtype=bool)])
-    tp = ThresholdPolicy(tuple((ends.argmax(axis=1) + 1).tolist()))
+    policy = Optimal(tuple((ends.argmax(axis=1) + 1).tolist()))
     dm = m.delta_max
     grid = np.empty((dm, B1))
     known = min(dm, len(H))
     grid[:known] = H[:known]
     grid[known:] = np.arange(known + 1, dm + 1)[:, None] * t.slope + kappa
-    evals = sum(min(th, dm) for th in tp.thresholds)
+    evals = sum(min(th, dm) for th in policy.thresholds)
     result = SolveResult(
-        gain, grid.T.reshape(-1), stationary_actions(Optimal(tp), m), k + 1, width,
-        np.array(widths), evals, gain_bracket=bracket,
+        gain, grid.T.reshape(-1), k + 1, width, np.array(widths), evals, gain_bracket=bracket
     )
-    return result, tp
+    return result, policy

@@ -14,9 +14,9 @@ from ehaoi import (
     TRANSMIT,
     ConvergenceError,
     ModelParams,
+    Optimal,
     SolveResult,
     State,
-    ThresholdPolicy,
     kernel_arrays,
     one_step_cost,
     state_count,
@@ -79,8 +79,7 @@ def relative_value_iteration(m: ModelParams, eps=1e-9, max_iter=100_000) -> Solv
         v = tv - tv[ref]
         if hi - lo <= eps:
             return SolveResult(
-                0.5 * (hi + lo), v, extract_policy(v, m), k + 1, hi - lo,
-                np.array(spans), state_count(m), (lo, hi),
+                0.5 * (hi + lo), v, k + 1, hi - lo, np.array(spans), state_count(m), (lo, hi)
             )
     raise ConvergenceError(
         f"span residual {spans[-1]:.3e} after {max_iter} iterations", max_iter, spans[-1]
@@ -93,7 +92,7 @@ def _first_ages(hits: np.ndarray) -> list[int]:
     return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, hits.shape[1] + 1).tolist()
 
 
-def extract_thresholds(policy, m: ModelParams) -> ThresholdPolicy:
+def extract_thresholds(policy, m: ModelParams) -> Optimal:
     """Per-battery thresholds of a 0/1 policy table, a row that never
     transmits reading delta_max + 1. Raises ThresholdStructureError when
     some row idles again above its first transmitting age."""
@@ -108,4 +107,4 @@ def extract_thresholds(policy, m: ModelParams) -> ThresholdPolicy:
     ]
     if witnesses:
         raise ThresholdStructureError(f"policy is not threshold-form: {witnesses}", witnesses)
-    return ThresholdPolicy(tuple(thresholds))
+    return Optimal(tuple(thresholds))

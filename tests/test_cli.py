@@ -473,6 +473,23 @@ class TestCompare:
         assert captured.out == f"compared 1 weight value(s) -> {out}\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--simulate", "--horizon", "500", "--seed", "1"]], ids=["exact", "simulate"]
+    )
+    def test_failed_solve_fails_the_optimal_row_alone(self, tmp_path, extra):
+        # the baselines do not depend on the solve: their rows, exact and
+        # simulated, are those of the same command whose solve succeeds
+        argv = ["compare", "--battery-cap", "3", "--axis", "weight", "--grid", "10", *extra]
+        solved, failed = tmp_path / "solved.csv", tmp_path / "failed.csv"
+        assert main([*argv, "--out", str(solved)]) == 0
+        assert main([*argv, "--max-iter", "1", "--out", str(failed)]) == 1
+        rows = read_csv(failed)[1:]
+        assert rows[0][:5] == ["10", "optimal", "", "", ""]
+        assert rows[0][5].startswith("error:policy still changing after 1 evaluations")
+        baselines = [r for r in read_csv(solved)[1:] if not r[1].startswith("optimal")]
+        assert rows[1:] == baselines
+        assert {r[5] for r in rows[1:]} == {"ok"}
+
 
 class TestVerify:
     def test_converged_model_passes_all_checks(self, capsys):

@@ -21,7 +21,6 @@ from ehaoi import (
     Periodic,
     ReducibleChainError,
     State,
-    ThresholdPolicy,
     EvalReport,
     ZeroWait,
     decide,
@@ -344,7 +343,7 @@ class TestBlocksMatchKernel:
         m = params(lambda_e=lam, battery_cap=4, delta_max=9)
         table = np.random.default_rng(3).integers(0, 2, size=(5, 9)).astype(np.int8)
         for kind in (
-            Optimal(ThresholdPolicy((9, 4, 3, 1, 10))),
+            Optimal((9, 4, 3, 1, 10)),
             ZeroWait(),
             Explicit(table),
         ):
@@ -354,7 +353,7 @@ class TestBlocksMatchKernel:
     def test_induced_chain_reference_point(self):
         m = params(battery_cap=20, delta_max=200)
         thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
-        actions = stationary_actions(Optimal(ThresholdPolicy(thresholds)), m)
+        actions = stationary_actions(Optimal(thresholds), m)
         _assert_same_csr(_block_chain(actions, m), _kernel_chain([actions], m))
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -454,7 +453,7 @@ class TestLevelReduction:
         # delta_max + 1 does so from age 13 on, on the model widened to
         # 13 ages, as evaluate_exact reads it
         m = params(lambda_e=lam, battery_cap=3, delta_max=max(12, *thresholds))
-        _check_level_reduction(stationary_actions(Optimal(ThresholdPolicy(thresholds)), m), m)
+        _check_level_reduction(stationary_actions(Optimal(thresholds), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 2, 5])
@@ -468,7 +467,7 @@ class TestLevelReduction:
         # rejects p_block = 0 as input, so the test sets it past the check
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
-        kind = Optimal(ThresholdPolicy((2, 2, 2)))
+        kind = Optimal((2, 2, 2))
         mu = _check_level_reduction(stationary_actions(kind, m), m)
         # W = 2: the levels are age 1 and ages 2 and above
         np.testing.assert_array_equal(np.argwhere(mu), [[0, 0, 2], [1, 0, 2]])
@@ -488,7 +487,7 @@ class TestLevelReduction:
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_smallest_age_cap(self, lam):
         m = params(lambda_e=lam, delta_max=2)
-        for kind in (ZeroWait(), Optimal(ThresholdPolicy((2, 1, 1))), Periodic(3)):
+        for kind in (ZeroWait(), Optimal((2, 1, 1)), Periodic(3)):
             _check_level_reduction(stationary_actions(kind, m), m)
 
     def test_class_search_sees_the_collapsed_chain(self, monkeypatch):
@@ -573,7 +572,7 @@ class TestEvaluateExact:
 
     def test_cost_decomposition_identity(self):
         m = params()
-        for kind in (ZeroWait(), Optimal(ThresholdPolicy((3, 2, 1)))):
+        for kind in (ZeroWait(), Optimal((3, 2, 1))):
             r = evaluate_exact(kind, m)
             assert r.average_cost == r.average_aoi + m.weight * m.cost_reliable * r.reliable_energy_rate
 
@@ -588,7 +587,7 @@ class TestEvaluateExact:
         )
         res, tp = modified_via(m, eps=1e-9)
         assert tp.thresholds == (2, 2, 1)
-        r = evaluate_exact(Optimal(tp), m)
+        r = evaluate_exact(tp, m)
         assert r.average_cost == pytest.approx(res.gain, abs=1e-12)
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -601,7 +600,7 @@ class TestEvaluateExact:
 
     def test_reference_point_carries_its_evidence(self, base_params, base_solution):
         _, tp = base_solution
-        r = evaluate_exact(Optimal(tp), base_params)
+        r = evaluate_exact(tp, base_params)
         assert r.balance_residual <= 1e-14
         # the mass at ages 11 and above, where every battery transmits
         assert r.cap_mass == pytest.approx(2.4008593290663e-06, rel=1e-9)
@@ -629,13 +628,13 @@ class TestEvaluateExact:
         res, tp = modified_via(ModelParams(**hard, delta_max=200), eps=1e-9)
         assert tp.thresholds == (124,) * 20 + (78,)
         for dm in (200, 400, 1600):
-            r = evaluate_exact(Optimal(tp), ModelParams(**hard, delta_max=dm))
+            r = evaluate_exact(tp, ModelParams(**hard, delta_max=dm))
             assert abs(r.average_cost - res.gain) <= 1e-10 * res.gain
 
     @pytest.mark.parametrize("lam", [0.3, 1.0])
     def test_threshold_past_the_cap_transmits_from_there(self, lam):
         # as decide reads it: 13 and 40 at delta_max 12 are ages 13 and 40
-        kind = Optimal(ThresholdPolicy((13, 5, 2, 40)))
+        kind = Optimal((13, 5, 2, 40))
         narrow = evaluate_exact(kind, params(lambda_e=lam, battery_cap=3, delta_max=12))
         wide = evaluate_exact(kind, params(lambda_e=lam, battery_cap=3, delta_max=60))
         assert abs(narrow.average_cost - wide.average_cost) <= 1e-12 * wide.average_cost
@@ -650,7 +649,7 @@ class TestEvaluateExact:
         m = params(battery_cap=3)
         thresholds = (2, far, 4, 1)
         gain = _evaluate(np.arange(1, far) >= np.array(thresholds)[:, None], m)[0]
-        r = evaluate_exact(Optimal(ThresholdPolicy(thresholds)), m)
+        r = evaluate_exact(Optimal(thresholds), m)
         assert abs(r.average_cost - gain) <= 1e-12 * gain
 
     def test_large_point_does_not_depend_on_delta_max(self):
@@ -658,7 +657,7 @@ class TestEvaluateExact:
 
         large = dict(lambda_e=0.5, p_block=0.2, battery_cap=100, cost_reliable=2.0, weight=10.0)
         tp = modified_via(ModelParams(**large, delta_max=400), eps=1e-9)[1]
-        for kind in (Optimal(tp), ZeroWait(), Periodic(5), Periodic(20)):
+        for kind in (tp, ZeroWait(), Periodic(5), Periodic(20)):
             a, b = (evaluate_exact(kind, ModelParams(**large, delta_max=dm)) for dm in (400, 1600))
             for field in ("average_cost", "average_aoi", "reliable_energy_rate"):
                 x, y = getattr(a, field), getattr(b, field)
@@ -676,7 +675,7 @@ class TestEvaluateExact:
             lambda_e=0.5, p_block=0.2, battery_cap=30,
             cost_reliable=2.0, weight=1.0, delta_max=180,
         )
-        kind = Optimal(ThresholdPolicy((3,) * 31))
+        kind = Optimal((3,) * 31)
         P = _kernel_chain([stationary_actions(kind, m)], m)
         cls = _recurrent_class(P.indptr, P.indices, 0)
         assert cls.size == P.shape[0] > 5000
@@ -729,8 +728,8 @@ REPLAY_KINDS = {
     "explicit-wide": Explicit(np.random.default_rng(4).integers(0, 2, (4, 30))),
     # 1200 table states at long horizons: the block shrinks to 3 slots
     "explicit-short-block": Explicit(np.random.default_rng(5).integers(0, 2, (4, 300))),
-    "optimal-never-row": Optimal(ThresholdPolicy((9, 3, 2, 1))),  # delta_max + 1
-    "optimal-past-horizon": Optimal(ThresholdPolicy((2, 10**9, 4, 1))),
+    "optimal-never-row": Optimal((9, 3, 2, 1)),  # delta_max + 1
+    "optimal-past-horizon": Optimal((2, 10**9, 4, 1)),
 }
 
 
@@ -794,7 +793,7 @@ class TestSimulate:
     )
     def test_reference_streams_pinned(self, base_params, base_solution, seed, fields):
         # full-precision reports of the reference point's seeded runs
-        rep = simulate(Optimal(base_solution[1]), base_params, 1_000_000, seed)
+        rep = simulate(base_solution[1], base_params, 1_000_000, seed)
         got = (rep.average_cost, rep.average_aoi, rep.reliable_energy_rate, rep.ci_halfwidth)
         assert got == fields
 
@@ -804,7 +803,7 @@ class TestSimulate:
             lambda_e=0.5, p_block=0.2, battery_cap=3,
             cost_reliable=2.0, weight=10.0, delta_max=30,
         )
-        kind = Optimal(ThresholdPolicy((4, 2, 1, 1)))
+        kind = Optimal((4, 2, 1, 1))
         horizon, seed = 5_000, 11
         rep = simulate(kind, m, horizon, seed)
 
@@ -825,7 +824,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("horizon", [1, 20, 139, 5003])
     @pytest.mark.parametrize(
-        "kind", [Optimal(ThresholdPolicy((4, 2, 1, 1))), ZeroWait(), Periodic(3)],
+        "kind", [Optimal((4, 2, 1, 1)), ZeroWait(), Periodic(3)],
         ids=["optimal", "zero-wait", "periodic3"],
     )
     def test_stretches_do_not_change_the_report(self, monkeypatch, kind, horizon):
@@ -884,7 +883,7 @@ class TestSimulate:
 
     def test_cost_decomposition_identity(self):
         m = params()
-        rep = simulate(Optimal(ThresholdPolicy((3, 2, 1))), m, 50_000, 9)
+        rep = simulate(Optimal((3, 2, 1)), m, 50_000, 9)
         assert rep.average_cost == rep.average_aoi + m.weight * m.cost_reliable * rep.reliable_energy_rate
 
     def test_report_metadata(self):
@@ -916,8 +915,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "kind",
         [
-            Optimal(ThresholdPolicy((3, 2))),
-            Optimal(ThresholdPolicy((3, 2, 1, 1))),
+            Optimal((3, 2)),
+            Optimal((3, 2, 1, 1)),
             Explicit(np.ones((2, 5))),
         ],
     )

@@ -10,7 +10,6 @@ from ehaoi import (
     Optimal,
     Periodic,
     State,
-    ThresholdPolicy,
     ZeroWait,
     decide,
     stationary_actions,
@@ -65,14 +64,14 @@ class TestDecide:
                 Periodic(bad)
 
     def test_threshold_policy_by_battery_row(self):
-        k = Optimal(ThresholdPolicy((3, 2, 1)))
+        k = Optimal((3, 2, 1))
         assert decide(k, State(2, 0), 5) == IDLE
         assert decide(k, State(3, 0), 5) == TRANSMIT
         assert decide(k, State(2, 1), 5) == TRANSMIT
         assert decide(k, State(1, 2), 5) == TRANSMIT
 
     def test_threshold_battery_out_of_table(self):
-        k = Optimal(ThresholdPolicy((3, 2, 1)))
+        k = Optimal((3, 2, 1))
         with pytest.raises(DomainError):
             decide(k, State(1, 3), 0)
 
@@ -137,15 +136,11 @@ class TestExplicitValidation:
         given[0, 0] = 1
         assert k.actions[0, 0] == 0
 
-    def test_from_state_order_round_trip(self):
+    def test_state_order_round_trip(self):
         m = params()
         flat = np.arange(12) % 2
-        k = Explicit.from_state_order(flat, m)
+        k = Explicit(flat.reshape(m.battery_cap + 1, m.delta_max))
         np.testing.assert_array_equal(stationary_actions(k, m), flat)
-
-    def test_from_state_order_size_check(self):
-        with pytest.raises(DomainError):
-            Explicit.from_state_order(np.zeros(5, dtype=np.int8), params())
 
 
 class TestStationaryActions:
@@ -157,9 +152,9 @@ class TestStationaryActions:
 
     def test_threshold_matches_expand(self):
         m = params()
-        tp = ThresholdPolicy((2, 1, 3))
+        tp = Optimal((2, 1, 3))
         np.testing.assert_array_equal(
-            stationary_actions(Optimal(tp), m),
+            stationary_actions(tp, m),
             [0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1],  # transmit iff age >= thresholds[q]
         )
 

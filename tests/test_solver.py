@@ -13,10 +13,11 @@ from ehaoi import (
     ModelParams,
     Optimal,
     State,
-    ThresholdPolicy,
     UnboundedAgeError,
+    decide,
     evaluate_exact,
     modified_via,
+    simulate,
     state_count,
     stationary_actions,
 )
@@ -220,15 +221,9 @@ class TestRelativeValueIteration:
             delta_max=60,
         )
         res = relative_value_iteration(m, eps=1e-10)
-        table = res.policy.reshape(m.battery_cap + 1, m.delta_max)
+        table = extract_policy(res.values, m).reshape(m.battery_cap + 1, m.delta_max)
         assert np.all(table[1:, :] == TRANSMIT)
         assert res.gain == pytest.approx(1.0 / 0.99, abs=1e-8)
-
-    def test_policy_is_greedy_for_returned_values(self):
-        m = tiny_params(battery_cap=3, delta_max=20)
-        res = relative_value_iteration(m, eps=1e-9)
-        np.testing.assert_array_equal(res.policy, extract_policy(res.values, m))
-        assert res.argmin_evals == state_count(m)
 
     def test_gain_bracket_holds_the_gain(self):
         m = tiny_params(battery_cap=3, delta_max=25)
@@ -284,7 +279,7 @@ class TestModifiedVia:
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, **overrides})
         res, tp = modified_via(m, eps=1e-9)
         full = relative_value_iteration(m, eps=1e-9)
-        moved = res.policy != full.policy
+        moved = stationary_actions(tp, m) != extract_policy(full.values, m)
         assert moved.any() == bool(overrides)
         q = bellman_backup_q(res.values, m)
         assert np.abs(q[IDLE] - q[TRANSMIT])[moved].max(initial=0.0) <= TIE_TOL
@@ -298,9 +293,16 @@ class TestModifiedVia:
         assert res.argmin_evals == expected
         assert res.argmin_evals < state_count(base_params)
 
-    def test_policy_expands_from_thresholds(self, base_params, base_solution):
-        res, tp = base_solution
-        np.testing.assert_array_equal(stationary_actions(Optimal(tp), base_params), res.policy)
+    def test_returns_a_policy_the_evaluators_take(self, base_params, base_solution):
+        res, policy = base_solution
+        assert type(policy) is Optimal
+        first = policy.thresholds[0]
+        assert decide(policy, State(first - 1, 0), 0) == IDLE
+        assert decide(policy, State(first, 0), 0) == TRANSMIT
+        exact = evaluate_exact(policy, base_params)
+        assert abs(exact.average_cost - res.gain) <= 1e-10
+        rep = simulate(policy, base_params, 200_000, 1)
+        assert abs(rep.average_cost - res.gain) <= 3 * rep.ci_halfwidth
 
     @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf"), True])
     def test_bad_eps_rejected(self, eps):
@@ -575,6 +577,15 @@ class TestDegenerateModels:
             with pytest.raises(UnboundedAgeError, match="the average age is unbounded"):
                 modified_via(m, eps=1e-9)
 
+    def test_solver_and_evaluator_give_one_message(self):
+        # the solve fails where evaluating any policy does, and says so alike
+        m = tiny_params(p_block=1.0 - 1e-16, battery_cap=3, delta_max=12)
+        with pytest.raises(UnboundedAgeError) as solved:
+            modified_via(m, eps=1e-9)
+        with pytest.raises(UnboundedAgeError) as evaluated:
+            evaluate_exact(Optimal((1,) * 4), m)
+        assert str(solved.value) == str(evaluated.value) == str(UnboundedAgeError())
+
 
 class TestRepeatedTable:
     def test_cycle_ends_at_the_first_table_seen_twice(self, monkeypatch):
@@ -695,27 +706,26 @@ class TestTieRule:
         np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max, False), send)
 
 
-class TestThresholdPolicy:
+class TestOptimal:
     def test_expand_layout(self):
         m = tiny_params()
-        tp = ThresholdPolicy((2, 1, 5))
-        table = stationary_actions(Optimal(tp), m).reshape(3, 4)
+        table = stationary_actions(Optimal((2, 1, 5)), m).reshape(3, 4)
         np.testing.assert_array_equal(table[0], [0, 1, 1, 1])
         np.testing.assert_array_equal(table[1], [1, 1, 1, 1])
         np.testing.assert_array_equal(table[2], [0, 0, 0, 0])  # 5 > delta_max: never
 
     def test_expand_length_mismatch(self):
         with pytest.raises(DomainError):
-            stationary_actions(Optimal(ThresholdPolicy((1, 1))), tiny_params())
+            stationary_actions(Optimal((1, 1)), tiny_params())
 
     @pytest.mark.parametrize("bad", [(), (0,), (1.5,), (1, -2)])
     def test_invalid_thresholds(self, bad):
         with pytest.raises(DomainError):
-            ThresholdPolicy(bad)
+            Optimal(bad)
 
     def test_bool_threshold_rejected(self):
         with pytest.raises(DomainError):
-            ThresholdPolicy((True, 2, 1))
+            Optimal((True, 2, 1))
 
 
 class TestExtractThresholds:
@@ -731,8 +741,8 @@ class TestExtractThresholds:
 
     def test_round_trips_expansion(self):
         m = tiny_params()
-        tp = ThresholdPolicy((2, 2, 1))
-        assert extract_thresholds(stationary_actions(Optimal(tp), m), m) == tp
+        tp = Optimal((2, 2, 1))
+        assert extract_thresholds(stationary_actions(tp, m), m) == tp
 
     def test_hole_raises_with_witness(self):
         m = tiny_params()

@@ -17,7 +17,7 @@ the rest the change first, and the i-th pair (from 0) uses seed
 ``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
 fresh processes time ``modified_via`` at the two fixed points and at the
 large one with weight 100, and ``evaluate_exact`` at the large one, for
-ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and Optimal with the thresholds
+ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and the ``Optimal`` policy
 ``modified_via`` returns, solved once per process before the timed calls
 (best of a few calls each).
 The same four evaluations run again with the large point's age cap at
@@ -57,7 +57,7 @@ LARGE = dict(battery_cap=100, delta_max=400)
 WIDE = dict(LARGE, delta_max=1600)
 # each in-process timing: the model point, the calls per process, the setup
 # run once before them and the timed call
-OPTIMAL = "optimal = Optimal(modified_via(m)[1])"
+OPTIMAL = "optimal = modified_via(m)[1]"
 FIXED_POINTS = {
     "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9, 100_000)"),
     "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9, 100_000)"),
@@ -77,7 +77,7 @@ FIXED_POINTS = {
 IN_PROCESS = """
 import sys, time
 sys.path.insert(0, {src!r})
-from ehaoi import ModelParams, Optimal, Periodic, ZeroWait, evaluate_exact, modified_via
+from ehaoi import ModelParams, Periodic, ZeroWait, evaluate_exact, modified_via
 m = ModelParams(**{point!r})
 {setup}
 times = []
