@@ -24,7 +24,7 @@ from .evaluator import (
     simulate,
 )
 from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
-from .policies import Periodic, ZeroWait, stationary_actions
+from .policies import Periodic, ZeroWait, decide
 from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
 
@@ -194,10 +194,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _check_writable(out, policy_out)
     result, kind = modified_via(m, cfg.eps, cfg.max_iter)
     _write_csv(out, ["q", "threshold"], list(enumerate(kind.thresholds)))
-    rows = [
-        [s.aoi, s.battery, int(a)]
-        for s, a in zip(enumerate_states(m), stationary_actions(kind, m))
-    ]
+    rows = [[s.aoi, s.battery, decide(kind, s, 0)] for s in enumerate_states(m)]
     _write_csv(policy_out, ["delta", "q", "action"], rows)
     print(
         f"gain={_fmt(result.gain)} iterations={result.iterations} "

@@ -42,7 +42,7 @@ command loads ``scipy.sparse`` or ``scipy.sparse.csgraph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -286,10 +286,11 @@ def _around(v: np.ndarray, Ut: np.ndarray, stay: np.ndarray) -> np.ndarray:
     return y
 
 
-def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, float]:
+def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, float]:
     """Stationary distribution, with the age never truncated, of the chain
-    under ``actions`` (one base table per phase, as ``stationary_actions``
-    lays them out; later ages take the last column) on its closed class:
+    under ``send``, a boolean (phase, battery, age) table as
+    ``stationary_actions`` gives it (later ages take the last column), on
+    its closed class:
     by (age, phase, battery), zero off the class, the last level W holding
     every age from W on. Also the tail's age excess sum_k k pi_{W+k}, and
     the balance residual ||mu P - mu||_1 on those W levels.
@@ -307,9 +308,7 @@ def _stationary(actions: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float,
     age and raises UnboundedAgeError.
     """
     U, R = _blocks(m)
-    B1 = m.battery_cap + 1
-    send = actions.reshape(-1, B1, m.delta_max) == TRANSMIT  # (phase, battery, age)
-    T = send.shape[0]
+    T, B1, _ = send.shape
     K = T * B1
     W = int(np.flatnonzero((send != send[..., -1:]).any(axis=(0, 1))).max(initial=0)) + 2
     act = send[..., list(range(W - 1)) + [-1]].transpose(2, 0, 1).astype(np.intp)
@@ -382,24 +381,23 @@ def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
     """Exact long-run averages of ``kind`` on the chain whose age is never
     truncated; ``delta_max`` does not change them.
 
-    A threshold above delta_max means "transmit from that age on", as in
-    ``decide``: an Optimal kind's table is built on the model widened to
-    its largest threshold. A periodic schedule is evaluated on the product
+    The chain follows ``stationary_actions``' table, which reads a policy
+    as ``decide`` does: an Optimal threshold at any age transmits from that
+    age on, and an Explicit table of any width holds its last column at
+    the later ages. A periodic schedule is evaluated on the product
     chain over (slot mod period, state), which makes it stationary, with
     the phase joining the battery level in each age block. ``cap_mass`` is
     the mass at the ages from W on, where the action table stops changing.
     Raises UnboundedAgeError if nothing in the closed class resets the age.
     """
-    if isinstance(kind, Optimal):
-        m = replace(m, delta_max=max(m.delta_max, *kind.thresholds))
-    actions = stationary_actions(kind, m)
-    mu, excess, residual = _stationary(actions, m)
+    send = stationary_actions(kind, m)
+    mu, excess, residual = _stationary(send, m)
     W = len(mu)
     by_age = mu.reshape(W, -1).sum(axis=1)
     average_aoi = float(by_age @ np.arange(1.0, W + 1) + excess)
     # the paid states: battery 0, transmitting, at the W levels by phase
-    paid = actions.reshape(-1, m.battery_cap + 1, m.delta_max)[:, 0, list(range(W - 1)) + [-1]]
-    rate = float(mu[..., 0][paid.T == TRANSMIT].sum())
+    paid = send[:, 0, list(range(W - 1)) + [-1]]
+    rate = float(mu[..., 0][paid.T].sum())
     cost = average_aoi + m.weight * m.cost_reliable * rate
     return EvalReport(cost, average_aoi, rate, balance_residual=residual, cap_mass=float(by_age[-1]))
 

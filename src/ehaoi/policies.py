@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int, state_count
+from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,7 @@ class Periodic:
 @dataclass(frozen=True)
 class Optimal:
     """Solver output: transmit at battery level q exactly when age >=
-    thresholds[q].
-
-    A threshold above delta_max means "transmit from that age on", as
-    ``decide`` and ``evaluate_exact`` read it; the ``stationary_actions``
-    table, which ends at delta_max, never transmits in that row.
-    """
+    thresholds[q], at every age; no age cap bounds a threshold."""
 
     thresholds: tuple[int, ...]
 
@@ -69,7 +64,7 @@ class Explicit:
     saturating age dynamics.
     """
 
-    actions: np.ndarray  # shape (battery_cap + 1, delta_max), values 0/1
+    actions: np.ndarray  # shape (battery_cap + 1, any width), values 0/1
 
     def __post_init__(self):
         raw = np.asarray(self.actions)
@@ -118,34 +113,34 @@ def decide(kind: PolicyKind, s: State, t: int) -> int:
 
 
 def stationary_actions(kind: PolicyKind, m: ModelParams) -> np.ndarray:
-    """Action per state of the chain on which ``kind`` is stationary.
+    """The policy as a boolean (phase, battery, age) table, True where it
+    transmits, read as ``decide`` reads it: age a takes column
+    min(a, width) - 1, so the last column holds at every later age.
 
-    For ZeroWait, Optimal and Explicit that is the base chain: one action
-    per state, in enumerate_states order. A ``Periodic(T)`` schedule is
-    stationary on the chain augmented with the slot phase t mod T, so it
-    gets T such tables laid end to end, phase outer: phase 0 is the
-    scheduled slot and transmits (idling on an empty battery under
-    ``skip_on_empty``), and the other phases idle.
+    A ``Periodic(T)`` schedule is stationary on the chain augmented with the
+    slot phase t mod T, so it gets T phases: phase 0 is the scheduled slot
+    and transmits (idling on an empty battery under ``skip_on_empty``), and
+    the other phases idle; every other kind has one. The width is 1 for
+    ZeroWait and Periodic, the largest threshold for Optimal and the
+    table's own for Explicit.
     """
+    B1 = m.battery_cap + 1
     if isinstance(kind, ZeroWait):
-        return np.ones(state_count(m), dtype=np.int8)
+        return np.ones((1, B1, 1), dtype=bool)
     if isinstance(kind, Periodic):
-        table = np.zeros((kind.period, m.battery_cap + 1, m.delta_max), dtype=np.int8)
-        table[0] = TRANSMIT
-        if kind.skip_on_empty:
-            table[0, 0] = IDLE
-        return table.reshape(-1)
+        table = np.zeros((kind.period, B1, 1), dtype=bool)
+        table[0] = True
+        table[0, 0] = not kind.skip_on_empty
+        return table
     if isinstance(kind, Optimal):
         thr = kind.thresholds
-        if len(thr) != m.battery_cap + 1:
-            raise DomainError(f"expected {m.battery_cap + 1} thresholds, got {len(thr)}")
-        ages = np.arange(1, m.delta_max + 1)
-        return np.concatenate([(ages >= t).astype(np.int8) for t in thr])
+        if len(thr) != B1:
+            raise DomainError(f"expected {B1} thresholds, got {len(thr)}")
+        return (np.arange(1, max(thr) + 1) >= np.array(thr)[:, None])[None]
     if isinstance(kind, Explicit):
-        if kind.actions.shape != (m.battery_cap + 1, m.delta_max):
+        if len(kind.actions) != B1:
             raise DomainError(
-                f"action table shape {kind.actions.shape} does not match "
-                f"({m.battery_cap + 1}, {m.delta_max})"
+                f"action table has {len(kind.actions)} battery rows, the model {B1}"
             )
-        return kind.actions.reshape(-1)
+        return (kind.actions == TRANSMIT)[None]
     raise TypeError(f"unknown policy kind {kind!r}")

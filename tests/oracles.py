@@ -5,6 +5,7 @@ normalized against the state (age 1, battery_cap) and stopped on the span
 seminorm of the Bellman update, with the greedy policy and the threshold
 reading it gives. Every Bellman backup is one gather over ``kernel_arrays``,
 the per-state kernel, so none of this shares code with the solver.
+``grid_actions`` lays a policy out on that truncated chain's states.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from ehaoi import (
     one_step_cost,
     state_count,
     state_index,
+    stationary_actions,
     transition,
 )
 from ehaoi.solver import TIE_TOL
@@ -36,6 +38,15 @@ class ThresholdStructureError(ValueError):
     def __init__(self, message, witnesses):
         super().__init__(message)
         self.witnesses = witnesses
+
+
+def grid_actions(kind, m: ModelParams) -> np.ndarray:
+    """``stationary_actions``' table on the truncated chain's grid: 0/1 per
+    (phase, battery, age <= delta_max), flat in that order, age a reading
+    the table's column min(a, width) - 1."""
+    table = stationary_actions(kind, m)
+    cols = np.minimum(np.arange(m.delta_max), table.shape[-1] - 1)
+    return table[..., cols].reshape(-1).astype(np.int8)
 
 
 def q_value(v, s: State, a: int, m: ModelParams) -> float:

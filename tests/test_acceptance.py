@@ -29,11 +29,10 @@ from ehaoi import (
     run_all_checks,
     simulate,
     state_count,
-    stationary_actions,
     transition,
 )
 from ehaoi.cli import main as cli_main
-from oracles import extract_policy, extract_thresholds
+from oracles import extract_policy, extract_thresholds, grid_actions
 
 REFERENCE = dict(
     lambda_e=0.5,
@@ -162,7 +161,7 @@ def test_criterion_3_structural_checks_on_grid(structure_grid):
         for report in run_all_checks(res.values, m, tol=1e-8):
             if not report.passed:
                 failures.append((key, report.name, report.worst))
-        extracted = extract_thresholds(stationary_actions(tp, m), m)  # raises if not threshold-form
+        extracted = extract_thresholds(grid_actions(tp, m), m)  # raises if not threshold-form
         if extracted.thresholds != tp.thresholds:
             failures.append((key, "threshold-mismatch", extracted.thresholds))
     elapsed = solve_elapsed + (time.perf_counter() - t0)
@@ -185,7 +184,7 @@ def test_criterion_4_threshold_scan_equivalence(structure_grid):
     problems = []
     for key, (m, res, tp) in points.items():
         full = extract_policy(res.values, m)
-        if not np.array_equal(stationary_actions(tp, m), full):
+        if not np.array_equal(grid_actions(tp, m), full):
             problems.append((key, "policy-mismatch"))
         if max(tp.thresholds) > 1 and not res.argmin_evals < state_count(m):
             problems.append((key, "no-work-saved", res.argmin_evals))

@@ -29,7 +29,6 @@ from ehaoi import (
     evaluate_periodic_exact,
     kernel_arrays,
     simulate,
-    stationary_actions,
     step,
     transition,
 )
@@ -43,6 +42,7 @@ from ehaoi.evaluator import (
     _recurrent_class,
     _stationary,
 )
+from oracles import grid_actions
 
 
 def params(**overrides):
@@ -347,13 +347,13 @@ class TestBlocksMatchKernel:
             ZeroWait(),
             Explicit(table),
         ):
-            actions = stationary_actions(kind, m)
+            actions = grid_actions(kind, m)
             _assert_same_csr(_block_chain(actions, m), _kernel_chain([actions], m))
 
     def test_induced_chain_reference_point(self):
         m = params(battery_cap=20, delta_max=200)
         thresholds = (11, 4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1)
-        actions = stationary_actions(Optimal(thresholds), m)
+        actions = grid_actions(Optimal(thresholds), m)
         _assert_same_csr(_block_chain(actions, m), _kernel_chain([actions], m))
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -365,7 +365,7 @@ class TestBlocksMatchKernel:
         if skip:
             send[:8] = 0  # battery 0 idles
         phases = [send] + [np.zeros(n, dtype=np.int64)] * (period - 1)
-        actions = stationary_actions(Periodic(period, skip), m)
+        actions = grid_actions(Periodic(period, skip), m)
         _assert_same_csr(_block_chain(actions, m), _kernel_chain(phases, m))
 
     def test_blocks_are_read_only(self):
@@ -386,11 +386,12 @@ def _check_level_reduction(actions, m):
     B1, D = m.battery_cap + 1, m.delta_max
     P = _kernel_chain(np.reshape(actions, (-1, B1 * D)), m)
     cls = _recurrent_class(P.indptr, P.indices, start=0)
+    send = np.reshape(actions, (-1, B1, D)) == 1
     if not (cls % D == 0).any():  # nothing in the class resets the age
         with pytest.raises(UnboundedAgeError):
-            _stationary(np.asarray(actions), m)
+            _stationary(send, m)
         return None
-    mu, _, residual = _stationary(np.asarray(actions), m)
+    mu, _, residual = _stationary(send, m)
     W = len(mu)
     dist = np.zeros(P.shape[0])
     dist[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
@@ -449,17 +450,17 @@ class TestLevelReduction:
     )
     @pytest.mark.parametrize("lam", [0.3, 1.0])
     def test_thresholds_at_and_past_the_cap(self, thresholds, lam):
-        # a threshold of delta_max transmits from the cap on; one of
-        # delta_max + 1 does so from age 13 on, on the model widened to
-        # 13 ages, as evaluate_exact reads it
+        # a threshold of 12 transmits from age 12 on and one of 13 from
+        # age 13 on; the model's cap is 13 where a threshold is, so that
+        # the truncated chain of the direct solve has that age
         m = params(lambda_e=lam, battery_cap=3, delta_max=max(12, *thresholds))
-        _check_level_reduction(stationary_actions(Optimal(thresholds), m), m)
+        _check_level_reduction(grid_actions(Optimal(thresholds), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 2, 5])
     def test_periodic(self, period, skip):
         m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
-        _check_level_reduction(stationary_actions(Periodic(period, skip), m), m)
+        _check_level_reduction(grid_actions(Periodic(period, skip), m), m)
 
     def test_deterministic_cycle(self):
         # with certain harvest and a channel that never blocks, sending at
@@ -468,7 +469,7 @@ class TestLevelReduction:
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal((2, 2, 2))
-        mu = _check_level_reduction(stationary_actions(kind, m), m)
+        mu = _check_level_reduction(grid_actions(kind, m), m)
         # W = 2: the levels are age 1 and ages 2 and above
         np.testing.assert_array_equal(np.argwhere(mu), [[0, 0, 2], [1, 0, 2]])
         np.testing.assert_allclose(mu[:, 0, 2], [0.5, 0.5], rtol=0, atol=1e-15)
@@ -476,7 +477,7 @@ class TestLevelReduction:
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
         m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
-        mu = _check_level_reduction(stationary_actions(Periodic(8), m), m)
+        mu = _check_level_reduction(grid_actions(Periodic(8), m), m)
         assert np.isfinite(mu).all()
 
     def test_never_transmit_raises(self):
@@ -488,7 +489,7 @@ class TestLevelReduction:
     def test_smallest_age_cap(self, lam):
         m = params(lambda_e=lam, delta_max=2)
         for kind in (ZeroWait(), Optimal((2, 1, 1)), Periodic(3)):
-            _check_level_reduction(stationary_actions(kind, m), m)
+            _check_level_reduction(grid_actions(kind, m), m)
 
     def test_class_search_sees_the_collapsed_chain(self, monkeypatch):
         # Periodic(20) at battery_cap=100, delta_max=400 once handed the
@@ -543,6 +544,17 @@ class TestLevelReduction:
 
 
 class TestEvaluateExact:
+    def test_explicit_table_of_any_width(self):
+        # later ages reuse the last column, so a table padded with it, or
+        # evaluated under any age cap, is the same policy
+        m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
+        narrow = np.random.default_rng(7).integers(0, 2, (4, 5))
+        narrow[:, -1] = TRANSMIT
+        padded = np.pad(narrow, ((0, 0), (0, 10)), mode="edge")
+        assert evaluate_exact(Explicit(narrow), m) == evaluate_exact(Explicit(padded), m)
+        wide = np.pad(narrow, ((0, 0), (0, 20)), mode="edge")
+        assert evaluate_exact(Explicit(wide), m) == evaluate_exact(Explicit(padded), m)
+
     def test_constant_updating_with_certain_harvest(self):
         # battery refills every slot, so age is geometric: mean 1/(1-p)
         m = params(lambda_e=1.0)
@@ -676,7 +688,7 @@ class TestEvaluateExact:
             cost_reliable=2.0, weight=1.0, delta_max=180,
         )
         kind = Optimal((3,) * 31)
-        P = _kernel_chain([stationary_actions(kind, m)], m)
+        P = _kernel_chain([grid_actions(kind, m)], m)
         cls = _recurrent_class(P.indptr, P.indices, 0)
         assert cls.size == P.shape[0] > 5000
         mu = _stationary_dist(P[np.ix_(cls, cls)].tocsr())

@@ -140,37 +140,68 @@ class TestExplicitValidation:
         m = params()
         flat = np.arange(12) % 2
         k = Explicit(flat.reshape(m.battery_cap + 1, m.delta_max))
-        np.testing.assert_array_equal(stationary_actions(k, m), flat)
+        table = stationary_actions(k, m)
+        assert table.shape == (1, 3, 4)
+        np.testing.assert_array_equal(table.reshape(-1), flat == TRANSMIT)
 
 
 class TestStationaryActions:
     def test_zero_wait_all_ones(self):
         m = params()
-        np.testing.assert_array_equal(
-            stationary_actions(ZeroWait(), m), np.ones(12, dtype=np.int8)
-        )
+        table = stationary_actions(ZeroWait(), m)
+        assert table.dtype == bool
+        np.testing.assert_array_equal(table, np.ones((1, 3, 1), dtype=bool))
 
     def test_threshold_matches_expand(self):
         m = params()
         tp = Optimal((2, 1, 3))
         np.testing.assert_array_equal(
             stationary_actions(tp, m),
-            [0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1],  # transmit iff age >= thresholds[q]
+            # transmit iff age >= thresholds[q], to the largest threshold
+            [[[0, 1, 1], [1, 1, 1], [0, 0, 1]]],
         )
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_periodic_layout(self, skip):
         # (phase, battery, age), phase outer: the scheduled phase 0 sends,
-        # idling on an empty battery under skip_on_empty; the others idle
+        # idling on an empty battery under skip_on_empty; the others idle,
+        # and one column holds at every age
         m = params()
-        table = stationary_actions(Periodic(3, skip), m).reshape(3, 3, 4)
-        want = np.zeros((3, 3, 4), dtype=np.int8)
-        want[0] = TRANSMIT
-        want[0, 0] = IDLE if skip else TRANSMIT
+        table = stationary_actions(Periodic(3, skip), m)
+        want = np.zeros((3, 3, 1), dtype=bool)
+        want[0] = True
+        want[0, 0] = not skip
         np.testing.assert_array_equal(table, want)
         for t in range(3):
             for s in (State(1, 0), State(4, 2)):
-                assert table[t, s.battery, s.aoi - 1] == decide(Periodic(3, skip), s, t)
+                assert table[t, s.battery, 0] == decide(Periodic(3, skip), s, t)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            ZeroWait(),
+            Periodic(1),
+            Periodic(3),
+            Periodic(3, skip_on_empty=True),
+            Optimal((2, 1, 3)),
+            Optimal((2, 9, 1)),  # a threshold above delta_max = 4
+            Explicit(np.arange(6).reshape(3, 2) % 2),  # narrower than delta_max
+            Explicit(np.arange(18).reshape(3, 6) % 3 == 0),  # wider than delta_max
+        ],
+        ids=["zero-wait", "periodic-1", "periodic-3", "periodic-3-skip", "optimal",
+             "optimal-past-cap", "explicit-narrow", "explicit-wide"],
+    )
+    def test_reads_as_decide(self, kind):
+        # age a reads column min(a, width) - 1 of phase t mod T, as decide
+        # reads the policy at every age and slot
+        m = params()
+        table = stationary_actions(kind, m)
+        T, B1, A = table.shape
+        assert table.dtype == bool and B1 == m.battery_cap + 1
+        for t in range(2 * T):
+            for q in range(B1):
+                for a in range(1, A + 3):
+                    assert table[t % T, q, min(a, A) - 1] == decide(kind, State(a, q), t)
 
     def test_explicit_shape_must_match_model(self):
         k = Explicit(np.zeros((2, 4), dtype=np.int8))

@@ -36,6 +36,7 @@ from oracles import (
     bellman_backup_q,
     extract_policy,
     extract_thresholds,
+    grid_actions,
     q_value,
     relative_value_iteration,
 )
@@ -279,7 +280,7 @@ class TestModifiedVia:
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.5, **overrides})
         res, tp = modified_via(m, eps=1e-9)
         full = relative_value_iteration(m, eps=1e-9)
-        moved = stationary_actions(tp, m) != extract_policy(full.values, m)
+        moved = grid_actions(tp, m) != extract_policy(full.values, m)
         assert moved.any() == bool(overrides)
         q = bellman_backup_q(res.values, m)
         assert np.abs(q[IDLE] - q[TRANSMIT])[moved].max(initial=0.0) <= TIE_TOL
@@ -709,7 +710,7 @@ class TestTieRule:
 class TestOptimal:
     def test_expand_layout(self):
         m = tiny_params()
-        table = stationary_actions(Optimal((2, 1, 5)), m).reshape(3, 4)
+        table = grid_actions(Optimal((2, 1, 5)), m).reshape(3, 4)
         np.testing.assert_array_equal(table[0], [0, 1, 1, 1])
         np.testing.assert_array_equal(table[1], [1, 1, 1, 1])
         np.testing.assert_array_equal(table[2], [0, 0, 0, 0])  # 5 > delta_max: never
@@ -742,7 +743,7 @@ class TestExtractThresholds:
     def test_round_trips_expansion(self):
         m = tiny_params()
         tp = Optimal((2, 2, 1))
-        assert extract_thresholds(stationary_actions(tp, m), m) == tp
+        assert extract_thresholds(grid_actions(tp, m), m) == tp
 
     def test_hole_raises_with_witness(self):
         m = tiny_params()

@@ -26,7 +26,11 @@ untruncated chain, so its time should not grow with ``delta_max``.
 One more timing, ``exact_first_call_n40400_s``, is a single
 ``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
 in its process: a best-of-N time hides one-time costs such as a module the
-first call imports, and this one shows them.
+first call imports, and this one shows them. Each side takes its timing
+snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
+tree's copy of this script, so a change to a name a snippet calls still
+times both sides as committed; a timing the parent's copy lacks uses this
+copy's entry.
 
 For every metric the output holds each side's per-pair values, median,
 quartiles (``statistics.quantiles``, n = 4) and IQR, and the pairs each
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -133,10 +138,22 @@ def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     }
 
 
-def _in_process(tree: Path, name: str) -> float:
-    point, calls, setup, call = FIXED_POINTS[name]
-    code = IN_PROCESS.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls,
-                             setup=setup, call=call)
+def _timings(tree: Path) -> tuple[str, dict]:
+    """``IN_PROCESS`` and ``FIXED_POINTS`` as ``tree``'s own copy of this
+    script defines them, so that each side's snippets call its own API; a
+    timing that copy lacks, or the whole script if it has none, comes from
+    this one."""
+    script = tree / "tools" / "bench_pairs.py"
+    own = runpy.run_path(str(script)) if script.is_file() else {}
+    points = own.get("FIXED_POINTS", {})
+    return own.get("IN_PROCESS", IN_PROCESS), {
+        name: points.get(name, spec) for name, spec in FIXED_POINTS.items()}
+
+
+def _in_process(tree: Path, header: str, spec: tuple) -> float:
+    point, calls, setup, call = spec
+    code = header.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls,
+                         setup=setup, call=call)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     if proc.returncode:
@@ -219,14 +236,17 @@ def main(argv: list[str] | None = None) -> int:
                     "metrics": _summary(pairs, lambda r: r["values"], better),
                 }
             report[key] = section
+        own = {tree: _timings(tree) for tree in trees.values()}
         pairs = _pairs(args.pairs, trees, lambda tree, i: {
-            name: _in_process(tree, name) for name in FIXED_POINTS})
+            name: _in_process(tree, own[tree][0], spec) for name, spec in own[tree][1].items()})
         report["in_process"] = {
             "command": "a fresh process per side, pair and timing, OpenBLAS one "
-                       "thread: the best of `calls` calls after the setup",
-            "timings": {name: {"point": {**POINT, **point}, "calls": calls, "setup": setup,
-                               "call": call}
-                        for name, (point, calls, setup, call) in FIXED_POINTS.items()},
+                       "thread: the best of `calls` calls after the setup, each "
+                       "side's snippets from its own tools/bench_pairs.py",
+            "timings": {side: {name: {"point": {**POINT, **point}, "calls": calls,
+                                      "setup": setup, "call": call}
+                               for name, (point, calls, setup, call) in own[tree][1].items()}
+                        for side, tree in trees.items()},
             "order": [p["order"] for p in pairs],
             "metrics": _summary(pairs, lambda r: r, {}),
         }
