@@ -9,7 +9,6 @@ from .evaluator import (
     EvalReport,
     ReducibleChainError,
     StepRecord,
-    UnboundedAgeError,
     evaluate_exact,
     evaluate_periodic_exact,
     simulate,
@@ -24,6 +23,7 @@ from .model import (
     ModelParams,
     State,
     TransitionDist,
+    UnboundedAgeError,
     enumerate_states,
     kernel_arrays,
     one_step_cost,

@@ -16,14 +16,8 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .evaluator import (
-    UnboundedAgeError,
-    check_run,
-    evaluate_exact,
-    evaluate_periodic_exact,
-    simulate,
-)
-from .model import DomainError, ModelParams, enumerate_states, is_int, is_real
+from .evaluator import check_run, evaluate_exact, evaluate_periodic_exact, simulate
+from .model import DomainError, ModelParams, UnboundedAgeError, enumerate_states, is_int, is_real
 from .policies import Periodic, ZeroWait, decide
 from .solver import ConvergenceError, modified_via
 from .verify import run_all_checks
@@ -47,7 +41,6 @@ class RunConfig:
     weight: float = 10.0
     delta_max: int = 200
     eps: float = 1e-9
-    max_iter: int = 100_000
     policy: str = "optimal"
     period: int = 5
     periodic_skip_on_empty: bool = False
@@ -192,7 +185,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out or "thresholds.csv"
     policy_out = _derived_path(out, "_policy")
     _check_writable(out, policy_out)
-    result, kind = modified_via(m, cfg.eps, cfg.max_iter)
+    result, kind = modified_via(m, cfg.eps)
     _write_csv(out, ["q", "threshold"], list(enumerate(kind.thresholds)))
     rows = [[s.aoi, s.battery, decide(kind, s, 0)] for s in enumerate_states(m)]
     _write_csv(policy_out, ["delta", "q", "action"], rows)
@@ -213,7 +206,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out or "simulate.csv"
     _check_writable(out)
     if kind is None:
-        kind = modified_via(m, cfg.eps, cfg.max_iter)[1]
+        kind = modified_via(m, cfg.eps)[1]
     rows = []
     costs = []
     for seed in cfg.seeds:
@@ -276,7 +269,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         # optimal row alone, as the baselines do not depend on it
         kinds = {"zero-wait": ZeroWait(), "periodic": periodic}
         try:
-            kinds = {"optimal": modified_via(m, cfg.eps, cfg.max_iter)[1], **kinds}
+            kinds = {"optimal": modified_via(m, cfg.eps)[1], **kinds}
         except SOLVE_ERRORS as exc:
             rows.append(_compare_row(value, "optimal", error=exc))
             failed = True
@@ -307,7 +300,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     failed = False
     for value, m in points:
         try:
-            result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+            result, tp = modified_via(m, cfg.eps)
         except SOLVE_ERRORS as exc:
             rows.append([value, None, None, None, f"error:{exc}"])
             failed = True
@@ -323,7 +316,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     m = _model_params(cfg)
     if cfg.out:
         _check_writable(cfg.out)
-    result, tp = modified_via(m, cfg.eps, cfg.max_iter)
+    result, tp = modified_via(m, cfg.eps)
     reports = run_all_checks(result.values, m)
     print(f"gain={_fmt(result.gain)} iterations={result.iterations}")
     print(f"thresholds={','.join(str(t) for t in tp.thresholds)}")
@@ -369,11 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta-max", dest="delta_max", type=int, help="ages in the policy and value grids")
     common.add_argument(
         "--eps", dest="eps", type=float,
-        help="widest gain certificate the solver accepts",
-    )
-    common.add_argument(
-        "--max-iter", dest="max_iter", type=int,
-        help="cap on the solver's policy evaluations",
+        help="widest gain certificate the solver accepts, relative to the gain",
     )
     common.add_argument("--out", dest="out", help="output CSV path")
     common.add_argument("--config", dest="config", help="JSON config file; flags override it")

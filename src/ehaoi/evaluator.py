@@ -58,7 +58,8 @@ from .model import (
     DomainError,
     ModelParams,
     State,
-    _coefficients,
+    UnboundedAgeError,
+    _blocks,
     is_int,
 )
 from .policies import (
@@ -90,14 +91,6 @@ class ReducibleChainError(RuntimeError):
     def __init__(self, message: str, closed_classes: int):
         super().__init__(message)
         self.closed_classes = closed_classes
-
-
-class UnboundedAgeError(RuntimeError):
-    """Nothing in the chain's closed class resets the age: no finite average."""
-
-    def __init__(self, message: str = "no state of the closed class resets the age: "
-                 "the average age is unbounded"):
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -156,30 +149,6 @@ def step(
         cost=float(state.aoi) + paid,
         next_state=State(next_aoi, next_battery),
     )
-
-
-@lru_cache(maxsize=8)
-def _blocks(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The chain's moves as blocks on (phase, battery), by action.
-
-    Every move takes the age from a to a + 1 or resets it to 1, and the
-    slot phase r to r + 1 mod the period. A row's moves depend only on its
-    action and battery, so each action has a (battery_cap + 1)-square
-    advancing block U and reset block R, row q holding ``transition``'s
-    probabilities by the battery moved to. Cached; the arrays are read-only.
-    """
-    (up, stay), (c0, c1, c2, c3) = _coefficients(m)
-    B1 = m.battery_cap + 1
-    q = np.arange(B1)
-    spent = np.maximum(q - 1, 0)  # an empty battery pays for backup
-    U, R = np.zeros((2, 2, B1, B1))
-    U[IDLE, q, np.minimum(q + 1, B1 - 1)] = up
-    U[IDLE, q, q] = stay
-    U[IDLE, -1, -1] = 1.0  # a full battery idles in place
-    U[TRANSMIT, q, spent + 1], R[TRANSMIT, q, spent + 1] = c0, c1
-    U[TRANSMIT, q, spent], R[TRANSMIT, q, spent] = c2, c3
-    U.flags.writeable = R.flags.writeable = False
-    return U, R
 
 
 def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
@@ -307,7 +276,7 @@ def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, fl
     (x - pi_W)(I - U)^-1. A class without age-1 states never resets the
     age and raises UnboundedAgeError.
     """
-    U, R = _blocks(m)
+    U, R = _blocks(m)  # by battery; every move also takes phase r to r + 1
     T, B1, _ = send.shape
     K = T * B1
     W = int(np.flatnonzero((send != send[..., -1:]).any(axis=(0, 1))).max(initial=0)) + 2

@@ -13,10 +13,9 @@ work on the chain whose age is never truncated.
 Value tables throughout the package are plain float arrays indexed in
 ``enumerate_states`` order (battery level outer, age inner). Reshaped to
 ``(battery_cap + 1, delta_max)`` they form the (battery, age) grid.
-``_coefficients`` gives the branch probabilities that the evaluator's
-per-age blocks, and through them the solver, are built from;
-``transition``/``kernel_arrays`` stay as the per-state reference they are
-checked against.
+``_blocks`` is the one definition of the untruncated chain that the
+evaluator and the solver are built on; ``transition``/``kernel_arrays``
+stay as the per-state reference it is checked against.
 """
 
 from __future__ import annotations
@@ -217,18 +216,39 @@ def kernel_arrays(m: ModelParams) -> KernelArrays:
     return KernelArrays(cost, next_idx, prob)
 
 
-def _coefficients(m: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Idle and transmit branch probabilities, in ``transition``'s entry order.
+class UnboundedAgeError(RuntimeError):
+    """Nothing in the chain's closed class resets the age: no finite average."""
 
-    An entry ``transition`` drops (below PROB_FLOOR) becomes 0 here, which
-    leaves a sum over the others, and a chain built from them, unchanged.
+    def __init__(self, message: str = "no state of the closed class resets the age: "
+                 "the average age is unbounded"):
+        super().__init__(message)
+
+
+@lru_cache(maxsize=8)
+def _blocks(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The untruncated chain's moves as blocks on the battery, by action.
+
+    Every move takes the age from a to a + 1 or resets it to 1, and a row's
+    moves depend only on its action and battery, so each action has a
+    (battery_cap + 1)-square advancing block U and reset block R, row q
+    holding ``transition``'s probabilities by the battery moved to. A branch
+    ``transition`` drops (below PROB_FLOOR) is 0 here. Cached; the arrays
+    are read-only.
     """
     lam, p = m.lambda_e, m.p_block
-    raw = (
-        (lam, 1.0 - lam),  # idle: to battery q + 1, to q
-        (p * lam, (1.0 - p) * lam, p * (1.0 - lam), (1.0 - p) * (1.0 - lam)),
+    up, stay, c0, c1, c2, c3 = (
+        pr if pr >= PROB_FLOOR else 0.0
+        for pr in (lam, 1.0 - lam, p * lam, (1.0 - p) * lam,
+                   p * (1.0 - lam), (1.0 - p) * (1.0 - lam))
     )
-    idle, transmit = (
-        tuple(pr if pr >= PROB_FLOOR else 0.0 for pr in probs) for probs in raw
-    )
-    return idle, transmit
+    B1 = m.battery_cap + 1
+    q = np.arange(B1)
+    spent = np.maximum(q - 1, 0)  # an empty battery pays for backup
+    U, R = np.zeros((2, 2, B1, B1))
+    U[IDLE, q, np.minimum(q + 1, B1 - 1)] = up
+    U[IDLE, q, q] = stay
+    U[IDLE, -1, -1] = 1.0  # a full battery idles in place
+    U[TRANSMIT, q, spent + 1], R[TRANSMIT, q, spent + 1] = c0, c1
+    U[TRANSMIT, q, spent], R[TRANSMIT, q, spent] = c2, c3
+    U.flags.writeable = R.flags.writeable = False
+    return U, R

@@ -1,13 +1,14 @@
 """Average-cost solver: policy iteration on the untruncated chain.
 
-``modified_via`` solves by policy iteration: each policy, a (battery,
-age <= L) table that transmits above L, is evaluated exactly on the chain
-whose age is never truncated (``_evaluate``: above L the bias is affine in
-the age), improved on the Q values at ages <= L + 1 with the tail in closed
-form (``_improve``), and the gain of the result is certified by one Bellman
-backup of its bias (``_certificate``). One tie rule holds throughout: a
-state transmits only where its transmit Q value is below its idle one by
-more than ``TIE_TOL``, so ties idle.
+``modified_via`` solves by policy iteration on ``model._blocks``: each
+policy, a (battery, age <= L) table that transmits above L, is evaluated
+exactly on the chain whose age is never truncated (``_evaluate``: above L
+the bias is affine in the age), improved on the Q values at ages <= L + 1
+with the tail in closed form (``_improve``), and the gain of the result is
+certified by one Bellman backup of its bias (``_certificate``), a bracket
+accepted when no wider than eps times the gain. One tie rule holds
+throughout: a state transmits only where its transmit Q value is below its
+idle one by more than ``TIE_TOL``, so ties idle.
 
 Two kinds of model degenerate. Where no transmission can lower the battery
 (lambda_e within about 1e-15 of 1), the search starts from, and keeps, a
@@ -26,12 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluator import UnboundedAgeError, _blocks
-from .model import IDLE, TRANSMIT, DomainError, ModelParams, _coefficients, is_int, is_real
+from .model import IDLE, TRANSMIT, DomainError, ModelParams, UnboundedAgeError, _blocks, is_real
 from .policies import Optimal
 
 DEFAULT_EPS = 1e-9
-DEFAULT_MAX_ITER = 100_000
+# Policy iteration stops at a table it leaves unchanged or has evaluated
+# before; it took at most 37 evaluations on every model measured, so this
+# cap only turns a search that would never end into an error.
+MAX_EVALUATIONS = 100_000
 # Q values closer than this count as tied. Where transmitting is the better
 # action at the solved policies of the README and acceptance points, it is
 # better by at most 1.1e-14 (weight 0.5: a tie in exact arithmetic, left in
@@ -60,16 +63,14 @@ class SolveResult:
     values: np.ndarray        # its exact bias, enumerate_states order
     iterations: int           # policy evaluations
     span_residual: float      # width of gain_bracket
-    span_history: np.ndarray  # that width after each evaluation
+    span_history: np.ndarray  # (iterations,): that width after each evaluation
     argmin_evals: int         # sum_q min(threshold_q, delta_max)
     gain_bracket: tuple[float, float]  # (lo, hi) around the optimal gain
 
 
-def _check_stopping(eps: float, max_iter: int) -> None:
+def _check_stopping(eps: float) -> None:
     if not (is_real(eps) and math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be a finite number > 0, got {eps!r}")
-    if not (is_int(max_iter) and max_iter >= 1):
-        raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
 
 
 class _Tail(NamedTuple):
@@ -306,9 +307,7 @@ def _improve(
     return table[:, :width]
 
 
-def modified_via(
-    m: ModelParams, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER
-) -> tuple[SolveResult, Optimal]:
+def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult, Optimal]:
     """Solve by policy iteration on the untruncated chain and return the
     optimal thresholds as an ``Optimal`` policy.
 
@@ -332,13 +331,13 @@ def modified_via(
     changes it walks every age, so the work grows with the largest
     threshold (about weight * cost_reliable / 2 at the reference point).
 
-    Where no transmission can lower the battery (``_coefficients`` drops
-    both of those branches, below PROB_FLOOR, when lambda_e lies within
-    about 1e-15 of 1), a row that transmitted at every age would be a
-    closed class of its own and the bias would not be unique. There the
-    search starts from the table that idles at age 1 on every battery below
-    battery_cap, and batteries 1..battery_cap - 1 stay idle at age 1: those
-    rows are transient, and battery_cap is the one closed class.
+    Where no transmission can lower the battery (``_blocks`` drops both of
+    those branches, below PROB_FLOOR, when lambda_e lies within about 1e-15
+    of 1), a row that transmitted at every age would be a closed class of
+    its own and the bias would not be unique. There the search starts from
+    the table that idles at age 1 on every battery below battery_cap, and
+    batteries 1..battery_cap - 1 stay idle at age 1: those rows are
+    transient, and battery_cap is the one closed class.
 
     ``gain`` is the exact gain of that policy; ``values`` its exact
     bias on the (battery, age <= delta_max) grid, 0 at (age 1,
@@ -349,26 +348,27 @@ def modified_via(
     evaluation. ``argmin_evals`` is sum_q min(threshold_q, delta_max).
 
     Raises ConvergenceError when the policy still changes after
-    ``max_iter`` evaluations, when a table would hold more than
+    ``MAX_EVALUATIONS`` evaluations, when a table would hold more than
     ``MAX_TABLE_CELLS`` (battery, age) cells, or when the final certificate
-    is wider than ``eps``. Raises UnboundedAgeError where no transmission
-    can reset the age (p_block within about 1e-15 of 1): the age then
-    grows for ever and the gain is infinite.
+    is wider than ``eps`` times the gain (the gain is at least 1, as the age
+    is). Raises UnboundedAgeError where no transmission can reset the age
+    (p_block within about 1e-15 of 1): the age then grows for ever and the
+    gain is infinite.
     """
-    _check_stopping(eps, max_iter)
-    _, c1, c2, c3 = _coefficients(m)[TRANSMIT]
-    if not (c1 or c3):  # as evaluate_exact finds for every policy here
+    _check_stopping(eps)
+    U, R = _blocks(m)
+    if not R[TRANSMIT].any():  # as evaluate_exact finds for every policy here
         raise UnboundedAgeError()
     t = _tail(m)
     B1 = m.battery_cap + 1
-    pin = not (c2 or c3)  # no transmission can lower the battery
+    pin = not (U[TRANSMIT, 1, 0] or R[TRANSMIT, 1, 0])  # the battery never falls
     send = np.zeros((B1, 0), dtype=bool)  # all-transmit
     if pin:  # idle at age 1 below battery_cap
         send = np.arange(B1)[:, None] == m.battery_cap
-    widths = []  # grows with the evaluations run, not with max_iter
+    widths = []
     seen = set()  # the evaluated tables' digests
     kept = _Kept()
-    for k in range(max_iter):
+    for k in range(MAX_EVALUATIONS):
         gain, H, kappa = _evaluate(send, m, kept)
         idle, tx = _q_values(H, m)
         bracket = _certificate(H, idle, tx)
@@ -398,15 +398,16 @@ def modified_via(
         send = nxt
     else:
         raise ConvergenceError(
-            f"policy still changing after {max_iter} evaluations "
+            f"policy still changing after {MAX_EVALUATIONS} evaluations "
             f"(certificate width {widths[-1]:.3e})",
-            max_iter,
+            MAX_EVALUATIONS,
             widths[-1],
         )
     width = widths[-1]
-    if not width <= eps:  # NaN too
+    if not width <= eps * gain:  # NaN too
         raise ConvergenceError(
-            f"certificate width {width:.3e} after {k + 1} evaluations (eps={eps:.3e})",
+            f"certificate width {width:.3e} after {k + 1} evaluations, more than "
+            f"eps={eps:.3e} times the gain {gain:.6g}",
             k + 1,
             width,
         )

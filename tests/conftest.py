@@ -18,4 +18,4 @@ def base_params():
 
 @pytest.fixture(scope="session")
 def base_solution(base_params):
-    return modified_via(base_params, eps=1e-9, max_iter=100_000)
+    return modified_via(base_params, eps=1e-9)

@@ -59,7 +59,7 @@ def announce(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def reference_solution(base_params, base_solution):
-    # the session solve from conftest, made with the same eps and max_iter
+    # the session solve from conftest, made with the same eps
     assert base_params == ModelParams(**REFERENCE)
     res, tp = base_solution
     return base_params, res, tp
@@ -78,7 +78,7 @@ def structure_grid():
             weight=w,
             delta_max=200,
         )
-        res, tp = modified_via(m, eps=1e-9, max_iter=100_000)
+        res, tp = modified_via(m, eps=1e-9)
         points[(p, lam, w)] = (m, res, tp)
     return points, time.perf_counter() - t0
 
@@ -206,7 +206,7 @@ def test_criterion_5_backup_price_sweep():
     rows = []
     for w in SWEEP_WEIGHTS:
         m = ModelParams(**{**REFERENCE, "weight": w})
-        _, tp = modified_via(m, eps=1e-9, max_iter=100_000)
+        _, tp = modified_via(m, eps=1e-9)
         opt = evaluate_exact(tp, m).average_cost
         zw = evaluate_exact(ZeroWait(), m).average_cost
         per = evaluate_periodic_exact(Periodic(5), m).average_cost
@@ -258,7 +258,7 @@ def test_criterion_6_harvest_rate_sweep():
     rows = []
     for lam in SWEEP_LAMBDAS:
         m = ModelParams(**{**REFERENCE, "lambda_e": lam})
-        _, tp = modified_via(m, eps=1e-9, max_iter=100_000)
+        _, tp = modified_via(m, eps=1e-9)
         opt = evaluate_exact(tp, m)
         zw = evaluate_exact(ZeroWait(), m)
         per = evaluate_periodic_exact(Periodic(5), m).average_cost
@@ -368,7 +368,7 @@ def test_criterion_8_age_cap_stability(reference_solution):
     threshold changes."""
     m, res, tp = reference_solution
     doubled = ModelParams(**{**REFERENCE, "delta_max": 400})
-    res2, tp2 = modified_via(doubled, eps=1e-9, max_iter=100_000)
+    res2, tp2 = modified_via(doubled, eps=1e-9)
     gain_diff = abs(res2.gain - res.gain)
     same = tp2.thresholds == tp.thresholds
     ok = gain_diff < 1e-8 and same

@@ -65,17 +65,13 @@ class TestSolve:
         assert captured.out.startswith("gain=1.25 iterations=5 span_residual=0.000e+00 ")
         assert captured.err == ""
 
-    def test_huge_iteration_cap_reserves_nothing(self, tmp_path, capsys):
-        # the certificate history grows with the policy evaluations run,
-        # not with --max-iter
-        outs = {}
-        for cap in ("100000", "1000000000000"):
-            (tmp_path / cap).mkdir()
-            out = tmp_path / cap / "thr.csv"
-            assert main(["solve", *SMALL, "--max-iter", cap, "--out", str(out)]) == 0
-            outs[cap] = (capsys.readouterr().out.replace(cap, "CAP"), out.read_bytes(),
-                         (tmp_path / cap / "thr_policy.csv").read_bytes())
-        assert outs["1000000000000"] == outs["100000"]
+    def test_evaluation_cap_is_no_flag(self, tmp_path, capsys):
+        out = tmp_path / "thr.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *SMALL, "--max-iter", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negligible_energy_price_transmits_immediately(self, tmp_path):
         out = tmp_path / "thr.csv"
@@ -233,6 +229,12 @@ class TestConfigResolution:
         cfg.write_text(json.dumps({"battery": 2}))
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_evaluation_cap_is_no_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_iter": 100_000}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'max_iter'\n"
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -476,13 +478,14 @@ class TestCompare:
     @pytest.mark.parametrize(
         "extra", [[], ["--simulate", "--horizon", "500", "--seed", "1"]], ids=["exact", "simulate"]
     )
-    def test_failed_solve_fails_the_optimal_row_alone(self, tmp_path, extra):
+    def test_failed_solve_fails_the_optimal_row_alone(self, tmp_path, monkeypatch, extra):
         # the baselines do not depend on the solve: their rows, exact and
         # simulated, are those of the same command whose solve succeeds
         argv = ["compare", "--battery-cap", "3", "--axis", "weight", "--grid", "10", *extra]
         solved, failed = tmp_path / "solved.csv", tmp_path / "failed.csv"
         assert main([*argv, "--out", str(solved)]) == 0
-        assert main([*argv, "--max-iter", "1", "--out", str(failed)]) == 1
+        monkeypatch.setattr(ehaoi.solver, "MAX_EVALUATIONS", 1)
+        assert main([*argv, "--out", str(failed)]) == 1
         rows = read_csv(failed)[1:]
         assert rows[0][:5] == ["10", "optimal", "", "", ""]
         assert rows[0][5].startswith("error:policy still changing after 1 evaluations")
@@ -515,9 +518,10 @@ class TestVerify:
         assert lines[:2] == ["gain=1.25 iterations=5", "thresholds=21,2,2,1"]
         assert [l.split(":")[1].split()[0] for l in lines[2:]] == ["PASS"] * 5
 
-    def test_non_convergence_exits_one(self, capsys):
+    def test_non_convergence_exits_one(self, capsys, monkeypatch):
         # SMALL takes five policy evaluations
-        assert main(["verify", *SMALL, "--max-iter", "3"]) == 1
+        monkeypatch.setattr(ehaoi.solver, "MAX_EVALUATIONS", 3)
+        assert main(["verify", *SMALL]) == 1
         assert "error:" in capsys.readouterr().err
 
 

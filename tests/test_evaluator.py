@@ -36,12 +36,12 @@ from ehaoi import evaluator
 from ehaoi.evaluator import (
     CI_BATCHES,
     T_975_19,
-    _blocks,
     UnboundedAgeError,
     _gth,
     _recurrent_class,
     _stationary,
 )
+from ehaoi.model import _blocks
 from oracles import grid_actions
 
 

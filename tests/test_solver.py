@@ -20,6 +20,7 @@ from ehaoi import (
     simulate,
     state_count,
     stationary_actions,
+    transition,
 )
 from ehaoi import solver
 from ehaoi.solver import (
@@ -310,16 +311,6 @@ class TestModifiedVia:
         with pytest.raises(DomainError):
             modified_via(tiny_params(), eps=eps)
 
-    def test_bad_max_iter_rejected(self):
-        with pytest.raises(DomainError):
-            modified_via(tiny_params(), max_iter=0)
-
-    @pytest.mark.parametrize("max_iter", [True, 10.0])
-    def test_max_iter_must_be_an_int_not_a_bool(self, max_iter):
-        # True used to run one evaluation
-        with pytest.raises(DomainError, match="max_iter"):
-            modified_via(tiny_params(), max_iter=max_iter)
-
 
 def threshold_table(thresholds):
     """The (battery, age <= L) table of a threshold vector, with L its
@@ -362,6 +353,17 @@ class TestCertificate:
             assert res.span_residual <= 1e-10, m
             assert res.span_history[-1] == res.span_residual
             assert res.span_history.shape == (res.iterations,)
+
+    def test_eps_is_relative_to_the_gain(self):
+        # a certificate 2.0e-9 wide on a gain of about 306 (its bias reaches
+        # about 1.5e5): wider than 1e-9, but not than 1e-9 of the gain
+        m = ModelParams(lambda_e=0.05, **{**REFERENCE, "p_block": 0.95, "weight": 1e4})
+        res, tp = modified_via(m, eps=1e-9)
+        assert 1e-9 < res.span_residual <= 1e-9 * res.gain
+        assert abs(evaluate_exact(tp, m).average_cost - res.gain) <= 1e-12 * res.gain
+        with pytest.raises(ConvergenceError, match="times the gain") as exc:
+            modified_via(m, eps=0.5 * res.span_residual / res.gain)
+        assert exc.value.span_residual == res.span_residual
 
     @pytest.mark.parametrize("point", list(FIXED_POINTS))
     def test_late_thresholds_bound_the_optimum(self, point):
@@ -514,8 +516,8 @@ class TestEvaluate:
 
 
 class TestDegenerateModels:
-    """lambda_e or p_block within about 1e-15 of 1, where _coefficients
-    drops both transmit branches that lower the battery, or both that
+    """lambda_e or p_block within about 1e-15 of 1, where _blocks drops
+    both transmit branches that lower the battery, or both that
     reset the age."""
 
     @pytest.mark.parametrize(
@@ -564,6 +566,27 @@ class TestDegenerateModels:
         pinned = _improve(send, gap, rise, keep, 3, True)
         np.testing.assert_array_equal(pinned, [[True], [False], [False], [True]])
 
+    @pytest.mark.parametrize("p", [0.2, 0.4, 0.6, 0.8])
+    @pytest.mark.parametrize("lam", [1.0 - 1e-15, 1.0 - 2e-15, 1.0 - 4e-15])
+    def test_pin_at_the_floor(self, monkeypatch, lam, p):
+        # the two transmit branches that lower the battery fall below
+        # PROB_FLOOR apart (at lambda_e 1 - 2e-15, p_block 0.4, only the
+        # blocked one does): the middle rows are pinned exactly where no
+        # transmission at battery 1 can reach battery 0
+        pins = []
+
+        def recording(send, gap, rise, keep, reach, pin):
+            pins.append(pin)
+            return _improve(send, gap, rise, keep, reach, pin)
+
+        monkeypatch.setattr(solver, "_improve", recording)
+        m = ModelParams(lambda_e=lam, **REFERENCE)
+        falls = any(s.battery == 0 for s, _ in transition(State(1, 1), TRANSMIT, m).entries)
+        res, tp = modified_via(m, eps=1e-9)
+        assert pins and set(pins) == {not falls}
+        exact = evaluate_exact(tp, m).average_cost
+        assert abs(res.gain - exact) <= 1e-14 * exact
+
     def test_gain_in_the_oracle_bracket(self):
         m = tiny_params(lambda_e=1.0, battery_cap=3, delta_max=30)
         res, _ = modified_via(m, eps=1e-9)
@@ -592,7 +615,7 @@ class TestRepeatedTable:
     def test_cycle_ends_at_the_first_table_seen_twice(self, monkeypatch):
         # at this model the Q gaps of exact ties at age 1 are rounding that
         # depends on the table, and exceeds TIE_TOL, so the tables repeat
-        # with period 10 and the search used to run to max_iter
+        # with period 10 and the search used to run to its evaluation cap
         evaluated = []
 
         def recording(send, m, kept=None):
@@ -600,8 +623,9 @@ class TestRepeatedTable:
             return _evaluate(send, m, kept)
 
         monkeypatch.setattr(solver, "_evaluate", recording)
+        monkeypatch.setattr(solver, "MAX_EVALUATIONS", 200)
         m = ModelParams(**{**REFERENCE, "lambda_e": 0.95, "p_block": 0.95, "weight": 0.5})
-        res, tp = modified_via(m, eps=1e-9, max_iter=200)
+        res, tp = modified_via(m, eps=1e-9)
         assert res.iterations == len(evaluated) < 200
         last = evaluated[-1]
         repeats = [i for i, t in enumerate(evaluated[:-1]) if np.array_equal(t, last)]

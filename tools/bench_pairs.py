@@ -64,11 +64,11 @@ WIDE = dict(LARGE, delta_max=1600)
 # run once before them and the timed call
 OPTIMAL = "optimal = modified_via(m)[1]"
 FIXED_POINTS = {
-    "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9, 100_000)"),
-    "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9, 100_000)"),
+    "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9)"),
+    "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9)"),
     # the point where policy iteration reuses the most of each evaluation
     "modified_via_n40400_w100_s": (dict(LARGE, weight=100.0), 2, "",
-                                   "modified_via(m, 1e-9, 100_000)"),
+                                   "modified_via(m, 1e-9)"),
     "exact_optimal_n40400_s": (LARGE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
     "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
     "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),

@@ -4,7 +4,7 @@
 
 The grid is lambda_e and p_block in {0.05, 0.2, 0.5, 0.8, 0.95}, weight in
 {0.5, 10, 100, 1000} and battery_cap in {5, 20}, at cost_reliable 2 and
-delta_max 200, solved at eps 1e-9 with the default cap on evaluations.
+delta_max 200, solved at eps 1e-9 with the solver's cap on evaluations.
 Each model gets one line: its parameters, ``ok`` or the name of the error
 ``modified_via`` raised, and the SHA-256 of the ``repr`` of its gain,
 thresholds, iterations and gain bracket (or of the error's message). The
