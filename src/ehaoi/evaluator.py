@@ -22,12 +22,15 @@ package needs no ``scipy.stats``). It is table-driven: a policy decides
 from the battery, the age capped where the policy stops telling ages apart
 and, for a periodic schedule, whether the slot is scheduled, so the run is a
 finite-state machine whose tables come from ``decide`` and the simulator's
-own one-slot rule, never from the exact side's blocks. One table
-lookup per block of slots carries the state; everything else is array work,
+own one-slot rule, never from the exact side's blocks. One row lookup per
+block of up to four slots carries the state; everything else is array work,
 one stretch of at most ``STRETCH_SLOTS`` slots at a time, mostly in place:
-the slots' symbols and states fill (block, slot) grids, and the ages come
-from one running maximum. Every report is bit-identical to stepping the
-slots one by one with ``decide`` and ``step``.
+the slots' symbols pack into one code per block, one gather per flag word
+reads every slot's reset and paid flags by (block's first state, code), and
+the ages come from one running maximum. A machine of more than
+``MACHINE_STATES`` states raises DomainError before it is built. Every
+report is bit-identical to stepping the slots one by one with ``decide``
+and ``step``.
 
 A periodic schedule is not stationary on the base space, but it is on the
 chain augmented with the slot phase. ``stationary_actions`` gives its
@@ -71,6 +74,7 @@ from .policies import (
     decide,
     stationary_actions,
 )
+from .solver import MAX_TABLE_CELLS
 
 RNG_NAME = "pcg64"        # numpy default_rng bit generator
 CI_BATCHES = 20
@@ -79,9 +83,13 @@ CI_BATCHES = 20
 # scipy.stats.t.ppf(0.975, 19) returns; the two change together.
 T_975_19 = 2.0930240544083087  # 0x1.0be83653b666cp+1
 assert CI_BATCHES == 20, "T_975_19 is the t quantile for 19 degrees of freedom"
-BLOCK_SLOTS = 4           # slots per simulator table lookup, fewer if
-TABLE_ENTRIES = 1 << 18   # the block table would outgrow this
+BLOCK_SLOTS = 4           # slots per simulator row lookup, fewer if the
+TABLE_ENTRIES = 1 << 18   # (state, block code) tables would outgrow this
 STRETCH_SLOTS = 1 << 16   # most slots the simulator holds in memory at once
+# Most states a simulator machine may have. The solver's tables hold at
+# most MAX_TABLE_CELLS (battery, age) cells and its thresholds lie at most
+# one age past them, so every policy it returns fits.
+MACHINE_STATES = 2 * MAX_TABLE_CELLS
 
 
 class ReducibleChainError(RuntimeError):
@@ -384,46 +392,59 @@ class _Machine:
 
     A policy decides from the battery q, the capped age min(aoi, A) and, for
     a periodic schedule, whether the slot is scheduled; so (q, capped age)
-    is the state, and each slot reads a symbol of ``bits`` bits: harvest
-    (bit 0), blocked (bit 1) and, when ``period`` > 1, t % period == 0
-    (bit 2). The one-slot tables are indexed by state * 2**bits + symbol;
-    ``table`` does ``block`` slots in one lookup, indexed by
-    state * 2**(bits * block) + code, the code packing the block's symbols
-    first slot lowest, and holds the next state in that same scale.
+    is the state, numbered q * A + capped age - 1, and each slot reads a
+    symbol of ``bits`` bits: harvest (bit 0), blocked (bit 1) and, when
+    ``period`` > 1, t % period == 0 (bit 2). ``move[state, symbol]`` is the
+    next state. A block of ``block`` slots reads one code, its symbols
+    packed first slot lowest. ``rows[state][code]`` is the state after the
+    block: a row is a bytes object when there are at most 256 states, and
+    otherwise a tuple of shared ints. The flag words ``reset`` and ``paid``
+    hold ``block`` bytes per (state, code), at state * 2**(bits * block) +
+    code: byte j is 1 where slot j's update gets through, or where slot j
+    transmits on an empty battery.
     """
 
     bits: int
     period: int
-    move: np.ndarray   # next state * 2**bits
-    paid: np.ndarray   # the slot transmits on an empty battery
-    reset: np.ndarray  # the slot's update gets through
     block: int
-    table: list[int]
+    move: np.ndarray   # (state, symbol): the next state
+    rows: list         # per state: the state after a block, by its code
+    reset: np.ndarray  # (state * code, block) bool: the slots' resets
+    paid: np.ndarray   # (state * code, block) bool: the slots' paid sends
 
 
 @lru_cache(maxsize=4)
 def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
-    """Tabulate ``decide`` on every (slot class, battery, capped age) and
-    step the physics once from every state and symbol.
+    """Tabulate ``decide`` on every (slot class, battery, capped age), step
+    the physics once from every state and symbol, and compose ``block``
+    slots from every state and code into the rows and flag words. Raises
+    DomainError, before building anything, if the machine would have more
+    than ``MACHINE_STATES`` states.
 
     Cached, so the seeds of one command share one machine: its arrays are
-    read-only and ``_run`` never writes to its table."""
+    read-only and ``_run`` never writes to its rows."""
     levels = m.battery_cap + 1
     if isinstance(kind, Optimal):
         # a row whose threshold exceeds the horizon never transmits, so the
         # ages need telling apart only up to the other rows' thresholds
         thr = kind.thresholds
-        rows, span = len(thr), max((a for a in thr if a <= horizon), default=1)
+        height, span = len(thr), max((a for a in thr if a <= horizon), default=1)
     elif isinstance(kind, Explicit):
-        rows, span = kind.actions.shape
+        height, span = kind.actions.shape
     elif isinstance(kind, (ZeroWait, Periodic)):
-        rows, span = levels, 1
+        height, span = levels, 1
     else:
         raise TypeError(f"unknown policy kind {kind!r}")
-    if rows != levels:
-        raise DomainError(f"policy has {rows} battery levels, the model {levels}")
+    if height != levels:
+        raise DomainError(f"policy has {height} battery levels, the model {levels}")
     # no age in the run exceeds the horizon, so a wider table decides nothing
     A = min(span, horizon)
+    K = levels * A
+    if K > MACHINE_STATES:
+        raise DomainError(
+            f"simulating this policy needs {levels} battery levels times {A} ages = "
+            f"{K} states, more than {MACHINE_STATES}"
+        )
     period = kind.period if isinstance(kind, Periodic) else 1
     slots = (1, 0) if period > 1 else (0,)  # an unscheduled, a scheduled t
     decision = np.array(
@@ -433,33 +454,42 @@ def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
     )
     bits = 1 + len(slots)
     S = 1 << bits
-    K = levels * A
 
     # one slot from every (state, symbol), as ``step`` moves it
-    state, symbol = np.divmod(np.arange(K * S), S)
-    q, age = np.divmod(state, A)  # age: capped age - 1
+    q = np.arange(levels, dtype=np.int32)[:, None, None]
+    age = np.arange(A, dtype=np.int32)[:, None]  # capped age - 1
+    symbol = np.arange(S, dtype=np.int32)
     act = decision[symbol >> 2, q, age]
     reset = act & (symbol & 2 == 0)
-    drain = act & (q > 0)
-    q_next = np.minimum(q + (symbol & 1) - drain, m.battery_cap)
-    age_next = np.where(reset, 0, np.minimum(age + 1, A - 1))
-    move = (q_next * A + age_next) * S
+    q_next = np.minimum(q + (symbol & 1) - (act & (q > 0)), m.battery_cap)
+    move = (q_next * A + np.where(reset, 0, np.minimum(age + 1, A - 1))).reshape(K, S)
+    reset, paid = reset.reshape(K, S), (act & (q == 0)).reshape(K, S)
 
+    # a block of k slots from every (state, code): slot j reads the code's
+    # symbol j from the state after its symbols 0..j-1, the state ``ends``
+    # gives by (state, those symbols' code)
     k = BLOCK_SLOTS
     while k > 1 and K * S**k > TABLE_ENTRIES:
         k -= 1
-    state, code = np.divmod(np.arange(K * S**k), S**k)
-    s = state * S
+    C = S**k
+    flags = np.zeros((2, K, C, k), dtype=bool)
+    ends = np.arange(K, dtype=np.int32)[:, None]
+    each = np.arange(S)[:, None]
     for j in range(k):
-        s = move[s + (code >> (bits * j) & S - 1)]
-    # entries naming the same state share one int object: a compact list
-    # keeps the lookups in cache
-    scaled = list(range(0, K * S**k, S**k))
-    table = [scaled[i] for i in (s >> bits).tolist()]
-    paid = act & (q == 0)
-    for arr in (move, paid, reset):
+        for flag, one in zip(flags, (reset, paid)):
+            flag.reshape(K, C // S ** (j + 1), S, S**j, k)[..., j] = one[ends[:, None], each][:, None]
+        ends = move[ends[:, None], each].reshape(K, S ** (j + 1))
+    if K <= 256:
+        rows = [row.tobytes() for row in ends.astype(np.uint8)]
+    else:
+        # entries naming the same state share one int object: compact rows
+        # keep the lookups in cache
+        ints = list(range(K))
+        rows = list(zip(*(map(ints.__getitem__, memoryview(col)) for col in ends.T)))
+    words = flags.reshape(2, K * C, k)
+    for arr in (move, words):
         arr.flags.writeable = False
-    return _Machine(bits, period, move, paid, reset, k, table)
+    return _Machine(bits, period, k, move, rows, words[0], words[1])
 
 
 def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
@@ -468,61 +498,69 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     of its paid slots. Each stretch draws its own piece of the energy and
     channel streams, which continue as one draw of every slot would.
 
-    Per stretch, the symbols are written straight into a zero-padded
-    (block, slot) grid and one integer matrix product packs each block's
-    code. The table walk, the only Python loop, gives every block's first
-    state, written in place into the first column of the (block, slot)
-    state grid; ``block`` - 1 gathers fill the other columns. The ages come
-    from one running maximum over the positions after a reset, with the
-    slots before the stretch's first reset continuing the carried-in age.
-    The stretch buffers are allocated once per run, for the longest
-    stretch, so the yielded arrays are views that the next stretch
-    overwrites."""
-    bits, k, move, table = machine.bits, machine.block, machine.move, machine.table
-    S = 1 << bits
-    powers = S ** np.arange(k)
+    Per stretch, the symbols are written into a zero-padded uint8 buffer,
+    and shifts and ors pack each block's code from its symbols. The row
+    walk, ``s = rows[s][code]`` block by block, is the only Python loop and
+    does no arithmetic; ``bytes`` packs the states it passes (past 256
+    states numpy converts the list). One gather of each flag word by
+    (block's first state, code) gives every slot's reset and paid byte.
+    The state carried to the next stretch steps the last block's real slots
+    by ``move``. The ages come from one running maximum over the positions
+    after a reset, with the slots before the stretch's first reset
+    continuing the carried-in age. The stretch buffers are allocated once
+    per run, for the longest stretch, so the yielded arrays are views that
+    the next stretch overwrites."""
+    bits, k, move, rows = machine.bits, machine.block, machine.move, machine.rows
+    C = 1 << bits * k
+    small = isinstance(rows[0], bytes)
     energy, channel = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     t = 0
-    state = 0  # (battery 0, age 1), times S
+    state = 0  # (battery 0, age 1)
     aoi = 1
     cap = max(sizes)
+    most = -(-cap // k)  # blocks
     draw_buf = np.empty(cap)
     harvest_buf = np.empty(cap, dtype=bool)
-    grid_buf = np.empty((-(-cap // k), k), dtype=np.intp)
-    code_buf = np.empty(len(grid_buf), dtype=np.intp)
-    state_buf = np.empty_like(grid_buf)
+    symbol_buf = np.empty(most * k, dtype=np.uint8)
+    code_buf = np.empty(most, dtype=np.uint8 if bits * k <= 8 else np.uint16)
+    index_buf = np.empty(most, dtype=np.intp)
+    flag_buf = np.empty((2, most, k), dtype=bool)  # reset, paid
     count = np.arange(1, cap + 1)
     origin_buf = np.empty(cap, dtype=np.intp)
-    reset_buf = np.empty(cap, dtype=machine.reset.dtype)
-    paid_buf = np.empty(cap, dtype=machine.paid.dtype)
     for n in sizes:
-        # the symbols, straight into the zero-padded (block, slot) grid
         blocks = -(-n // k)
-        grid = grid_buf[:blocks]
-        grid.reshape(-1)[n:] = 0
-        flat = grid.reshape(-1)[:n]
-        np.less(channel.random(out=draw_buf[:n]), m.p_block, out=flat, casting="unsafe")
+        symbols = symbol_buf[: blocks * k]
+        symbols[n:] = 0
+        flat = symbols[:n]
+        np.less(channel.random(out=draw_buf[:n]), m.p_block, out=flat.view(bool))
         flat <<= 1
-        flat += np.less(energy.random(out=draw_buf[:n]), m.lambda_e, out=harvest_buf[:n])
+        np.less(energy.random(out=draw_buf[:n]), m.lambda_e, out=harvest_buf[:n])
+        flat |= harvest_buf[:n].view(np.uint8)
         if machine.period > 1:
-            flat[-t % machine.period :: machine.period] += 4  # t % period == 0
-        # first slot lowest; exact in integers
-        code = np.matmul(grid, powers, out=code_buf[:blocks])
+            flat[-t % machine.period :: machine.period] |= 4  # t % period == 0
+        grid = symbols.reshape(blocks, k)
+        code = code_buf[:blocks]
+        code[:] = grid[:, -1]
+        for j in range(k - 2, -1, -1):  # first slot lowest
+            code <<= bits
+            code |= grid[:, j]
         # the sequential part: each block's first state from the one before
-        s = state * S ** (k - 1)
-        idx = state_buf[:blocks]
-        idx[0, 0] = state
-        idx[1:, 0] = [s := table[s + c] for c in code[:-1].tolist()]
-        idx[1:, 0] >>= bits * (k - 1)
-        idx[:, 0] += grid[:, 0]
-        for j in range(1, k):
-            np.add(move[idx[:, j - 1]], grid[:, j], out=idx[:, j])
-        idx = idx.reshape(-1)[:n]
-        state = int(move[idx[-1]])
+        s = state
+        walked = [s := rows[s][c] for c in memoryview(code[:-1])]
+        index = index_buf[:blocks]
+        index[0] = state
+        index[1:] = np.frombuffer(bytes(walked), dtype=np.uint8) if small else walked
+        for c in grid[-1, : n - (blocks - 1) * k].tolist():  # the last block's real slots
+            s = int(move[s, c])
+        state = s
+        index *= C
+        index += code
+        np.take(machine.reset, index, axis=0, out=flag_buf[0, :blocks])
+        np.take(machine.paid, index, axis=0, out=flag_buf[1, :blocks])
+        reset, paid = flag_buf.reshape(2, -1)[:, :n]
 
         # a reset at slot j makes the age 1 at slot j + 1; before the first
         # reset the ages continue from the carried-in one
-        reset = np.take(machine.reset, idx, out=reset_buf[:n])
         origin = origin_buf[:n]
         np.multiply(count[: n - 1], reset[:-1], out=origin[1:])
         first = int(reset.argmax())
@@ -530,7 +568,7 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         ages = np.subtract(count[:n], np.maximum.accumulate(origin, out=origin), out=origin)
         aoi = 1 if reset[-1] else int(ages[-1]) + 1
         t += n
-        yield ages, np.take(machine.paid, idx, out=paid_buf[:n])
+        yield ages, paid
 
 
 def check_run(horizon: int, seed: int) -> None:
@@ -550,8 +588,8 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     20 * (horizon // 20) slots and is NaN for horizons below 20.
 
     The run is table-driven (``_Machine``): the only Python loop is one
-    table lookup per block of slots, which finds the state at each block's
-    start; the states inside the blocks, the paid slots, the untruncated
+    row lookup per block of slots, which finds the state at each block's
+    start; each slot's reset and paid flags, the untruncated
     age (rebuilt from the slots whose update got through) and the costs are
     array operations, one stretch of at most ``STRETCH_SLOTS`` slots at a
     time, so memory does not grow with the horizon. A CI batch longer than
@@ -582,9 +620,9 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
         aoi_sum += int(ages.sum())
         paid_count += int(np.count_nonzero(paid))
         if batch and i < CI_BATCHES:
-            costs = cost_buf[: len(ages)]
-            costs[:] = ages
-            np.add(costs, paid_price, out=costs, where=paid)
+            # price + age where paid, 0.0 + age (exactly the age) elsewhere
+            costs = np.multiply(paid, paid_price, out=cost_buf[: len(ages)])
+            costs += ages
             costs[0] += batch_sums[i]  # the batch's running sum so far
             batch_sums[i] = float(np.cumsum(costs, out=costs)[-1])  # in slot order, as +=
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from ehaoi import (
     evaluate_exact,
     evaluate_periodic_exact,
     kernel_arrays,
+    modified_via,
     simulate,
     step,
     transition,
@@ -42,6 +44,7 @@ from ehaoi.evaluator import (
     _stationary,
 )
 from ehaoi.model import _blocks
+from ehaoi.solver import MAX_TABLE_CELLS
 from oracles import grid_actions
 
 
@@ -742,7 +745,26 @@ REPLAY_KINDS = {
     "explicit-short-block": Explicit(np.random.default_rng(5).integers(0, 2, (4, 300))),
     "optimal-never-row": Optimal((9, 3, 2, 1)),  # delta_max + 1
     "optimal-past-horizon": Optimal((2, 10**9, 4, 1)),
+    # 256 and 260 states at the long horizons: the largest machine whose
+    # rows are bytes, and one whose rows are tuples
+    "explicit-256-states": Explicit(np.random.default_rng(6).integers(0, 2, (4, 64))),
+    "explicit-260-states": Explicit(np.random.default_rng(7).integers(0, 2, (4, 65))),
+    # at battery_cap 100 (REPLAY_CAPS), both with 3-slot blocks: the policy
+    # the solver returns at the large fixed point, 101 battery levels times
+    # its largest threshold, 11, make 1111 states (tuple rows); a periodic
+    # schedule has 101 states (bytes rows)
+    "optimal-solved-large": modified_via(ModelParams(
+        lambda_e=0.5, p_block=0.2, battery_cap=100, cost_reliable=2.0, weight=10.0,
+        delta_max=400))[1],
+    "periodic-3-large": Periodic(3),
 }
+REPLAY_CAPS = {"optimal-solved-large": 100, "periodic-3-large": 100}
+
+
+def replay_model(name, lam):
+    """REPLAY_MODEL at ``lam``, with the battery cap ``name`` is made for."""
+    cap = REPLAY_CAPS.get(name, REPLAY_MODEL["battery_cap"])
+    return ModelParams(lambda_e=lam, **dict(REPLAY_MODEL, battery_cap=cap))
 
 
 def replay(kind, m, horizon, seed):
@@ -787,7 +809,7 @@ class TestSimulate:
     @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 41, 5003])
     @pytest.mark.parametrize("name", list(REPLAY_KINDS))
     def test_report_equals_slot_by_slot_replay(self, name, horizon, lam):
-        kind, m = REPLAY_KINDS[name], ModelParams(lambda_e=lam, **REPLAY_MODEL)
+        kind, m = REPLAY_KINDS[name], replay_model(name, lam)
         seed = 17 + horizon
         rep, want = simulate(kind, m, horizon, seed), replay(kind, m, horizon, seed)
         if horizon < 20:  # no CI: NaN on both sides
@@ -836,15 +858,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize("horizon", [1, 20, 139, 5003])
     @pytest.mark.parametrize(
-        "kind", [Optimal((4, 2, 1, 1)), ZeroWait(), Periodic(3)],
-        ids=["optimal", "zero-wait", "periodic3"],
+        "kind, cap",
+        [(Optimal((4, 2, 1, 1)), 3), (ZeroWait(), 3), (Periodic(3), 3),
+         (REPLAY_KINDS["explicit-256-states"], 3), (REPLAY_KINDS["explicit-260-states"], 3),
+         (REPLAY_KINDS["optimal-solved-large"], 100)],
+        ids=["optimal", "zero-wait", "periodic3", "explicit-256-states",
+             "explicit-260-states", "optimal-solved-large"],
     )
-    def test_stretches_do_not_change_the_report(self, monkeypatch, kind, horizon):
+    def test_stretches_do_not_change_the_report(self, monkeypatch, kind, cap, horizon):
         # batches cut into stretches of 7 slots carry the streams, the
-        # state, the age and each batch's running cost sum across the cuts;
-        # a paid price of 0.6, not a whole number, makes the sums round,
-        # so their order shows
-        m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=3,
+        # state, the age and each batch's running cost sum across the cuts
+        # (and end in a partial block of 4 or 3 slots); a paid price of
+        # 0.6, not a whole number, makes the sums round, so their order
+        # shows
+        m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=cap,
                         cost_reliable=2.0, weight=0.3, delta_max=30)
         whole = simulate(kind, m, horizon, 23)
         monkeypatch.setattr(evaluator, "STRETCH_SLOTS", 7)
@@ -866,6 +893,42 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 100 * evaluator.STRETCH_SLOTS
+
+    @pytest.mark.parametrize(
+        "name, states, block, rows",
+        [("explicit-256-states", 256, 4, bytes), ("explicit-260-states", 260, 4, tuple),
+         ("optimal-solved-large", 1111, 3, tuple), ("periodic-3-large", 101, 3, bytes)],
+    )
+    def test_replay_kinds_cover_both_row_containers(self, name, states, block, rows):
+        machine = evaluator._machine(REPLAY_KINDS[name], replay_model(name, 0.5), 5003)
+        assert (len(machine.rows), machine.block) == (states, block)
+        assert {type(row) for row in machine.rows} == {rows}
+
+    def test_machine_past_the_state_cap_raises_before_it_is_built(self, base_params):
+        # 21 battery levels times 500 000 ages: refused before any table
+        # is built, where 1.05 million states take seconds to build
+        kind = Optimal((500_000,) + (2,) * 19 + (1,))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="10500000 states, more than") as err:
+            simulate(kind, base_params, 1_000_000, 0)
+        assert time.perf_counter() - start < 1.0
+        assert "\n" not in str(err.value)
+
+    def test_machine_at_the_state_cap_simulates(self, monkeypatch):
+        # 4 battery levels times 5 ages: the cap counts the states
+        kind, m = Optimal((5, 4, 2, 1)), ModelParams(lambda_e=0.5, **REPLAY_MODEL)
+        evaluator._machine.cache_clear()
+        monkeypatch.setattr(evaluator, "MACHINE_STATES", 19)
+        with pytest.raises(DomainError, match="20 states, more than 19"):
+            simulate(kind, m, 500, 3)
+        monkeypatch.setattr(evaluator, "MACHINE_STATES", 20)
+        assert simulate(kind, m, 500, 3) == replay(kind, m, 500, 3)
+
+    @pytest.mark.parametrize("levels", [1, 2, 21, 101, 10_001])
+    def test_every_solved_policy_fits_the_state_cap(self, levels):
+        # a solved table holds at most MAX_TABLE_CELLS (battery, age) cells,
+        # and its thresholds lie at most one age past it
+        assert levels * (MAX_TABLE_CELLS // levels + 1) <= evaluator.MACHINE_STATES
 
     def test_deterministic_given_seed(self):
         m = params()

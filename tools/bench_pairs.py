@@ -6,14 +6,17 @@ Run it with the change in the working tree of a checkout:
         --note "what the change does" --out BENCH_15.json
 
 Both sides run from fresh copies in one temporary directory, as they would
-from two new checkouts: the parent commit's files come from ``git archive``
-(so nothing is left registered in the repository), and the change's are the
-working tree's files that git tracks or would track. For every workload in
+from two new checkouts, and one routine writes both: it unpacks a tar
+stream, which for the parent commit is ``git archive``'s (so nothing is left
+registered in the repository) and for the change is made from the working
+tree's files that git tracks or would track. For every workload in
 ``BENCHMARK.json``, each of ``--pairs`` pairs runs ``perfbench/run.py
 --trace 0`` once in each tree, one process at a time, at perfbench's own run
 length; the first pair and every other one after it run the parent first,
 the rest the change first, and the i-th pair (from 0) uses seed
-``--seed-base`` + i on both sides. Half as many pairs (at least one) of
+``--seed-base`` + i on both sides. The two trees also swap directories (by
+renaming) every two pairs, so each side runs from both paths and in both
+orders from each. Half as many pairs (at least one) of
 ``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
 fresh processes time ``modified_via`` at the two fixed points and at the
 large one with weight 100, and ``evaluate_exact`` at the large one, for
@@ -26,7 +29,12 @@ untruncated chain, so its time should not grow with ``delta_max``.
 One more timing, ``exact_first_call_n40400_s``, is a single
 ``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
 in its process: a best-of-N time hides one-time costs such as a module the
-first call imports, and this one shows them. Each side takes its timing
+first call imports, and this one shows them. Three timings are one
+10**6-slot ``simulate`` each: the solved ``Optimal`` at the reference point
+(231 machine states, bytes rows) and at the large one (1111 states, tuple
+rows, 3-slot blocks), and ``Periodic(5)`` at the reference point (3-bit
+symbols); the first call builds the machine, and the others reuse it.
+Each side takes its timing
 snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
 tree's copy of this script, so a change to a name a snippet calls still
 times both sides as committed; a timing the parent's copy lacks uses this
@@ -43,10 +51,10 @@ Standard library only; the package under test needs numpy and scipy.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import runpy
-import shutil
 import statistics
 import subprocess
 import sys
@@ -63,6 +71,7 @@ WIDE = dict(LARGE, delta_max=1600)
 # each in-process timing: the model point, the calls per process, the setup
 # run once before them and the timed call
 OPTIMAL = "optimal = modified_via(m)[1]"
+SIMULATE = "from ehaoi import simulate"  # a name the parent's header may lack
 FIXED_POINTS = {
     "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9)"),
     "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9)"),
@@ -78,6 +87,12 @@ FIXED_POINTS = {
     "exact_zero_wait_n161600_s": (WIDE, 5, "", "evaluate_exact(ZeroWait(), m)"),
     "exact_periodic5_n161600_s": (WIDE, 5, "", "evaluate_exact(Periodic(5), m)"),
     "exact_periodic20_n161600_s": (WIDE, 3, "", "evaluate_exact(Periodic(20), m)"),
+    "simulate_optimal_n4200_s": (REFERENCE, 3, f"{SIMULATE}; {OPTIMAL}",
+                                 "simulate(optimal, m, 10**6, 0)"),
+    "simulate_optimal_n40400_s": (LARGE, 3, f"{SIMULATE}; {OPTIMAL}",
+                                  "simulate(optimal, m, 10**6, 0)"),
+    "simulate_periodic5_n4200_s": (REFERENCE, 3, SIMULATE,
+                                   "simulate(Periodic(5), m, 10**6, 0)"),
 }
 IN_PROCESS = """
 import sys, time
@@ -100,12 +115,18 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def _unpack(stream, dest: Path) -> None:
+    """The files of the tar ``stream`` under ``dest``: both trees are
+    written this one way."""
+    with tarfile.open(fileobj=stream, mode="r|") as tar:
+        tar.extractall(dest, filter="data")
+
+
 def _extract(rev: str, dest: Path) -> None:
     """The files of commit ``rev`` under ``dest``."""
     with subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
                           stdout=subprocess.PIPE) as proc:
-        with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            tar.extractall(dest, filter="data")
+        _unpack(proc.stdout, dest)
     if proc.returncode:
         raise SystemExit(f"git archive {rev} failed")
 
@@ -113,10 +134,13 @@ def _extract(rev: str, dest: Path) -> None:
 def _copy_worktree(dest: Path) -> None:
     """The working tree's tracked and not ignored files under ``dest``."""
     listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, listed.split("\0")):
-        if (ROOT / name).is_file():  # a tracked file may be deleted
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, dest / name)
+    stream = io.BytesIO()
+    with tarfile.open(fileobj=stream, mode="w") as tar:
+        for name in filter(None, listed.split("\0")):
+            if (ROOT / name).is_file():  # a tracked file may be deleted
+                tar.add(ROOT / name, arcname=name)
+    stream.seek(0)
+    _unpack(stream, dest)
 
 
 def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -161,15 +185,28 @@ def _in_process(tree: Path, header: str, spec: tuple) -> float:
     return float(proc.stdout)
 
 
+def _swap(trees: dict[str, Path]) -> None:
+    """Rename the two sides' trees into each other's directories."""
+    a, b = trees["parent"], trees["change"]
+    spare = a.with_name(a.name + "-swap")
+    a.rename(spare)
+    b.rename(a)
+    spare.rename(b)
+    trees["parent"], trees["change"] = b, a
+
+
 def _pairs(n: int, trees: dict[str, Path], run) -> list[dict]:
-    """``n`` pairs of ``run(tree, pair index)``, alternating which side runs
-    first."""
+    """``n`` pairs of ``run(side, tree, pair index)``, alternating which side
+    runs first every pair and, by ``_swap``, which directory the parent runs
+    in every two pairs: "a" for pairs 0 and 1, "b" for 2 and 3, and so on."""
     pairs = []
     for i in range(n):
+        if trees["parent"].name != "ab"[i // 2 % 2]:
+            _swap(trees)
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"order": f"{order[0]} first"}
+        pair = {"order": f"{order[0]} first", "parent_dir": trees["parent"].name}
         for side in order:
-            pair[side] = run(trees[side], i)
+            pair[side] = run(side, trees[side], i)
         pairs.append(pair)
     return pairs
 
@@ -217,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     parent = _git("rev-parse", args.parent)
     report: dict = {"change": args.note, "parent_commit": parent}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        trees = {"parent": Path(tmp, "a"), "change": Path(tmp, "b")}
         _extract(parent, trees["parent"])
         _copy_worktree(trees["change"])
         for key, trace, n in (("perfbench", 0, args.pairs), ("trace", 1, max(1, args.pairs // 2))):
@@ -226,28 +263,30 @@ def main(argv: list[str] | None = None) -> int:
                 "workloads": {},
             }
             for w in workloads:
-                pairs = _pairs(n, trees, lambda tree, i, w=w: _perfbench(
+                pairs = _pairs(n, trees, lambda side, tree, i, w=w: _perfbench(
                     tree, w, args.seed_base + i, trace))
                 report.setdefault("host", pairs[0]["parent"]["env"])
                 section["workloads"][w] = {
                     "seeds": [args.seed_base + i for i in range(n)],
                     "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                     "order": [p["order"] for p in pairs],
+                    "parent_dir": [p["parent_dir"] for p in pairs],
                     "metrics": _summary(pairs, lambda r: r["values"], better),
                 }
             report[key] = section
-        own = {tree: _timings(tree) for tree in trees.values()}
-        pairs = _pairs(args.pairs, trees, lambda tree, i: {
-            name: _in_process(tree, own[tree][0], spec) for name, spec in own[tree][1].items()})
+        own = {side: _timings(tree) for side, tree in trees.items()}
+        pairs = _pairs(args.pairs, trees, lambda side, tree, i: {
+            name: _in_process(tree, own[side][0], spec) for name, spec in own[side][1].items()})
         report["in_process"] = {
             "command": "a fresh process per side, pair and timing, OpenBLAS one "
                        "thread: the best of `calls` calls after the setup, each "
                        "side's snippets from its own tools/bench_pairs.py",
             "timings": {side: {name: {"point": {**POINT, **point}, "calls": calls,
                                       "setup": setup, "call": call}
-                               for name, (point, calls, setup, call) in own[tree][1].items()}
-                        for side, tree in trees.items()},
+                               for name, (point, calls, setup, call) in own[side][1].items()}
+                        for side in trees},
             "order": [p["order"] for p in pairs],
+            "parent_dir": [p["parent_dir"] for p in pairs],
             "metrics": _summary(pairs, lambda r: r, {}),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
