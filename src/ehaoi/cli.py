@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--battery-cap", dest="battery_cap", type=int, help="battery capacity")
     common.add_argument("--cost-reliable", dest="cost_reliable", type=float, help="paid backup packet cost")
     common.add_argument("--weight", dest="weight", type=float, help="objective weight on paid energy")
-    common.add_argument("--delta-max", dest="delta_max", type=int, help="ages in the policy and value grids")
+    common.add_argument("--delta-max", dest="delta_max", type=int, help="ages in solve's policy grid")
     common.add_argument(
         "--eps", dest="eps", type=float,
         help="widest gain certificate the solver accepts, relative to the gain",

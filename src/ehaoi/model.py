@@ -6,16 +6,15 @@ Free packets arrive Bernoulli(``lambda_e``) into a battery of capacity
 ``battery_cap``; when the battery is empty, a transmission instead draws
 a paid backup packet at cost ``cost_reliable``, weighted by ``weight`` in
 the objective. The state is (age of information, battery level). The
-kernel and the value grids truncate the age at ``delta_max`` with
-saturating dynamics; policy iteration (the solver) and the exact evaluator
-work on the chain whose age is never truncated.
+reference kernel (``transition``, ``kernel_arrays``, ``enumerate_states``)
+truncates the age at ``delta_max`` with saturating dynamics; policy
+iteration (the solver), the exact evaluator and ``verify`` work on the
+chain whose age is never truncated.
 
-Value tables throughout the package are plain float arrays indexed in
-``enumerate_states`` order (battery level outer, age inner). Reshaped to
-``(battery_cap + 1, delta_max)`` they form the (battery, age) grid.
 ``_blocks`` is the one definition of the untruncated chain that the
 evaluator and the solver are built on; ``transition``/``kernel_arrays``
-stay as the per-state reference it is checked against.
+stay as the per-state reference it is checked against, indexed in
+``enumerate_states`` order (battery level outer, age inner).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class ModelParams:
     battery_cap: int      # battery capacity B, at least 2
     cost_reliable: float  # cost of one paid backup packet, >= 0
     weight: float         # objective weight on the paid-energy term, > 0
-    delta_max: int = 200  # ages in the kernel and value grids, at least 2
+    delta_max: int = 200  # ages in the kernel and solve's policy grid, at least 2
 
     def __post_init__(self):
         for name in ("lambda_e", "p_block", "cost_reliable", "weight"):

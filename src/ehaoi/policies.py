@@ -46,9 +46,10 @@ class Optimal:
     """Solver output: transmit at battery level q exactly when age >=
     thresholds[q], at every age; no age cap bounds a threshold."""
 
-    thresholds: tuple[int, ...]
+    thresholds: tuple[int, ...]  # any sequence, stored as a tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if not self.thresholds:
             raise DomainError("thresholds must be non-empty")
         for t in self.thresholds:

@@ -38,7 +38,7 @@ MAX_EVALUATIONS = 100_000
 # Q values closer than this count as tied. Where transmitting is the better
 # action at the solved policies of the README and acceptance points, it is
 # better by at most 1.1e-14 (weight 0.5: a tie in exact arithmetic, left in
-# rounding) or by at least 1.4e-12 (battery_cap=100, delta_max=400).
+# rounding) or by at least 1.4e-12 (battery_cap=100).
 TIE_TOL = 1e-13
 # A policy iteration table holds at most this many (battery, age) cells.
 # Each cell costs about 60 bytes across the table, its bias and Q values,
@@ -60,7 +60,7 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class SolveResult:
     gain: float               # exact gain of the returned Optimal policy
-    values: np.ndarray        # its exact bias, enumerate_states order
+    values: np.ndarray        # its exact bias by (battery, age 1..L + 3)
     iterations: int           # policy evaluations
     span_residual: float      # width of gain_bracket
     span_history: np.ndarray  # (iterations,): that width after each evaluation
@@ -151,15 +151,16 @@ class _Kept:
 
 def _evaluate(
     send: np.ndarray, m: ModelParams, kept: _Kept | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Exact gain and bias of the policy that follows ``send`` (a (battery,
     age <= L) boolean table, True transmitting) and transmits at every age
     above L, on the chain whose age is never truncated.
 
-    Returns the gain g, the bias at ages 1..L + 3 as an (L + 3, B1) array,
-    and kappa: at every age a > L the bias is a * slope + kappa. The bias is
-    0 at (age 1, battery_cap). Each row of a block has at most two nonzero
-    advancing moves, so U_a X is one gather of both moves' rows; the one
+    Returns the gain g and the bias at ages 1..L + 3 as an (L + 3, B1)
+    array; at every age a > L the bias is a * slope + kappa, so its last
+    increment repeats at every later age. The bias is 0 at (age 1,
+    battery_cap). Each row of a block has at most two nonzero advancing
+    moves, so U_a X is one gather of both moves' rows; the one
     dense solve is the (battery_cap + 1)-square system for (h_1, g). Both
     passes over the ages take each run of equal columns' moves once.
 
@@ -240,7 +241,7 @@ def _evaluate(
             if ac[0]:
                 H[a - 1, 0] += t.paid
     H[0] = h1
-    return gain, H, kappa
+    return gain, H
 
 
 def _q_values(H: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +323,8 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
     termination argument (Markov Decision Processes, 1994, section 8.6),
     made in exact arithmetic, does not hold. A table is recognized by its
     SHA-256 digest, 32 bytes per evaluation. A row's threshold is its first
-    transmitting age, which may lie beyond delta_max; the returned
-    ``Optimal`` transmits at every age from the threshold on, and ``decide``,
+    transmitting age, which no age cap bounds; the returned ``Optimal``
+    transmits at every age from the threshold on, and ``decide``,
     ``evaluate_exact`` and ``simulate`` take it as is. An evaluation re-walks
     the table from its first changed run of equal columns down
     (``_evaluate`` keeps the previous evaluation's carry at the bottom of
@@ -339,13 +340,15 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
     batteries 1..battery_cap - 1 stay idle at age 1: those rows are
     transient, and battery_cap is the one closed class.
 
-    ``gain`` is the exact gain of that policy; ``values`` its exact
-    bias on the (battery, age <= delta_max) grid, 0 at (age 1,
-    battery_cap); ``iterations`` the number of evaluations;
-    ``gain_bracket`` the certificate [min(Th - h), max(Th - h)] over the
-    ages up to L + 2 (the rows above repeat), which holds the optimal gain;
-    ``span_residual`` its width and ``span_history`` that width after each
-    evaluation. ``argmin_evals`` is sum_q min(threshold_q, delta_max).
+    ``gain`` is the exact gain of that policy; ``values`` its exact bias
+    as ``_evaluate`` computes it, a (battery, age 1..L + 3) array for the
+    final table's width L, 0 at (age 1, battery_cap): past its last column
+    the bias is affine in the age, and its last increment repeats;
+    ``iterations`` the number of evaluations; ``gain_bracket`` the
+    certificate [min(Th - h), max(Th - h)] over the ages up to L + 2 (the
+    rows above repeat), which holds the optimal gain; ``span_residual`` its
+    width and ``span_history`` that width after each evaluation.
+    ``argmin_evals`` is sum_q min(threshold_q, delta_max).
 
     Raises ConvergenceError when the policy still changes after
     ``MAX_EVALUATIONS`` evaluations, when a table would hold more than
@@ -369,7 +372,7 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
     seen = set()  # the evaluated tables' digests
     kept = _Kept()
     for k in range(MAX_EVALUATIONS):
-        gain, H, kappa = _evaluate(send, m, kept)
+        gain, H = _evaluate(send, m, kept)
         idle, tx = _q_values(H, m)
         bracket = _certificate(H, idle, tx)
         widths.append(bracket[1] - bracket[0])
@@ -414,14 +417,7 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
     # every row transmits above the table: its threshold is its first
     # transmitting age
     ends = np.hstack([send, np.ones((B1, 1), dtype=bool)])
-    policy = Optimal(tuple((ends.argmax(axis=1) + 1).tolist()))
-    dm = m.delta_max
-    grid = np.empty((dm, B1))
-    known = min(dm, len(H))
-    grid[:known] = H[:known]
-    grid[known:] = np.arange(known + 1, dm + 1)[:, None] * t.slope + kappa
-    evals = sum(min(th, dm) for th in policy.thresholds)
-    result = SolveResult(
-        gain, grid.T.reshape(-1), k + 1, width, np.array(widths), evals, gain_bracket=bracket
-    )
+    policy = Optimal((ends.argmax(axis=1) + 1).tolist())
+    evals = sum(min(th, m.delta_max) for th in policy.thresholds)
+    result = SolveResult(gain, H.T, k + 1, width, np.array(widths), evals, gain_bracket=bracket)
     return result, policy

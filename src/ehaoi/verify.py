@@ -7,10 +7,20 @@ a higher battery level dominate a p_block fraction of the lower level's,
 and the idle-minus-transmit Q gap grows with age. Checks report the worst
 violation instead of raising so a falsified property is easy to inspect.
 
-Age pairs touching the grid's last age are excluded from the increment
-checks, and the submodularity check reads the Q values at the ages whose
-successors lie on the grid (1..delta_max - 1), from the solver's own
+A value table is a (battery, age 1..W) array of any width W, or the same
+table flat, battery-major. Every pair of adjacent ages on it is checked,
+and the submodularity check reads the Q values at the ages whose
+successors lie on the table (1..W - 1), from the solver's own
 ``_q_values``.
+
+On the solver's ``SolveResult.values``, the bias at ages 1..L + 3 for the
+final table's width L, the checks cover every age of the untruncated
+chain. Above L every row transmits and the bias is a * slope + kappa, with
+slope = 1/(1 - p_block) in every row: the age increments, and each
+battery step's difference, are the same at every age there, and the Q gap
+rises by ``rise`` = 1 per age from age L on. The pairs at ages L + 1 to
+L + 3 show each property's every later value, so none can fail only
+further out.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ class StructureReport:
     tol: float
 
 
-def _grid(v: np.ndarray, m: ModelParams) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(m.battery_cap + 1, m.delta_max)
+def _table(v: np.ndarray, m: ModelParams) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(m.battery_cap + 1, -1)
 
 
 def _report(name, viol, witness_at, tol):
@@ -50,11 +60,10 @@ def _report(name, viol, witness_at, tol):
 
 def check_monotone_aoi(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
     """Values never decrease as age grows (battery fixed)."""
-    g = _grid(v, m)
-    viol = g[:, :-1] - g[:, 1:]
+    g = _table(v, m)
     return _report(
         "monotone-aoi",
-        viol,
+        g[:, :-1] - g[:, 1:],
         lambda q, j: (State(j + 1, q), State(j + 2, q)),
         tol,
     )
@@ -62,24 +71,19 @@ def check_monotone_aoi(v, m: ModelParams, tol: float = DEFAULT_TOL) -> Structure
 
 def check_monotone_battery(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
     """Values never increase as stored energy grows (age fixed)."""
-    g = _grid(v, m)
-    viol = g[1:, :] - g[:-1, :]
     return _report(
         "monotone-battery",
-        viol,
+        np.diff(_table(v, m), axis=0),
         lambda q, j: (State(j + 1, q), State(j + 1, q + 1)),
         tol,
     )
 
 
 def check_increment_aoi(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
-    """Adjacent age increments are at least 1, away from the truncation cap."""
-    g = _grid(v, m)
-    inner = g[:, : m.delta_max - 1]  # ages 1 .. delta_max - 1
-    viol = 1.0 - (inner[:, 1:] - inner[:, :-1])
+    """Adjacent age increments are at least 1."""
     return _report(
         "increment-aoi",
-        viol,
+        1.0 - np.diff(_table(v, m), axis=1),
         lambda q, j: (State(j + 1, q), State(j + 2, q)),
         tol,
     )
@@ -87,13 +91,10 @@ def check_increment_aoi(v, m: ModelParams, tol: float = DEFAULT_TOL) -> Structur
 
 def check_increment_mixed(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
     """Age increments at battery q+1 dominate p_block times those at q."""
-    g = _grid(v, m)
-    inner = g[:, : m.delta_max - 1]
-    inc = inner[:, 1:] - inner[:, :-1]  # (B+1, delta_max-2)
-    viol = m.p_block * inc[:-1, :] - inc[1:, :]
+    inc = np.diff(_table(v, m), axis=1)  # (battery, age 1..W - 1)
     return _report(
         "increment-mixed",
-        viol,
+        m.p_block * inc[:-1] - inc[1:],
         lambda q, j: (State(j + 1, q + 1), State(j + 2, q + 1)),
         tol,
     )
@@ -101,8 +102,8 @@ def check_increment_mixed(v, m: ModelParams, tol: float = DEFAULT_TOL) -> Struct
 
 def check_submodular(v, m: ModelParams, tol: float = DEFAULT_TOL) -> StructureReport:
     """The idle-minus-transmit Q gap never shrinks as age grows."""
-    idle, tx = _q_values(_grid(v, m).T, m)
-    gap = (idle - tx).T  # (battery, age 1..delta_max - 1)
+    idle, tx = _q_values(_table(v, m).T, m)
+    gap = (idle - tx).T  # (battery, age 1..W - 1)
     viol = gap[:, :-1] - gap[:, 1:]
     return _report(
         "submodular-gap",

@@ -5,7 +5,8 @@ normalized against the state (age 1, battery_cap) and stopped on the span
 seminorm of the Bellman update, with the greedy policy and the threshold
 reading it gives. Every Bellman backup is one gather over ``kernel_arrays``,
 the per-state kernel, so none of this shares code with the solver.
-``grid_actions`` lays a policy out on that truncated chain's states.
+``grid_actions`` lays a policy out on that truncated chain's states, and
+``grid_values`` a solved bias.
 """
 
 import numpy as np
@@ -47,6 +48,16 @@ def grid_actions(kind, m: ModelParams) -> np.ndarray:
     table = stationary_actions(kind, m)
     cols = np.minimum(np.arange(m.delta_max), table.shape[-1] - 1)
     return table[..., cols].reshape(-1).astype(np.int8)
+
+
+def grid_values(res: SolveResult, m: ModelParams) -> np.ndarray:
+    """``res.values``, the bias at ages 1..W, on the truncated chain's grid:
+    (battery, age <= delta_max), flat in that order. Past age W the bias
+    is affine, rising by 1/(1 - p_block) per age in every row."""
+    v = np.asarray(res.values, dtype=float).reshape(m.battery_cap + 1, -1)
+    W = v.shape[1]
+    past = np.arange(1, m.delta_max - W + 1) / (1.0 - m.p_block)
+    return np.hstack([v[:, : m.delta_max], v[:, -1:] + past]).reshape(-1)
 
 
 def q_value(v, s: State, a: int, m: ModelParams) -> float:

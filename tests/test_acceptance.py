@@ -32,7 +32,7 @@ from ehaoi import (
     transition,
 )
 from ehaoi.cli import main as cli_main
-from oracles import extract_policy, extract_thresholds, grid_actions
+from oracles import extract_policy, extract_thresholds, grid_actions, grid_values
 
 REFERENCE = dict(
     lambda_e=0.5,
@@ -183,7 +183,7 @@ def test_criterion_4_threshold_scan_equivalence(structure_grid):
     points, _ = structure_grid
     problems = []
     for key, (m, res, tp) in points.items():
-        full = extract_policy(res.values, m)
+        full = extract_policy(grid_values(res, m), m)
         if not np.array_equal(grid_actions(tp, m), full):
             problems.append((key, "policy-mismatch"))
         if max(tp.thresholds) > 1 and not res.argmin_evals < state_count(m):

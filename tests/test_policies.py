@@ -12,6 +12,7 @@ from ehaoi import (
     State,
     ZeroWait,
     decide,
+    simulate,
     stationary_actions,
 )
 
@@ -105,6 +106,22 @@ class TestDecide:
     def test_rejects_bool_time(self):
         with pytest.raises(DomainError):
             decide(Periodic(2), State(1, 1), True)
+
+
+class TestOptimalValidation:
+    @pytest.mark.parametrize("given", [[3, 2, 1], range(3, 0, -1), (t for t in (3, 2, 1))])
+    def test_holds_a_tuple(self, given):
+        # a list, range or generator is stored as the tuple it lists, so the
+        # policy equals, and hashes as, the one built from that tuple
+        k = Optimal(given)
+        assert k.thresholds == (3, 2, 1)
+        assert k == Optimal((3, 2, 1))
+        assert hash(k) == hash(Optimal((3, 2, 1)))
+
+    def test_list_thresholds_simulate(self):
+        m = params()
+        listed = simulate(Optimal([3, 2, 1]), m, 1000, 7)
+        assert listed == simulate(Optimal((3, 2, 1)), m, 1000, 7)
 
 
 class TestExplicitValidation:

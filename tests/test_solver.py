@@ -38,6 +38,7 @@ from oracles import (
     extract_policy,
     extract_thresholds,
     grid_actions,
+    grid_values,
     q_value,
     relative_value_iteration,
 )
@@ -283,7 +284,7 @@ class TestModifiedVia:
         full = relative_value_iteration(m, eps=1e-9)
         moved = grid_actions(tp, m) != extract_policy(full.values, m)
         assert moved.any() == bool(overrides)
-        q = bellman_backup_q(res.values, m)
+        q = bellman_backup_q(grid_values(res, m), m)
         assert np.abs(q[IDLE] - q[TRANSMIT])[moved].max(initial=0.0) <= TIE_TOL
         lo, hi = full.gain_bracket
         assert lo <= res.gain <= hi
@@ -372,7 +373,7 @@ class TestCertificate:
         # exact gain, and its upper end is at least the optimum
         m = FIXED_POINTS[point]
         res, tp = modified_via(m, eps=1e-9)
-        gain, H, _ = _evaluate(threshold_table([t + 1 for t in tp.thresholds]), m)
+        gain, H = _evaluate(threshold_table([t + 1 for t in tp.thresholds]), m)
         lo, hi = _certificate(H, *_q_values(H, m))
         assert lo <= res.gain <= hi
         assert lo <= gain
@@ -440,7 +441,7 @@ def plain_evaluate(send, m):
         H[a - 1] = a - gain + advance(H[a], ac) + resets[ac, q]
         H[a - 1, 0] += t.paid * ac[0]
     H[0] = h1
-    return gain, H, kappa
+    return gain, H
 
 
 class TestEvaluate:
@@ -473,12 +474,11 @@ class TestEvaluate:
         kept = _Kept()
         for i, table in enumerate([send, low, top, wider]):
             before = kept.carries
-            ref_gain, ref_H, ref_kappa = plain_evaluate(table, m)
+            ref_gain, ref_H = plain_evaluate(table, m)
             for route in (_evaluate(table, m), _evaluate(table, m, kept)):
-                gain, H, kappa = route
+                gain, H = route
                 assert gain == ref_gain
                 np.testing.assert_array_equal(H, ref_H)
-                np.testing.assert_array_equal(kappa, ref_kappa)
             if i == 1:
                 # the lowest run, and the one above it if they merged, is
                 # re-walked; the carries of every run above are reused
@@ -499,7 +499,7 @@ class TestEvaluate:
         table = np.ones((m.battery_cap + 1, m.delta_max), dtype=np.int8)
         table[:, : send.shape[1]] = send
         rep = evaluate_exact(Explicit(table), m)
-        gain, H, _ = _evaluate(send, m)
+        gain, H = _evaluate(send, m)
         assert abs(gain - rep.average_cost) <= 1e-12
         # the bias solves the policy's own equation h = c - g + P h
         idle, tx = _q_values(H, m)
@@ -510,7 +510,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("lam, p, weight", [(0.3, 0.2, 10.0), (0.5, 0.7, 1.0), (0.9, 0.5, 20.0)])
     def test_zero_wait_closed_form(self, lam, p, weight):
         m = tiny_params(lambda_e=lam, p_block=p, battery_cap=4, weight=weight)
-        gain, _, _ = _evaluate(np.zeros((m.battery_cap + 1, 0), dtype=bool), m)
+        gain, _ = _evaluate(np.zeros((m.battery_cap + 1, 0), dtype=bool), m)
         closed = 1.0 / (1.0 - p) + weight * m.cost_reliable * (1.0 - lam)
         assert abs(gain - closed) <= 1e-12
 
@@ -698,9 +698,8 @@ class TestTieRule:
                "lambda0.99": {"lambda_e": 0.99}}[point],
         })
         res, tp = modified_via(m, eps=1e-9)
-        v = res.values.reshape(m.battery_cap + 1, m.delta_max)
         ages = range(1, max(tp.thresholds) + 2)
-        q_idle, q_tx = fsum_backup_q(v, m, ages)
+        q_idle, q_tx = fsum_backup_q(res.values, m, ages)
         send = q_tx < q_idle - TIE_TOL
         assert send.any(axis=1).all()
         assert tuple(int(t) for t in send.argmax(axis=1) + 1) == tp.thresholds
@@ -725,7 +724,7 @@ class TestTieRule:
             _, tp = modified_via(m, eps=1e-9)
         th = np.array(tp.thresholds)
         send = np.arange(1, th.max()) >= th[:, None]
-        _, H, _ = _evaluate(send, m)
+        _, H = _evaluate(send, m)
         idle, tx = _q_values(H, m)
         gap = (idle - tx)[: send.shape[1] + 1]
         np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max, False), send)

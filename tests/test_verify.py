@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ehaoi.verify import (
     check_monotone_battery,
     check_submodular,
 )
-from oracles import bellman_backup_q
+from oracles import bellman_backup_q, grid_values
 from test_solver import _acceptance_points
 
 
@@ -90,12 +92,15 @@ class TestIncrementAoi:
         assert not rep.passed
         assert rep.worst == pytest.approx(0.5)
 
-    def test_saturated_boundary_is_exempt(self):
-        # the last column flattens by design; only interior pairs count
+    def test_last_pair_counts(self):
+        # no column of a value table saturates, so its last pair is checked
+        # like any other
         m = params()
         v = linear_in_age(m)
         v[m.delta_max - 1 :: m.delta_max] = v[m.delta_max - 2 :: m.delta_max]
-        assert check_increment_aoi(v, m).passed
+        rep = check_increment_aoi(v, m)
+        assert not rep.passed
+        assert rep.witnesses == ((State(m.delta_max - 1, 0), State(m.delta_max, 0)),)
 
 
 class TestIncrementMixed:
@@ -126,13 +131,14 @@ class TestSubmodular:
         # kernel_arrays sums the same terms in another order
         for m in _acceptance_points():
             res, _ = modified_via(m, eps=1e-9)
-            grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
+            v = grid_values(res, m)
+            grid = v.reshape(m.battery_cap + 1, m.delta_max)
             idle, tx = _q_values(grid.T, m)
-            q = bellman_backup_q(res.values, m).reshape((2,) + grid.shape)
+            q = bellman_backup_q(v, m).reshape((2,) + grid.shape)
             gap = (q[IDLE] - q[TRANSMIT])[:, :-1]  # ages whose successors are on the grid
             assert np.abs((idle - tx).T - gap).max() <= 1e-12, m
             worst = (gap[:, :-1] - gap[:, 1:]).max()
-            assert abs(check_submodular(res.values, m).worst - worst) <= 1e-12, m
+            assert abs(check_submodular(v, m).worst - worst) <= 1e-12, m
 
     @pytest.mark.parametrize("lam", [1.0, 1.0 - 1e-16])
     def test_reads_the_solution_where_the_battery_never_falls(self, lam):
@@ -140,12 +146,13 @@ class TestSubmodular:
         # here; the check reads its bias like any other
         m = params(lambda_e=lam, battery_cap=5, delta_max=40)
         res, _ = modified_via(m, eps=1e-9)
-        grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
+        v = grid_values(res, m)
+        grid = v.reshape(m.battery_cap + 1, m.delta_max)
         idle, tx = _q_values(grid.T, m)
-        q = bellman_backup_q(res.values, m).reshape((2,) + grid.shape)
+        q = bellman_backup_q(v, m).reshape((2,) + grid.shape)
         gap = (q[IDLE] - q[TRANSMIT])[:, :-1]
         assert np.abs((idle - tx).T - gap).max() <= 1e-12
-        report = check_submodular(res.values, m)
+        report = check_submodular(v, m)
         assert report.passed
         assert abs(report.worst - (gap[:, :-1] - gap[:, 1:]).max()) <= 1e-12
 
@@ -172,11 +179,11 @@ class TestRunAllChecks:
             assert r.passed, (r.name, r.worst, r.witnesses)
             assert r.tol == 1e-8
 
-    def test_value_grid_reads_as_its_flattened_table(self):
+    def test_value_table_reads_as_its_flattened_table(self):
         m = params(battery_cap=5, delta_max=40)
         res, _ = modified_via(m, eps=1e-9)
-        grid = res.values.reshape(m.battery_cap + 1, m.delta_max)
-        assert run_all_checks(grid, m) == run_all_checks(res.values, m)
+        assert res.values.ndim == 2 and len(res.values) == m.battery_cap + 1
+        assert run_all_checks(res.values.reshape(-1), m) == run_all_checks(res.values, m)
 
     def test_reports_never_raise_on_garbage(self):
         m = params()
@@ -187,3 +194,40 @@ class TestRunAllChecks:
             if not r.passed:
                 assert r.worst > r.tol
                 assert len(r.witnesses) == 1
+
+
+class TestEveryAge:
+    """``res.values`` holds the bias at ages 1..L + 3; past L it is affine
+    in the age, so its columns show every property at every age."""
+
+    def test_reports_match_a_wider_grid_at_the_acceptance_points(self):
+        for m in _acceptance_points():
+            res, tp = modified_via(m, eps=1e-9)
+            assert res.values.shape == (m.battery_cap + 1, max(tp.thresholds) + 2)
+            wide = replace(m, delta_max=5 * res.values.shape[1])
+            for own, grid in zip(run_all_checks(res.values, m),
+                                 run_all_checks(grid_values(res, wide), wide)):
+                assert (own.name, own.passed, own.witnesses) == (
+                    grid.name, grid.passed, grid.witnesses), m
+                assert abs(own.worst - grid.worst) <= 1e-12, (m, own.name)
+
+    @pytest.mark.parametrize(
+        "name, age, battery",
+        [("monotone-aoi", 500, 1), ("monotone-battery", 500, 2)],
+    )
+    def test_a_break_past_delta_max_fails_only_on_the_full_bias(self, name, age, battery):
+        # thresholds near 1000 put the solver's columns far past the grid's
+        # 30 ages: a dip at one age, or a battery level made dearer than the
+        # one below it from one age on
+        m = params(weight=1000.0, delta_max=30)
+        res, _ = modified_via(m, eps=1e-9)
+        assert res.values.shape[1] > age > m.delta_max
+        v = res.values.copy()
+        if name == "monotone-aoi":
+            v[battery, age - 1] -= 30.0
+        else:
+            v[battery, age - 1:] += 2.0 * (v[battery - 1, age - 1] - v[battery, age - 1])
+        failed = {r.name: r for r in run_all_checks(v, m) if not r.passed}
+        assert name in failed
+        assert failed[name].witnesses[0][1] == State(age, battery)
+        assert all(r.passed for r in run_all_checks(grid_values(replace(res, values=v), m), m))
