@@ -10,7 +10,6 @@ from .evaluator import (
     ReducibleChainError,
     StepRecord,
     evaluate_exact,
-    evaluate_periodic_exact,
     simulate,
     step,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "decide",
     "enumerate_states",
     "evaluate_exact",
-    "evaluate_periodic_exact",
     "kernel_arrays",
     "modified_via",
     "one_step_cost",

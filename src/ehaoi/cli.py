@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .evaluator import check_run, evaluate_exact, evaluate_periodic_exact, simulate
+from .evaluator import check_run, evaluate_exact, simulate
 from .model import DomainError, ModelParams, UnboundedAgeError, enumerate_states, is_int, is_real
 from .policies import Periodic, ZeroWait, decide
 from .solver import ConvergenceError, modified_via
@@ -30,6 +30,8 @@ AXES = ("weight", "lambda_e", "p_block")
 # what a solve raises for a model it cannot solve: exit 1, or a grid
 # point's error rows
 SOLVE_ERRORS = (ConvergenceError, UnboundedAgeError)
+# perfbench rebinds this name to time the periodic row; goes with ROADMAP direction 3
+evaluate_periodic_exact = evaluate_exact
 
 
 @dataclass

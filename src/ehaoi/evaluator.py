@@ -35,8 +35,7 @@ and ``step``.
 A periodic schedule is not stationary on the base space, but it is on the
 chain augmented with the slot phase. ``stationary_actions`` gives its
 action table there, one base table per phase, and ``evaluate_exact``
-solves that chain like any other; ``evaluate_periodic_exact`` is the same
-evaluation for periodic schedules only.
+solves that chain like any other.
 
 Importing this module loads numpy and the top-level ``scipy`` package
 only; the recurrent class is found by this module's own search, so no
@@ -263,14 +262,15 @@ def _around(v: np.ndarray, Ut: np.ndarray, stay: np.ndarray) -> np.ndarray:
     return y
 
 
-def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, float]:
+def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Stationary distribution, with the age never truncated, of the chain
     under ``send``, a boolean (phase, battery, age) table as
     ``stationary_actions`` gives it (later ages take the last column), on
     its closed class:
     by (age, phase, battery), zero off the class, the last level W holding
-    every age from W on. Also the tail's age excess sum_k k pi_{W+k}, and
-    the balance residual ||mu P - mu||_1 on those W levels.
+    every age from W on. Also ``send`` on the same W levels, as 0/1 ints by
+    (age level, phase, battery), the tail's age excess sum_k k pi_{W+k},
+    and the balance residual ||mu P - mu||_1 on those W levels.
 
     From W, the first age (at least 2) from which the actions equal the
     last column, every age moves alike, so ``_recurrent_class`` finds the
@@ -351,7 +351,7 @@ def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, float, fl
     moved = ((mu - sent) @ U[IDLE] + sent @ U[TRANSMIT])[:, prev]
     flow = np.concatenate([(sent.sum(axis=0) @ R[TRANSMIT])[None, prev], moved[:-1]])
     flow[-1] += moved[-1]
-    return mu, float(excess / total), float(np.abs(flow - mu).sum())
+    return mu, act, float(excess / total), float(np.abs(flow - mu).sum())
 
 
 def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
@@ -367,23 +367,14 @@ def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
     the mass at the ages from W on, where the action table stops changing.
     Raises UnboundedAgeError if nothing in the closed class resets the age.
     """
-    send = stationary_actions(kind, m)
-    mu, excess, residual = _stationary(send, m)
+    mu, act, excess, residual = _stationary(stationary_actions(kind, m), m)
     W = len(mu)
     by_age = mu.reshape(W, -1).sum(axis=1)
     average_aoi = float(by_age @ np.arange(1.0, W + 1) + excess)
     # the paid states: battery 0, transmitting, at the W levels by phase
-    paid = send[:, 0, list(range(W - 1)) + [-1]]
-    rate = float(mu[..., 0][paid.T].sum())
+    rate = float(mu[..., 0][act[..., 0] == TRANSMIT].sum())
     cost = average_aoi + m.weight * m.cost_reliable * rate
     return EvalReport(cost, average_aoi, rate, balance_residual=residual, cap_mass=float(by_age[-1]))
-
-
-def evaluate_periodic_exact(kind: Periodic, m: ModelParams) -> EvalReport:
-    """``evaluate_exact`` for periodic schedules only."""
-    if not isinstance(kind, Periodic):
-        raise ValueError(f"expected a Periodic policy, got {kind!r}")
-    return evaluate_exact(kind, m)
 
 
 @dataclass(frozen=True)

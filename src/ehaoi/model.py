@@ -30,7 +30,7 @@ IDLE = 0
 TRANSMIT = 1
 ACTIONS = (IDLE, TRANSMIT)
 
-PROB_FLOOR = 1e-15  # entries below this are dropped after coalescing
+PROB_FLOOR = 1e-15  # transition() drops the entries below this
 
 
 class DomainError(ValueError):
@@ -112,14 +112,6 @@ def _check_action(a: int) -> None:
         raise DomainError(f"action must be 0 (idle) or 1 (transmit), got {a}")
 
 
-def _coalesce(raw):
-    # merge duplicate successors (arises when lambda_e = 1), then drop dust
-    acc: dict[State, float] = {}
-    for s, p in raw:
-        acc[s] = acc.get(s, 0.0) + p
-    return tuple((s, p) for s, p in acc.items() if p >= PROB_FLOOR)
-
-
 def transition(s: State, a: int, m: ModelParams) -> TransitionDist:
     """Next-state distribution for taking action ``a`` in state ``s``.
 
@@ -151,7 +143,9 @@ def transition(s: State, a: int, m: ModelParams) -> TransitionDist:
             (State(aged, spent), p * (1.0 - lam)),
             (State(1, spent), (1.0 - p) * (1.0 - lam)),
         ]
-    return TransitionDist(_coalesce(raw))
+    # the successors are distinct (a reset lands at age 1, an advance at
+    # age 2 or more, and a row's battery targets differ by one): drop dust
+    return TransitionDist(tuple((ns, pr) for ns, pr in raw if pr >= PROB_FLOOR))
 
 
 def one_step_cost(s: State, a: int, m: ModelParams) -> float:

@@ -24,7 +24,6 @@ from ehaoi import (
     ZeroWait,
     enumerate_states,
     evaluate_exact,
-    evaluate_periodic_exact,
     modified_via,
     run_all_checks,
     simulate,
@@ -209,7 +208,7 @@ def test_criterion_5_backup_price_sweep():
         _, tp = modified_via(m, eps=1e-9)
         opt = evaluate_exact(tp, m).average_cost
         zw = evaluate_exact(ZeroWait(), m).average_cost
-        per = evaluate_periodic_exact(Periodic(5), m).average_cost
+        per = evaluate_exact(Periodic(5), m).average_cost
         rows.append((w, opt, zw, per))
 
     dominated = all(opt <= zw + 1e-9 and opt <= per + 1e-9 for _, opt, zw, per in rows)
@@ -261,7 +260,7 @@ def test_criterion_6_harvest_rate_sweep():
         _, tp = modified_via(m, eps=1e-9)
         opt = evaluate_exact(tp, m)
         zw = evaluate_exact(ZeroWait(), m)
-        per = evaluate_periodic_exact(Periodic(5), m).average_cost
+        per = evaluate_exact(Periodic(5), m).average_cost
         rows.append((lam, m, opt, zw, per))
 
     dominated = all(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ehaoi
-from ehaoi import cli
+from ehaoi import State, StructureReport, cli
 from ehaoi.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -54,6 +54,13 @@ class TestSolve:
         assert {r[2] for r in grid[1:]} <= {"0", "1"}
         echoed = capsys.readouterr().out
         assert "gain=" in echoed and "argmin_evals=" in echoed
+
+    def test_out_without_csv_suffix_gets_policy_suffix(self, tmp_path, capsys):
+        out = tmp_path / "plain"
+        assert main(["solve", *SMALL, "--out", str(out)]) == 0
+        assert read_csv(out)[0] == ["q", "threshold"]
+        assert read_csv(tmp_path / "plain_policy")[0] == ["delta", "q", "action"]
+        assert f"policy grid -> {out}_policy" in capsys.readouterr().out
 
     def test_lambda_one_writes_threshold_two_below_the_cap(self, tmp_path, capsys):
         # solved by policy iteration like any other model: exact gain
@@ -262,6 +269,32 @@ class TestConfigResolution:
         assert err.startswith(f"error: config key '{key}' must be ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, values, flags, message",
+        [
+            ("solve", [1, 2], [], "config file must hold a JSON object"),
+            ("sweep", {"axis": "battery_cap", "grid": [1, 2]}, [],
+             "axis must be one of weight, lambda_e, p_block"),
+            ("compare", {}, ["--axis", "weight", "--grid", ","], "grid must be non-empty"),
+            ("simulate", {"policy": "nope"}, [], "unknown policy 'nope'"),
+        ],
+        ids=["array", "axis", "empty-grid", "policy"],
+    )
+    def test_bad_setting_is_usage_error(self, tmp_path, capsys, command, values, flags, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main([command, *SMALL, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_grid_value_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *SMALL, "--axis", "weight", "--grid", "1,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad grid value" in err and "Traceback" not in err
 
     def test_config_numbers_and_nulls_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -517,6 +550,15 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["gain=1.25 iterations=5", "thresholds=21,2,2,1"]
         assert [l.split(":")[1].split()[0] for l in lines[2:]] == ["PASS"] * 5
+
+    def test_failed_check_prints_its_witness_and_exits_one(self, tmp_path, capsys, monkeypatch):
+        failed = StructureReport("monotone-aoi", False, 0.5, ((State(3, 1), State(4, 1)),), 1e-8)
+        monkeypatch.setattr(cli, "run_all_checks", lambda values, m: [failed])
+        out = tmp_path / "verify.csv"
+        assert main(["verify", *SMALL, "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "monotone-aoi: FAIL worst=5.000e-01 tol=1e-08 witness=(3,1)->(4,1)" in lines
+        assert read_csv(out)[1] == ["monotone-aoi", "0", "0.5", "1e-08", "(3,1)->(4,1)"]
 
     def test_non_convergence_exits_one(self, capsys, monkeypatch):
         # SMALL takes five policy evaluations

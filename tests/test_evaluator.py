@@ -27,7 +27,6 @@ from ehaoi import (
     decide,
     enumerate_states,
     evaluate_exact,
-    evaluate_periodic_exact,
     kernel_arrays,
     modified_via,
     simulate,
@@ -382,7 +381,8 @@ def _check_level_reduction(actions, m):
     solve's masses at ages W and above summed into the last level: every
     age from W on moves alike, so the sum is the untruncated tail mass for
     any delta_max >= W. Its balance residual, reported and recomputed on
-    the chain with those ages lumped, is at rounding level. Returns the
+    the chain with those ages lumped, is at rounding level, and the lumped
+    action table is the table's first W ages. Returns the
     distribution by (age level, phase, battery); if no state of the class
     has age 1, the age never resets, and the reduction must raise
     UnboundedAgeError instead (returns None)."""
@@ -394,8 +394,9 @@ def _check_level_reduction(actions, m):
         with pytest.raises(UnboundedAgeError):
             _stationary(send, m)
         return None
-    mu, _, residual = _stationary(send, m)
+    mu, act, _, residual = _stationary(send, m)
     W = len(mu)
+    np.testing.assert_array_equal(act, send[..., :W].transpose(2, 0, 1))
     dist = np.zeros(P.shape[0])
     dist[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
     dist = dist.reshape(-1, D)  # by (phase, battery), then age
@@ -605,14 +606,6 @@ class TestEvaluateExact:
         r = evaluate_exact(tp, m)
         assert r.average_cost == pytest.approx(res.gain, abs=1e-12)
 
-    @pytest.mark.parametrize("skip", [False, True])
-    @pytest.mark.parametrize("period", [1, 3])
-    def test_periodic_matches_periodic_evaluator(self, period, skip):
-        # every field, bit for bit: the periodic evaluator is the same route
-        m = params(lambda_e=0.3)
-        kind = Periodic(period, skip)
-        assert evaluate_exact(kind, m) == evaluate_periodic_exact(kind, m)
-
     def test_reference_point_carries_its_evidence(self, base_params, base_solution):
         _, tp = base_solution
         r = evaluate_exact(tp, base_params)
@@ -623,7 +616,7 @@ class TestEvaluateExact:
     def test_periodic_report_carries_its_evidence(self):
         # every age moves alike (W = 2), so cap_mass is the mass at ages
         # 2 and above: all but the (1 - p)/5 of the slots after an update
-        r = evaluate_periodic_exact(Periodic(5), params(delta_max=120))
+        r = evaluate_exact(Periodic(5), params(delta_max=120))
         assert r.balance_residual <= 1e-14
         assert r.cap_mass == pytest.approx(0.84, abs=1e-12)
 
@@ -701,33 +694,29 @@ class TestEvaluateExact:
         assert r.average_aoi == pytest.approx(direct_aoi, abs=1e-10)
 
 
-class TestEvaluatePeriodicExact:
+class TestPeriodicExact:
     def test_renewal_closed_form_with_certain_harvest(self):
         # cycle length is period * Geometric(1 - p); the long-run age is
         # (E[L^2] + E[L]) / (2 E[L]) = 4.25 for period 5, p = 0.2
         m = params(lambda_e=1.0, delta_max=300)
-        r = evaluate_periodic_exact(Periodic(5), m)
+        r = evaluate_exact(Periodic(5), m)
         assert r.average_cost == pytest.approx(4.25, abs=1e-12)
         assert r.reliable_energy_rate == pytest.approx(0.0, abs=1e-15)
 
     def test_period_one_is_zero_wait(self):
         m = params(battery_cap=4, weight=1.0)
-        r1 = evaluate_periodic_exact(Periodic(1), m)
+        r1 = evaluate_exact(Periodic(1), m)
         rz = evaluate_exact(ZeroWait(), m)
         assert r1.average_cost == pytest.approx(rz.average_cost, abs=1e-12)
         assert r1.reliable_energy_rate == pytest.approx(rz.reliable_energy_rate, abs=1e-12)
 
     def test_skip_on_empty_never_pays(self):
         m = params(lambda_e=0.2)
-        r = evaluate_periodic_exact(Periodic(4, skip_on_empty=True), m)
+        r = evaluate_exact(Periodic(4, skip_on_empty=True), m)
         assert r.reliable_energy_rate == 0.0
-        paying = evaluate_periodic_exact(Periodic(4), m)
+        paying = evaluate_exact(Periodic(4), m)
         assert paying.reliable_energy_rate > 0.0
         assert r.average_aoi > paying.average_aoi  # skipping trades age for cost
-
-    def test_non_periodic_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_periodic_exact(ZeroWait(), params())
 
 
 # replay oracle: a small model and one policy of every kind
@@ -952,7 +941,7 @@ class TestSimulate:
     def test_periodic_simulation_brackets_exact(self):
         m = params(delta_max=120)
         kind = Periodic(5)
-        exact = evaluate_periodic_exact(kind, m).average_cost
+        exact = evaluate_exact(kind, m).average_cost
         rep = simulate(kind, m, 200_000, 3)
         assert abs(rep.average_cost - exact) <= 3.0 * rep.ci_halfwidth
 

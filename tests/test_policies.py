@@ -76,6 +76,11 @@ class TestDecide:
         with pytest.raises(DomainError):
             decide(k, State(1, 3), 0)
 
+    def test_explicit_battery_out_of_table(self):
+        k = Explicit(np.ones((2, 3), dtype=np.int8))
+        with pytest.raises(DomainError):
+            decide(k, State(1, 2), 0)
+
     def test_explicit_uses_table_entry(self):
         table = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=np.int8)
         k = Explicit(table)
@@ -219,6 +224,19 @@ class TestStationaryActions:
             for q in range(B1):
                 for a in range(1, A + 3):
                     assert table[t % T, q, min(a, A) - 1] == decide(kind, State(a, q), t)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda kind, m: decide(kind, State(1, 0), 0),
+            stationary_actions,
+            lambda kind, m: simulate(kind, m, 10, 0),
+        ],
+        ids=["decide", "stationary_actions", "simulate"],
+    )
+    def test_unknown_kind_is_a_type_error(self, read):
+        with pytest.raises(TypeError, match="unknown policy kind"):
+            read(object(), params())
 
     def test_explicit_shape_must_match_model(self):
         k = Explicit(np.zeros((2, 4), dtype=np.int8))

@@ -185,6 +185,11 @@ class TestRunAllChecks:
         assert res.values.ndim == 2 and len(res.values) == m.battery_cap + 1
         assert run_all_checks(res.values.reshape(-1), m) == run_all_checks(res.values, m)
 
+    def test_one_column_table_passes_with_nothing_to_compare(self):
+        # one age: no pair of adjacent ages, and equal battery rows
+        reports = run_all_checks(np.full((4, 1), 5.0), params())
+        assert [(r.passed, r.worst, r.witnesses) for r in reports] == [(True, 0.0, ())] * 5
+
     def test_reports_never_raise_on_garbage(self):
         m = params()
         rng = np.random.default_rng(3)

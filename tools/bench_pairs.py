@@ -22,10 +22,7 @@ fresh processes time ``modified_via`` at the two fixed points and at the
 large one with weight 100, and ``evaluate_exact`` at the large one, for
 ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and the ``Optimal`` policy
 ``modified_via`` returns, solved once per process before the timed calls
-(best of a few calls each). Each timing is kept twice: the best wall time
-(``time.perf_counter``) under its name, and the best process CPU time
-(``time.process_time``, which leaves out time spent waiting for a CPU) under
-the name with ``_s`` made ``_cpu_s``.
+(the best wall time, ``time.perf_counter``, of a few calls each).
 The same four evaluations run again with the large point's age cap at
 1600, four times its own (n = 161 600): the exact evaluator works on the
 untruncated chain, so its time should not grow with ``delta_max``.
@@ -41,8 +38,7 @@ Each side takes its timing
 snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
 tree's copy of this script, so a change to a name a snippet calls still
 times both sides as committed; a timing the parent's copy lacks uses this
-copy's entry. A copy whose snippet prints the wall time alone gives no
-``_cpu_s`` timings, and the summary then holds the wall times only.
+copy's entry.
 
 For every metric the output holds each side's per-pair values, median,
 quartiles (``statistics.quantiles``, n = 4) and IQR, and the pairs each
@@ -104,13 +100,12 @@ sys.path.insert(0, {src!r})
 from ehaoi import ModelParams, Periodic, ZeroWait, evaluate_exact, modified_via
 m = ModelParams(**{point!r})
 {setup}
-times, cpu = [], []
+times = []
 for _ in range({calls}):
-    t, c = time.perf_counter(), time.process_time()
+    t = time.perf_counter()
     {call}
     times.append(time.perf_counter() - t)
-    cpu.append(time.process_time() - c)
-print(min(times), min(cpu))
+print(min(times))
 """
 
 
@@ -179,10 +174,9 @@ def _timings(tree: Path) -> tuple[str, dict]:
         name: points.get(name, spec) for name, spec in FIXED_POINTS.items()}
 
 
-def _in_process(tree: Path, name: str, header: str, spec: tuple) -> dict[str, float]:
-    """One timing's best wall time under ``name`` and, where the snippet
-    prints it (an older copy prints the wall time alone), its best CPU time
-    under ``name`` with ``_s`` made ``_cpu_s``."""
+def _in_process(tree: Path, header: str, spec: tuple) -> float:
+    """One timing's best wall time: the first number the snippet prints (an
+    older copy prints its best CPU time after it)."""
     point, calls, setup, call = spec
     code = header.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls,
                          setup=setup, call=call)
@@ -190,8 +184,7 @@ def _in_process(tree: Path, name: str, header: str, spec: tuple) -> dict[str, fl
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     if proc.returncode:
         raise SystemExit(f"in-process timing failed in {tree}:\n{proc.stderr}")
-    times = [float(x) for x in proc.stdout.split()]
-    return dict(zip([name, name.removesuffix("_s") + "_cpu_s"], times))
+    return float(proc.stdout.split()[0])
 
 
 def _swap(trees: dict[str, Path]) -> None:
@@ -285,13 +278,11 @@ def main(argv: list[str] | None = None) -> int:
             report[key] = section
         own = {side: _timings(tree) for side, tree in trees.items()}
         pairs = _pairs(args.pairs, trees, lambda side, tree, i: {
-            key: t for name, spec in own[side][1].items()
-            for key, t in _in_process(tree, name, own[side][0], spec).items()})
+            name: _in_process(tree, own[side][0], spec) for name, spec in own[side][1].items()})
         report["in_process"] = {
             "command": "a fresh process per side, pair and timing, OpenBLAS one "
-                       "thread: the best of `calls` calls after the setup, by "
-                       "wall time and (as <name>_cpu_s) by process CPU time, each "
-                       "side's snippets from its own tools/bench_pairs.py",
+                       "thread: the best wall time of `calls` calls after the "
+                       "setup, each side's snippets from its own tools/bench_pairs.py",
             "timings": {side: {name: {"point": {**POINT, **point}, "calls": calls,
                                       "setup": setup, "call": call}
                                for name, (point, calls, setup, call) in own[side][1].items()}
