@@ -8,8 +8,11 @@ delta_max 200, solved at eps 1e-9 with the solver's cap on evaluations.
 Each model gets one line: its parameters, ``ok`` or the name of the error
 ``modified_via`` raised, and the SHA-256 of the ``repr`` of its gain,
 thresholds, iterations and gain bracket (or of the error's message). The
-last line is the SHA-256 of all the lines before it. Two checkouts that
-print the same line for a model solve it alike, bit for bit.
+``all`` line is the SHA-256 of all the lines before it. Two checkouts that
+print the same line for a model solve it alike, bit for bit. The last line,
+``results``, is the SHA-256 of every model's gain, thresholds and gain
+bracket (or of its error's class name), without the iterations: a change
+to the search path alone moves the ``all`` line and leaves this one.
 
 The package is imported from the ``src`` directory next to this script, so
 the script measures the checkout it lives in. Standard library plus the
@@ -32,26 +35,32 @@ WEIGHTS = (0.5, 10.0, 100.0, 1000.0)
 CAPS = (5, 20)
 
 
-def result_digest(m: ModelParams) -> tuple[str, str]:
-    """(``ok`` or the error's class name, SHA-256 of the result's repr)."""
+def result_digest(m: ModelParams) -> tuple[str, str, str]:
+    """(``ok`` or the error's class name, SHA-256 of the result's repr, the
+    repr of the result without its iterations)."""
     try:
         res, tp = modified_via(m, eps=1e-9)
     except RuntimeError as exc:  # ConvergenceError among them
-        return type(exc).__name__, hashlib.sha256(str(exc).encode()).hexdigest()
+        status = type(exc).__name__
+        return status, hashlib.sha256(str(exc).encode()).hexdigest(), status
     fields = (res.gain, tp.thresholds, res.iterations, res.gain_bracket)
-    return "ok", hashlib.sha256(repr(fields).encode()).hexdigest()
+    result = (res.gain, tp.thresholds, res.gain_bracket)
+    return "ok", hashlib.sha256(repr(fields).encode()).hexdigest(), repr(result)
 
 
 def main() -> int:
     total = hashlib.sha256()
+    results = hashlib.sha256()
     for lam, p, w, cap in itertools.product(PROBS, PROBS, WEIGHTS, CAPS):
         m = ModelParams(lambda_e=lam, p_block=p, battery_cap=cap,
                         cost_reliable=2.0, weight=w, delta_max=200)
-        status, digest = result_digest(m)
+        status, digest, result = result_digest(m)
         line = f"lambda_e={lam} p_block={p} weight={w:g} battery_cap={cap} {status} {digest}"
         print(line, flush=True)
         total.update(line.encode() + b"\n")
+        results.update(result.encode() + b"\n")
     print(f"all {total.hexdigest()}")
+    print(f"results {results.hexdigest()}")
     return 0
 
 
