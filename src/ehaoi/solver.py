@@ -33,8 +33,8 @@ from .policies import Optimal
 DEFAULT_EPS = 1e-9
 # Policy iteration stops at a table it leaves unchanged or has evaluated
 # before; it took at most 24 evaluations on the 200 models of
-# tools/scan_solver.py and 20 on the same grid at battery_cap 50 and 100,
-# so this cap only turns a search that would never end into an error.
+# tools/scan_solver.py and 28 on its grid at battery_cap 50 and 100, so
+# this cap only turns a search that would never end into an error.
 MAX_EVALUATIONS = 100_000
 # Q values closer than this count as tied. Where transmitting is the better
 # action at the solved policies of the README and acceptance points, it is
@@ -44,8 +44,9 @@ TIE_TOL = 1e-13
 # A policy iteration table holds at most this many (battery, age) cells.
 # Each cell costs about 60 bytes across the table, its bias and Q values,
 # and an evaluation walks at most every age of the table, so the cap bounds
-# an evaluation to about 120 MB and a few seconds. The carries kept between
-# evaluations (``_Kept``) hold at most this many floats, 16 MB.
+# an evaluation to about 120 MB and a few seconds. The run-bottom carries
+# that ``modified_via`` keeps between evaluations hold at most this many
+# floats, 16 MB.
 MAX_TABLE_CELLS = 2_000_000
 
 
@@ -137,21 +138,8 @@ def _runs(send: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return [(int(lo) + 1, int(hi), send[:, lo]) for lo, hi in zip(starts[::-1], ends[::-1])]
 
 
-class _Kept:
-    """What ``_evaluate`` keeps from one evaluation for the next, within one
-    ``modified_via`` call: its runs from the top as (first age, last age,
-    column bytes), the carry A reached at the bottom of each run (one
-    (B1, B1 + 2) float matrix per run, for the top runs that fit in
-    MAX_TABLE_CELLS floats), and each column's gathered moves."""
-
-    def __init__(self):
-        self.runs: list[tuple[int, int, bytes]] = []
-        self.carries: list[np.ndarray] = []
-        self.moves: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def _evaluate(
-    send: np.ndarray, m: ModelParams, kept: _Kept | None = None
+    send: np.ndarray, m: ModelParams, kept: list | None = None
 ) -> tuple[float, np.ndarray]:
     """Exact gain and bias of the policy that follows ``send`` (a (battery,
     age <= L) boolean table, True transmitting) and transmits at every age
@@ -166,43 +154,43 @@ def _evaluate(
     passes over the ages take each run of equal columns' moves once.
 
     ``kept`` carries work from the previous evaluation of the same model
-    over to this one, and is then updated to this one's. The first pass
-    carries A from age L + 1 down, so the carry at the bottom of a run is a
-    function of L and the runs above it alone, and the top run ends at L.
-    The pass starts from the kept carry below the longest top prefix of
-    runs the two tables share and re-walks only the runs below it. The
-    result is bit for bit the one without ``kept``.
+    over to this one: a list of (run, carry) pairs, a run being (first age,
+    last age, column bytes), for the top runs of that table whose carries
+    fit in MAX_TABLE_CELLS floats. The first pass carries A from age L + 1
+    down, so the carry A reached at the bottom of a run, a (B1, B1 + 2)
+    float matrix, is a function of L and the runs above it alone, and the
+    top run ends at L. The pass starts from the kept carry below the
+    longest top prefix of runs the two tables share, re-walks only the runs
+    below it, and rewrites ``kept`` in place for this table. The result is
+    bit for bit the one without ``kept``.
     """
     t = _tail(m)
     B1, L = send.shape
     q = np.arange(B1)
     runs = _runs(send)
     if kept is None:
-        kept = _Kept()
+        kept = []
     keys = [(lo, hi, col.tobytes()) for lo, hi, col in runs]
     moves = []  # by run: both moves' rows, their weights, the action column
-    for (_, _, key), (_, _, col) in zip(keys, runs):
-        mv = kept.moves.get(key)
-        if mv is None:
-            ac = col.astype(np.intp)
-            mv = (t.cols[ac, q].T.ravel(), t.weights[ac, q].T.ravel(), ac)
-        moves.append(mv)
+    for _, _, col in runs:
+        ac = col.astype(np.intp)
+        moves.append((t.cols[ac, q].T.ravel(), t.weights[ac, q].T.ravel(), ac))
     start = 0
-    while start < min(len(keys), len(kept.carries)) and keys[start] == kept.runs[start]:
+    while start < min(len(keys), len(kept)) and keys[start] == kept[start][0]:
         start += 1
     # h_a = A (h_1, g, 1), from a = L + 1 down to 1
     if start:
-        A = kept.carries[start - 1].copy()
+        A = kept[start - 1][1].copy()
     else:
         A = np.empty((B1, B1 + 2))
         A[:, :B1] = t.MR
         A[:, B1] = -t.slope
         A[:, B1 + 1] = (L + 1) * t.slope + t.kappa0
-    carries = kept.carries[:start]
+    del kept[start:]
     both = np.empty((2 * B1, B1 + 2))
     forcing = np.empty((B1, B1 + 2))  # resets, -1 for g, the age
     forcing[:, B1] = -1.0
-    for (lo, hi, _), (rows, w, ac) in zip(runs[start:], moves[start:]):
+    for key, (lo, hi, _), (rows, w, ac) in zip(keys[start:], runs[start:], moves[start:]):
         w = w[:, None]
         forcing[:, :B1] = t.R[ac, q]
         for a in range(hi, lo - 1, -1):
@@ -213,10 +201,8 @@ def _evaluate(
             A += forcing
             if ac[0]:
                 A[0, B1 + 1] += t.paid
-        if (len(carries) + 1) * A.size <= MAX_TABLE_CELLS:
-            carries.append(A.copy())
-    kept.runs, kept.carries = keys, carries
-    kept.moves = {key: mv for (_, _, key), mv in zip(keys, moves)}
+        if (len(kept) + 1) * A.size <= MAX_TABLE_CELLS:
+            kept.append((key, A.copy()))
     # (I - A_h) h_1 - A_g g = A_1, with h_1 = 0 at battery_cap: that
     # unknown's column carries g instead
     lhs = -A[:, : B1 + 1]
@@ -250,11 +236,7 @@ def _q_values(H: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     from the bias ``H`` at ages 1..len(H)."""
     t = _tail(m)
     ages = np.arange(1.0, len(H))[:, None]
-    nxt = H[1:]
-    q = []
-    for c, w in zip(t.cols, t.weights):
-        q.append(ages + (w[:, 0] * nxt[:, c[:, 0]] + w[:, 1] * nxt[:, c[:, 1]]))
-    idle, tx = q
+    idle, tx = (ages + _advance(H[1:].T, c, w).T for c, w in zip(t.cols, t.weights))
     tx += _advance(H[0], t.reset_cols, t.reset_weights)
     tx[:, 0] += t.paid
     return idle, tx
@@ -383,11 +365,11 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
     transmitting age, which no age cap bounds; the returned ``Optimal``
     transmits at every age from the threshold on, and ``decide``,
     ``evaluate_exact`` and ``simulate`` take it as is. An evaluation re-walks
-    the table from its first changed run of equal columns down
-    (``_evaluate`` keeps the previous evaluation's carry at the bottom of
-    each run, one (B1, B1 + 2) float matrix per run); when the width L
-    changes it walks every age, so the work grows with the largest
-    threshold (about weight * cost_reliable / 2 at the reference point).
+    the table from its first changed run of equal columns down (the
+    previous evaluation's carry at the bottom of each run is kept, one
+    (B1, B1 + 2) float matrix per run); when the width L changes it walks
+    every age, so the work grows with the largest threshold (about
+    weight * cost_reliable / 2 at the reference point).
 
     Where no transmission can lower the battery (``_blocks`` drops both of
     those branches, below PROB_FLOOR, when lambda_e lies within about 1e-15
@@ -427,7 +409,7 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
         send = np.arange(B1)[:, None] == m.battery_cap
     widths = []
     seen = set()  # the evaluated tables' digests
-    kept = _Kept()
+    kept = []  # the last evaluated table's (run, carry) pairs
     prev = send  # the table evaluated before send
     last = send[:, :0]  # the states the last keep-rule step switched back
     for k in range(MAX_EVALUATIONS):

@@ -25,12 +25,12 @@ from ehaoi import (
 from ehaoi import solver
 from ehaoi.solver import (
     TIE_TOL,
-    _Kept,
     _certificate,
     _damp,
     _evaluate,
     _improve,
     _q_values,
+    _runs,
     _tail,
 )
 from oracles import (
@@ -473,9 +473,9 @@ class TestEvaluate:
             top = low.copy()
             top[0, -1] = not top[0, -1]
         wider = np.hstack([top, rng.random((m.battery_cap + 1, 1)) < 0.5])
-        kept = _Kept()
+        kept = []
         for i, table in enumerate([send, low, top, wider]):
-            before = kept.carries
+            before = [carry for _, carry in kept]
             ref_gain, ref_H = plain_evaluate(table, m)
             for route in (_evaluate(table, m), _evaluate(table, m, kept)):
                 gain, H = route
@@ -484,7 +484,29 @@ class TestEvaluate:
             if i == 1:
                 # the lowest run, and the one above it if they merged, is
                 # re-walked; the carries of every run above are reused
-                assert all(a is b for a, b in zip(before[:-2], kept.carries))
+                assert all(a is b for a, (_, b) in zip(before[:-2], kept))
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_keeps_only_the_carries_that_fit(self, k, monkeypatch):
+        # room for exactly k (B1, B1 + 2) carries: the top k runs keep theirs
+        m = ModelParams(lambda_e=0.6, p_block=0.3, battery_cap=6, cost_reliable=2.0,
+                        weight=10.0, delta_max=50)
+        B1 = m.battery_cap + 1
+        monkeypatch.setattr(solver, "MAX_TABLE_CELLS", k * B1 * (B1 + 2))
+        send = np.random.default_rng(k).random((B1, 12)) < 0.5
+        low = send.copy()
+        low[0, 0] = not low[0, 0]
+        assert len(_runs(low)) > k + 2
+        kept = []
+        for i, table in enumerate([send, low]):
+            before = [carry for _, carry in kept]
+            gain, H = _evaluate(table, m, kept)
+            ref_gain, ref_H = plain_evaluate(table, m)
+            assert gain == ref_gain
+            np.testing.assert_array_equal(H, ref_H)
+            assert len(kept) == k
+            if i == 1:  # only the lowest run changed: every kept carry is reused
+                assert all(a is b for a, (_, b) in zip(before, kept))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_exact_evaluator(self, seed):

@@ -1,4 +1,5 @@
-"""Solve a grid of 200 models and print a digest of each result.
+"""Solve a grid of 200 models, then the same grid at larger battery caps,
+and print a digest of each result.
 
     python3 tools/scan_solver.py
 
@@ -9,10 +10,15 @@ Each model gets one line: its parameters, ``ok`` or the name of the error
 ``modified_via`` raised, and the SHA-256 of the ``repr`` of its gain,
 thresholds, iterations and gain bracket (or of the error's message). The
 ``all`` line is the SHA-256 of all the lines before it. Two checkouts that
-print the same line for a model solve it alike, bit for bit. The last line,
-``results``, is the SHA-256 of every model's gain, thresholds and gain
+print the same line for a model solve it alike, bit for bit. The
+``results`` line is the SHA-256 of every model's gain, thresholds and gain
 bracket (or of its error's class name), without the iterations: a change
 to the search path alone moves the ``all`` line and leaves this one.
+
+The same grid at battery_cap 50 and 100 follows (another 200 models, some
+of which raise ConvergenceError), with its own ``all-large`` and
+``results-large`` lines, so the first two digests keep covering the first
+200 models only.
 
 The package is imported from the ``src`` directory next to this script, so
 the script measures the checkout it lives in. Standard library plus the
@@ -33,6 +39,7 @@ from ehaoi import ModelParams, modified_via  # noqa: E402
 PROBS = (0.05, 0.2, 0.5, 0.8, 0.95)
 WEIGHTS = (0.5, 10.0, 100.0, 1000.0)
 CAPS = (5, 20)
+LARGE_CAPS = (50, 100)
 
 
 def result_digest(m: ModelParams) -> tuple[str, str, str]:
@@ -48,10 +55,12 @@ def result_digest(m: ModelParams) -> tuple[str, str, str]:
     return "ok", hashlib.sha256(repr(fields).encode()).hexdigest(), repr(result)
 
 
-def main() -> int:
+def scan(caps: tuple[int, ...], suffix: str) -> None:
+    """Print each model's line on the grid at ``caps``, then the ``all`` and
+    ``results`` digests with ``suffix`` appended to their names."""
     total = hashlib.sha256()
     results = hashlib.sha256()
-    for lam, p, w, cap in itertools.product(PROBS, PROBS, WEIGHTS, CAPS):
+    for lam, p, w, cap in itertools.product(PROBS, PROBS, WEIGHTS, caps):
         m = ModelParams(lambda_e=lam, p_block=p, battery_cap=cap,
                         cost_reliable=2.0, weight=w, delta_max=200)
         status, digest, result = result_digest(m)
@@ -59,8 +68,13 @@ def main() -> int:
         print(line, flush=True)
         total.update(line.encode() + b"\n")
         results.update(result.encode() + b"\n")
-    print(f"all {total.hexdigest()}")
-    print(f"results {results.hexdigest()}")
+    print(f"all{suffix} {total.hexdigest()}")
+    print(f"results{suffix} {results.hexdigest()}")
+
+
+def main() -> int:
+    scan(CAPS, "")
+    scan(LARGE_CAPS, "-large")
     return 0
 
 
