@@ -25,12 +25,15 @@ finite-state machine whose tables come from ``decide`` and the simulator's
 own one-slot rule, never from the exact side's blocks. One row lookup per
 block of up to four slots carries the state; everything else is array work,
 one stretch of at most ``STRETCH_SLOTS`` slots at a time, mostly in place:
-the slots' symbols pack into one code per block, one gather per flag word
-reads every slot's reset and paid flags by (block's first state, code), and
-the ages come from one running maximum. A machine of more than
-``MACHINE_STATES`` states raises DomainError before it is built. Every
-report is bit-identical to stepping the slots one by one with ``decide``
-and ``step``.
+the slots' symbols pack into one code per block, and one gather per flag
+word reads every slot's reset and paid flags by (block's first state,
+code). The ages' sum comes in closed form from the reset positions, and so
+does each CI batch's cost sum, in exact integers, wherever the paid price
+makes the slot-order float sum exact (a whole or dyadic price whose sums
+stay below 2**53); any other price sums its batches slot by slot. A
+machine of more than ``MACHINE_STATES`` states raises DomainError before
+it is built. Every report is bit-identical to stepping the slots one by
+one with ``decide`` and ``step``.
 
 A periodic schedule is not stationary on the base space, but it is on the
 chain augmented with the slot phase. ``stationary_actions`` gives its
@@ -485,9 +488,10 @@ def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
 
 def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     """Run ``machine`` from (age 1, empty battery) over consecutive stretches
-    of ``sizes`` slots; yields each stretch's untruncated ages and the mask
-    of its paid slots. Each stretch draws its own piece of the energy and
-    channel streams, which continue as one draw of every slot would.
+    of ``sizes`` slots; yields each stretch's masks of the slots whose
+    update gets through (resets) and of its paid slots. Each stretch draws
+    its own piece of the energy and channel streams, which continue as one
+    draw of every slot would.
 
     Per stretch, the symbols are written into a zero-padded uint8 buffer,
     and shifts and ors pack each block's code from its symbols. The row
@@ -496,18 +500,15 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     states numpy converts the list). One gather of each flag word by
     (block's first state, code) gives every slot's reset and paid byte.
     The state carried to the next stretch steps the last block's real slots
-    by ``move``. The ages come from one running maximum over the positions
-    after a reset, with the slots before the stretch's first reset
-    continuing the carried-in age. The stretch buffers are allocated once
-    per run, for the longest stretch, so the yielded arrays are views that
-    the next stretch overwrites."""
+    by ``move``. The stretch buffers are allocated once per run, for the
+    longest stretch, so the yielded arrays are views that the next stretch
+    overwrites."""
     bits, k, move, rows = machine.bits, machine.block, machine.move, machine.rows
     C = 1 << bits * k
     small = isinstance(rows[0], bytes)
     energy, channel = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     t = 0
     state = 0  # (battery 0, age 1)
-    aoi = 1
     cap = max(sizes)
     most = -(-cap // k)  # blocks
     draw_buf = np.empty(cap)
@@ -516,8 +517,6 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     code_buf = np.empty(most, dtype=np.uint8 if bits * k <= 8 else np.uint16)
     index_buf = np.empty(most, dtype=np.intp)
     flag_buf = np.empty((2, most, k), dtype=bool)  # reset, paid
-    count = np.arange(1, cap + 1)
-    origin_buf = np.empty(cap, dtype=np.intp)
     for n in sizes:
         blocks = -(-n // k)
         symbols = symbol_buf[: blocks * k]
@@ -548,18 +547,37 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         index += code
         np.take(machine.reset, index, axis=0, out=flag_buf[0, :blocks])
         np.take(machine.paid, index, axis=0, out=flag_buf[1, :blocks])
-        reset, paid = flag_buf.reshape(2, -1)[:, :n]
-
-        # a reset at slot j makes the age 1 at slot j + 1; before the first
-        # reset the ages continue from the carried-in one
-        origin = origin_buf[:n]
-        np.multiply(count[: n - 1], reset[:-1], out=origin[1:])
-        first = int(reset.argmax())
-        origin[: first + 1 if reset[first] else n] = 1 - aoi
-        ages = np.subtract(count[:n], np.maximum.accumulate(origin, out=origin), out=origin)
-        aoi = 1 if reset[-1] else int(ages[-1]) + 1
         t += n
-        yield ages, paid
+        yield flag_buf.reshape(2, -1)[:, :n]
+
+
+def _age_sum(reset: np.ndarray, aoi: int) -> tuple[int, int]:
+    """The sum of a stretch's untruncated ages, and the age carried out of
+    it, from the positions r_0 < ... < r_m of its resets and the carried-in
+    age ``aoi``. A reset at slot r makes the age 1 at slot r + 1, so slots
+    0 ... r_0 count up from ``aoi`` and each later segment of d slots, up
+    to the next reset or the stretch's last slot, counts 1 ... d. Python
+    ints, so the sum is exact."""
+    n = len(reset)
+    at = np.flatnonzero(reset)
+    if not at.size:
+        return n * aoi + n * (n - 1) // 2, aoi + n
+    r = int(at[0])
+    d = np.diff(at, append=n - 1)  # sum d(d + 1)/2, with sum d = n - 1 - r
+    return (r + 1) * aoi + r * (r + 1) // 2 + (int(d @ d) + n - 1 - r) // 2, n - int(at[-1])
+
+
+def _ages(reset: np.ndarray, aoi: int, count: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A stretch's untruncated ages into ``out``, one running maximum over
+    the positions after a reset, with the slots up to the first reset
+    continuing the carried-in age ``aoi``; ``count`` holds 1, 2, ... at
+    least as long as the stretch."""
+    n = len(reset)
+    out = out[:n]
+    np.multiply(count[: n - 1], reset[:-1], out=out[1:])
+    first = int(reset.argmax())
+    out[: first + 1 if reset[first] else n] = 1 - aoi
+    return np.subtract(count[:n], np.maximum.accumulate(out, out=out), out=out)
 
 
 def check_run(horizon: int, seed: int) -> None:
@@ -580,15 +598,25 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
 
     The run is table-driven (``_Machine``): the only Python loop is one
     row lookup per block of slots, which finds the state at each block's
-    start; each slot's reset and paid flags, the untruncated
-    age (rebuilt from the slots whose update got through) and the costs are
-    array operations, one stretch of at most ``STRETCH_SLOTS`` slots at a
-    time, so memory does not grow with the horizon. A CI batch longer than
-    that runs as several stretches. Each stretch draws its own piece of the
-    two streams, and each batch sums its costs in slot order, carrying the
-    running sum from one stretch to the next, so every field is
-    bit-identical to stepping the slots one by one with ``decide`` and
-    ``step``.
+    start; each slot's reset and paid flags are array operations, one
+    stretch of at most ``STRETCH_SLOTS`` slots at a time, so memory does not
+    grow with the horizon. A CI batch longer than that runs as several
+    stretches. Each stretch draws its own piece of the two streams, so every
+    field is bit-identical to stepping the slots one by one with ``decide``
+    and ``step``.
+
+    The untruncated ages are summed in closed form from each stretch's
+    reset positions (``_age_sum``) in Python ints, so exactly. A batch's
+    cost sum takes the same route where the slot-order float sum rounds
+    nothing: the paid price is num / den with den a power of two, so den
+    times each cost and each partial sum is an integer of at most
+    den * batch * (horizon + 1) + num * batch. Below 2**53 every partial sum
+    is a double, and the float sum equals (den * ages + num * paid) / den,
+    one exact division. That covers every whole price whose sums stay below
+    2**53 (20 at the reference point) and dyadic ones such as 0.5. Any other
+    price, such as 0.6, builds each slot's age (``_ages``) and cost in its
+    batches and sums them in slot order with ``np.cumsum``, carrying the
+    running sum from one stretch to the next, as ``+=`` would.
     """
     check_run(horizon, seed)
     machine = _machine(kind, m, horizon)
@@ -602,20 +630,36 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     owner, stretches = zip(
         *((i, min(cap, n - s)) for i, n in enumerate(sizes) for s in range(0, n, cap))
     )
+    num, den = float(paid_price).as_integer_ratio()  # the price the costs carry
+    slotwise = batch * (den * (horizon + 1) + num) >= 2**53
+    if slotwise:
+        # the smallest signed int type that holds the horizon holds every
+        # age and 1 minus it; int32 rather than int64 at 10**6 slots is faster
+        count = np.arange(1, max(stretches) + 1, dtype=np.min_scalar_type(-horizon - 1))
+        age_buf, cost_buf = np.empty_like(count), np.empty(len(count))
 
-    aoi_sum = 0
-    paid_count = 0
+    aoi = 1  # carried from one stretch to the next
+    aoi_sums = [0] * len(sizes)  # per batch (the rest last): the ages' sum
+    paid_sums = [0] * len(sizes)  # and the paid slots
     batch_sums = [0.0] * CI_BATCHES
-    cost_buf = np.empty(max(stretches))
-    for i, (ages, paid) in zip(owner, _run(machine, m, seed, stretches)):
-        aoi_sum += int(ages.sum())
-        paid_count += int(np.count_nonzero(paid))
-        if batch and i < CI_BATCHES:
+    for i, (reset, paid) in zip(owner, _run(machine, m, seed, stretches)):
+        paid_sums[i] += int(np.count_nonzero(paid))
+        if slotwise and i < CI_BATCHES:
+            age = _ages(reset, aoi, count, age_buf)
+            aoi_sums[i] += int(age.sum())
+            aoi = 1 if reset[-1] else int(age[-1]) + 1
             # price + age where paid, 0.0 + age (exactly the age) elsewhere
-            costs = np.multiply(paid, paid_price, out=cost_buf[: len(ages)])
-            costs += ages
+            costs = np.multiply(paid, paid_price, out=cost_buf[: len(age)])
+            costs += age
             costs[0] += batch_sums[i]  # the batch's running sum so far
             batch_sums[i] = float(np.cumsum(costs, out=costs)[-1])  # in slot order, as +=
+        else:
+            total, aoi = _age_sum(reset, aoi)
+            aoi_sums[i] += total
+    if not slotwise:
+        batch_sums = [(den * a + num * p) / den
+                      for a, p in zip(aoi_sums[:CI_BATCHES], paid_sums)]
+    aoi_sum, paid_count = sum(aoi_sums), sum(paid_sums)
 
     average_aoi = aoi_sum / horizon
     rate = paid_count / horizon

@@ -748,12 +748,38 @@ REPLAY_KINDS = {
     "periodic-3-large": Periodic(3),
 }
 REPLAY_CAPS = {"optimal-solved-large": 100, "periodic-3-large": 100}
+# paid prices weight * cost_reliable over REPLAY_MODEL's: its own 0.51
+# rounds as a batch sums it, so simulate sums those batches slot by slot;
+# 20 and 0.5 (a power of two apart from a whole number) sum exactly from
+# the reset positions; 1.7 * 2**60 is a whole number, but too large for
+# exact sums, so it sums slot by slot too
+REPLAY_PRICES = {
+    "0.51": {},
+    "20": dict(cost_reliable=2.0, weight=10.0),
+    "0.5": dict(cost_reliable=2.0, weight=0.25),
+    "1.7*2**60": dict(weight=2.0**60),
+}
+SLOTWISE_PRICES = {"0.51", "1.7*2**60"}
 
 
-def replay_model(name, lam):
-    """REPLAY_MODEL at ``lam``, with the battery cap ``name`` is made for."""
+def replay_model(name, lam, price="0.51"):
+    """REPLAY_MODEL at ``lam`` and the paid price named ``price``, with the
+    battery cap ``name`` is made for."""
     cap = REPLAY_CAPS.get(name, REPLAY_MODEL["battery_cap"])
-    return ModelParams(lambda_e=lam, **dict(REPLAY_MODEL, battery_cap=cap))
+    return ModelParams(lambda_e=lam, **dict(REPLAY_MODEL, battery_cap=cap, **REPLAY_PRICES[price]))
+
+
+def spy_on_slotwise_ages(monkeypatch):
+    """The stretches whose ages ``simulate`` builds slot by slot, as a
+    list that each call of ``evaluator._ages`` appends its length to."""
+    calls, ages = [], evaluator._ages
+
+    def spy(reset, *args):
+        calls.append(len(reset))
+        return ages(reset, *args)
+
+    monkeypatch.setattr(evaluator, "_ages", spy)
+    return calls
 
 
 def replay(kind, m, horizon, seed):
@@ -789,16 +815,62 @@ def replay(kind, m, horizon, seed):
     )
 
 
+class TestAgeSum:
+    """``_age_sum``, the closed form of a stretch's age sum and carried-out
+    age, against the running maximum the slot-by-slot path builds the ages
+    with and against stepping the age slot by slot."""
+
+    @staticmethod
+    def by_running_maximum(reset, aoi):
+        n = len(reset)
+        ages = evaluator._ages(reset, aoi, np.arange(1, n + 1), np.empty(n, dtype=np.intp))
+        return int(ages.sum()), 1 if reset[-1] else int(ages[-1]) + 1
+
+    @staticmethod
+    def by_steps(reset, aoi):
+        total = 0
+        for r in reset.tolist():
+            total += aoi
+            aoi = 1 if r else aoi + 1
+        return total, aoi
+
+    @pytest.mark.parametrize("aoi", [1, 2, 10**6])
+    @pytest.mark.parametrize(
+        "resets",
+        [[], [0], [8], [0, 8], [0, 3, 4, 8], list(range(9))],
+        ids=["none", "first-slot", "last-slot", "first-and-last", "some", "every"],
+    )
+    def test_closed_form_on_set_masks(self, resets, aoi):
+        reset = np.zeros(9, dtype=bool)
+        reset[resets] = True
+        got = evaluator._age_sum(reset, aoi)
+        assert got == self.by_running_maximum(reset, aoi) == self.by_steps(reset, aoi)
+        assert all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_on_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 7, 64, 1000, 1 << 16):
+            for p in (0.0, 0.001, 0.3, 0.9, 1.0):
+                reset = rng.random(n) < p
+                aoi = int(rng.integers(1, 10**9))
+                got = evaluator._age_sum(reset, aoi)
+                assert got == self.by_running_maximum(reset, aoi), (n, p)
+                if n <= 1000:
+                    assert got == self.by_steps(reset, aoi), (n, p)
+
+
 def test_t_quantile_constant_matches_scipy():
     assert T_975_19 == float(student_t.ppf(0.975, CI_BATCHES - 1))
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("price", ["0.51", "20"])
     @pytest.mark.parametrize("lam", [0.01, 0.5, 0.99, 1.0])
     @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 41, 5003])
     @pytest.mark.parametrize("name", list(REPLAY_KINDS))
-    def test_report_equals_slot_by_slot_replay(self, name, horizon, lam):
-        kind, m = REPLAY_KINDS[name], replay_model(name, lam)
+    def test_report_equals_slot_by_slot_replay(self, name, horizon, lam, price):
+        kind, m = REPLAY_KINDS[name], replay_model(name, lam, price)
         seed = 17 + horizon
         rep, want = simulate(kind, m, horizon, seed), replay(kind, m, horizon, seed)
         if horizon < 20:  # no CI: NaN on both sides
@@ -806,6 +878,49 @@ class TestSimulate:
             rep = dataclasses.replace(rep, ci_halfwidth=None)
             want = dataclasses.replace(want, ci_halfwidth=None)
         assert rep == want
+
+    @pytest.mark.parametrize("price", list(REPLAY_PRICES))
+    @pytest.mark.parametrize("name", list(REPLAY_KINDS))
+    def test_each_price_takes_its_accounting_path(self, monkeypatch, name, price):
+        # a batch sums its costs slot by slot exactly where its float sum
+        # rounds; either way the report is the replay's, bit for bit
+        kind, m = REPLAY_KINDS[name], replay_model(name, 0.5, price)
+        slotwise = spy_on_slotwise_ages(monkeypatch)
+        assert simulate(kind, m, 5003, 29) == replay(kind, m, 5003, 29)
+        assert slotwise == ([250] * CI_BATCHES if price in SLOTWISE_PRICES else [])
+
+    @pytest.mark.parametrize("price, slotwise", [(2**53 - 22, False), (2**53 - 21, True)])
+    def test_exact_sums_stop_at_2_to_the_53(self, monkeypatch, price, slotwise):
+        # one-slot batches at horizon 20: the costs reach price + 20, and
+        # every partial sum stays below 2**53 only for the first price
+        m = ModelParams(lambda_e=0.5, **dict(REPLAY_MODEL, cost_reliable=1.0, weight=float(price)))
+        kind = REPLAY_KINDS["zero-wait"]
+        calls = spy_on_slotwise_ages(monkeypatch)
+        assert simulate(kind, m, 20, 5) == replay(kind, m, 20, 5)
+        assert bool(calls) == slotwise
+
+    @pytest.mark.parametrize("horizon", [120, 140, 32760, 32780])
+    def test_slotwise_ages_reach_the_horizon(self, monkeypatch, horizon):
+        # a policy that never transmits ages 1 ... horizon, a multiple of
+        # 20, all in CI batches: the slot-by-slot path's int type holds the
+        # largest age at each side of the int8 and int16 limits
+        m = replay_model("zero-wait", 0.5)
+        kind = Explicit(np.zeros((4, 5), dtype=int))
+        calls = spy_on_slotwise_ages(monkeypatch)
+        rep = simulate(kind, m, horizon, 3)
+        assert rep == replay(kind, m, horizon, 3)
+        assert rep.average_aoi == horizon * (horizon + 1) // 2 / horizon
+        assert calls
+
+    def test_numpy_integer_price(self, monkeypatch):
+        # a price of numpy integers (a Real, so ModelParams takes it) has
+        # no as_integer_ratio of its own; it sums exactly, as its float does
+        m = ModelParams(lambda_e=0.5, **dict(REPLAY_MODEL, cost_reliable=np.int64(2),
+                                             weight=np.int64(10)))
+        kind = REPLAY_KINDS["periodic-3"]
+        calls = spy_on_slotwise_ages(monkeypatch)
+        assert simulate(kind, m, 1003, 5) == replay(kind, m, 1003, 5)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "seed, fields",
@@ -845,6 +960,7 @@ class TestSimulate:
         assert rep.average_aoi == aoi_sum / horizon
         assert rep.reliable_energy_rate == paid / horizon
 
+    @pytest.mark.parametrize("weight", [0.3, 10.0])
     @pytest.mark.parametrize("horizon", [1, 20, 139, 5003])
     @pytest.mark.parametrize(
         "kind, cap",
@@ -854,14 +970,15 @@ class TestSimulate:
         ids=["optimal", "zero-wait", "periodic3", "explicit-256-states",
              "explicit-260-states", "optimal-solved-large"],
     )
-    def test_stretches_do_not_change_the_report(self, monkeypatch, kind, cap, horizon):
+    def test_stretches_do_not_change_the_report(self, monkeypatch, kind, cap, horizon, weight):
         # batches cut into stretches of 7 slots carry the streams, the
         # state, the age and each batch's running cost sum across the cuts
         # (and end in a partial block of 4 or 3 slots); a paid price of
         # 0.6, not a whole number, makes the sums round, so their order
-        # shows
+        # shows, and one of 20 sums each batch's ages and paid slots as
+        # integers across the cuts
         m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=cap,
-                        cost_reliable=2.0, weight=0.3, delta_max=30)
+                        cost_reliable=2.0, weight=weight, delta_max=30)
         whole = simulate(kind, m, horizon, 23)
         monkeypatch.setattr(evaluator, "STRETCH_SLOTS", 7)
         cut = simulate(kind, m, horizon, 23)

@@ -29,11 +29,14 @@ untruncated chain, so its time should not grow with ``delta_max``.
 One more timing, ``exact_first_call_n40400_s``, is a single
 ``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
 in its process: a best-of-N time hides one-time costs such as a module the
-first call imports, and this one shows them. Three timings are one
+first call imports, and this one shows them. Four timings are one
 10**6-slot ``simulate`` each: the solved ``Optimal`` at the reference point
 (231 machine states, bytes rows) and at the large one (1111 states, tuple
 rows, 3-slot blocks), and ``Periodic(5)`` at the reference point (3-bit
-symbols); the first call builds the machine, and the others reuse it.
+symbols), all three at the paid price 20, whose batch sums are exact
+integers; and the solved ``Optimal`` at the reference point with weight
+0.3, whose price 0.6 sums each batch slot by slot. The first call builds
+the machine, and the others reuse it.
 Each side takes its timing
 snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
 tree's copy of this script, so a change to a name a snippet calls still
@@ -93,6 +96,9 @@ FIXED_POINTS = {
                                   "simulate(optimal, m, 10**6, 0)"),
     "simulate_periodic5_n4200_s": (REFERENCE, 3, SIMULATE,
                                    "simulate(Periodic(5), m, 10**6, 0)"),
+    "simulate_optimal_n4200_w03_s": (dict(REFERENCE, weight=0.3), 3,
+                                     f"{SIMULATE}; {OPTIMAL}",
+                                     "simulate(optimal, m, 10**6, 0)"),
 }
 IN_PROCESS = """
 import sys, time

@@ -20,6 +20,10 @@ of which raise ConvergenceError), with its own ``all-large`` and
 ``results-large`` lines, so the first two digests keep covering the first
 200 models only.
 
+The large grid's digests depend on the BLAS thread count, so the script
+sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, and prints the count as
+a ``threads`` line after each pair of digests.
+
 The package is imported from the ``src`` directory next to this script, so
 the script measures the checkout it lives in. Standard library plus the
 package.
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import sys
 from pathlib import Path
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before the package loads numpy
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ehaoi import ModelParams, modified_via  # noqa: E402
@@ -70,6 +76,7 @@ def scan(caps: tuple[int, ...], suffix: str) -> None:
         results.update(result.encode() + b"\n")
     print(f"all{suffix} {total.hexdigest()}")
     print(f"results{suffix} {results.hexdigest()}")
+    print(f"threads{suffix} {os.environ['OPENBLAS_NUM_THREADS']}")
 
 
 def main() -> int:
