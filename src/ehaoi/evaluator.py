@@ -2,16 +2,15 @@
 
 ``evaluate_exact`` analyzes the policy-induced Markov chain with the age
 never truncated, so ``delta_max`` changes none of its numbers. Every move
-advances the age by one or resets it to 1, and from the age W where the
-action table stops changing every age moves alike, so the chain is per-age
-blocks on (phase, battery) with the ages from W on lumped into one. On that
-chain it finds the closed class reachable from the start state (age 1,
-empty battery), solves it by an exact level reduction over the age, with
-the tail past W in closed form, and returns exact long-run averages with
-their evidence: the balance residual and the tail's mass. Several
-reachable closed classes raise ReducibleChainError (the one-step battery
-moves rule that out for sane policies), and a class that never resets the
-age, whose average age is infinite, raises UnboundedAgeError.
+advances the age by one or resets it to 1, so the long-run averages are
+renewal-reward ratios on the reset chain, the (phase, battery) at
+successive resets: one backward walk over the ages gives it, the tail in
+closed form, and GTH solves it on the closed class reachable from the
+start state (age 1, empty battery). The report carries its evidence, the
+balance residual and the tail's mass. Several reachable closed classes
+raise ReducibleChainError (the one-step battery moves rule that out for
+sane policies), and a class that never resets the age, whose average age
+is infinite, raises UnboundedAgeError.
 
 ``simulate`` runs the physical system forward without any age truncation,
 drawing the energy and channel Bernoulli streams from two independently
@@ -58,13 +57,11 @@ import numpy as np
 import scipy  # the top level only; no command loads scipy.sparse
 
 from .model import (
-    IDLE,
     TRANSMIT,
     DomainError,
     ModelParams,
     State,
     UnboundedAgeError,
-    _blocks,
     is_int,
 )
 from .policies import (
@@ -76,7 +73,7 @@ from .policies import (
     decide,
     stationary_actions,
 )
-from .solver import MAX_TABLE_CELLS
+from .solver import MAX_TABLE_CELLS, _advance, _runs, _tail
 
 RNG_NAME = "pcg64"        # numpy default_rng bit generator
 CI_BATCHES = 20
@@ -128,8 +125,8 @@ class EvalReport:
     seed: int | None = None      # simulation only
     ci_halfwidth: float | None = None  # simulation only, 95% batch means
     rng: str | None = None       # simulation only
-    balance_residual: float | None = None  # exact only, ||mu P - mu||_1
-    cap_mass: float | None = None  # exact only, tail mass: ages >= W (see _stationary)
+    balance_residual: float | None = None  # exact only, ||pi G - pi||_1 on the reset chain
+    cap_mass: float | None = None  # exact only, the mass at ages >= W (see _renewal)
 
 
 def step(
@@ -252,109 +249,118 @@ def _gth(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _around(v: np.ndarray, Ut: np.ndarray, stay: np.ndarray) -> np.ndarray:
-    """v (I - U)^-1 by (phase, battery), U taking phase r to r + 1 by Ut[r]:
-    phase 0 through stay = (I - U^0 ... U^{T-1})^-1, then phase by phase."""
-    around = np.zeros(v.shape[1])
-    for r in range(1, len(v)):
-        around = (around + v[r]) @ Ut[r]
-    y = np.empty_like(v)
-    y[0] = (v[0] + around) @ stay
-    for r in range(1, len(v)):
-        y[r] = v[r] + y[r - 1] @ Ut[r - 1]
-    return y
+def _renewal(send: np.ndarray, m: ModelParams) -> EvalReport:
+    """Exact long-run averages, the age never truncated, under ``send``, a
+    boolean (phase, battery, age) table as ``stationary_actions`` gives it.
 
-
-def _stationary(send: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Stationary distribution, with the age never truncated, of the chain
-    under ``send``, a boolean (phase, battery, age) table as
-    ``stationary_actions`` gives it (later ages take the last column), on
-    its closed class:
-    by (age, phase, battery), zero off the class, the last level W holding
-    every age from W on. Also ``send`` on the same W levels, as 0/1 ints by
-    (age level, phase, battery), the tail's age excess sum_k k pi_{W+k},
-    and the balance residual ||mu P - mu||_1 on those W levels.
-
+    With pi the stationary vector of the reset chain G (the phase and
+    battery at successive resets) and tau each reset's slots to the next,
+    the average age is pi c_age / pi tau, the paid rate pi c_paid / pi tau.
     From W, the first age (at least 2) from which the actions equal the
-    last column, every age moves alike, so ``_recurrent_class`` finds the
-    class on the chain with those ages lumped into one. Then a level
-    reduction over the age (Latouche & Ramaswami, Introduction to Matrix
-    Analytic Methods, SIAM 1999): G_a, the probabilities of first reaching
-    each of the class's age-1 states, is R_a + U_a G_{a+1}, and
-    G = (I - U)^-1 R from W on, the rows off the class zero. pi_1 is the
-    stationary vector of G_1, pi_{a+1} = pi_a U_a up to pi_W, the tail's
-    mass is x = pi_W (I - U)^-1 and its excess the sum of
-    (x - pi_W)(I - U)^-1. A class without age-1 states never resets the
-    age and raises UnboundedAgeError.
+    last column, every age moves alike, so one backward walk over the ages
+    W - 1 ... 1 (a two-move gather per age) carries G's columns and the
+    costs tau, c_age, c_paid and tau_W (the slots at ages >= W) down from
+    the tail: with U its advancing block around the phase cycle, tau =
+    (I - U)^-1 1 and c_age = W tau + (I - U)^-1 U tau there, U tau being
+    tau - 1. The same walk over booleans gives the structure, which no
+    underflow hides: ``_recurrent_class`` searches the states a reset
+    enters, the start and the tail's phase-0 states, each joined to the
+    first of them it reaches (every closed class holds one), and GTH
+    solves G on the class.
     """
-    U, R = _blocks(m)  # by battery; every move also takes phase r to r + 1
+    t = _tail(m)
     T, B1, _ = send.shape
     K = T * B1
     W = int(np.flatnonzero((send != send[..., -1:]).any(axis=(0, 1))).max(initial=0)) + 2
-    act = send[..., list(range(W - 1)) + [-1]].transpose(2, 0, 1).astype(np.intp)
-    q = np.arange(B1)
-    prev, after = (np.arange(T) - 1) % T, (np.arange(T) + 1) % T  # phases r - 1, r + 1
-    # the lumped chain, age outer, in CSR form; a row lists its resets,
-    # then its advances, each by the battery moved to
-    moves = np.concatenate([R, U], axis=-1)
-    cols = np.argsort(moves == 0, axis=-1, kind="stable")[..., :4][act, q]
-    prob = moves[act[..., None], q[:, None], cols]
-    aged = np.minimum(np.arange(1, W + 1), W - 1)[:, None, None, None] * K - B1
-    index = np.where(cols < B1, cols, cols + aged) + after[:, None, None] * B1
-    live = prob > 0.0
-    indptr = np.zeros(W * K + 1, dtype=np.intp)
-    np.cumsum(live.sum(axis=-1), out=indptr[1:])
-    cls = _recurrent_class(indptr, index[live], start=0)
-    entry = cls[cls < K]  # the class's age-1 states, by phase * battery
+    act = send[..., list(range(W - 1)) + [-1]].reshape(K, W)  # by (phase, battery), age
+    tail = act[:, -1]
+    runs = _runs(act[:, :-1])  # the ages below W, the last run first
+    q = np.arange(K) % B1
+    after = (np.arange(K) // B1 + 1) % T * B1  # the next phase's first row
+    dest, rw = after[:, None] + t.reset_cols[q], t.reset_weights[q]  # each row's resets
+    into = np.zeros(K, dtype=bool)  # the states a reset enters
+    into[dest[act.any(axis=1)[:, None] & (rw > 0.0)]] = True
+    into[0] = True  # the start: age 1, phase 0, empty battery
+    targets = np.flatnonzero(into)
+    ac = tail.reshape(T, B1).astype(np.intp)
+    cycle = list(zip(t.cols[ac, q[:B1]], t.weights[ac, q[:B1]]))  # the tail's moves by phase
+
+    def forcing(x: np.ndarray, place: np.ndarray, width: int, dtype) -> np.ndarray:
+        # resets under actions x into place's columns and, as floats, the slot and paid send
+        F = np.zeros((K, width), dtype)
+        col = place[dest]
+        live = x[:, None] & (col >= 0)
+        F[live.nonzero()[0], col[live]] = rw[live]
+        if F.dtype == float:
+            F[:, width - 4] = 1.0
+            F[:, width - 2] = x & (q == 0)
+        return F
+
+    def around(F: np.ndarray, end: np.ndarray, phases) -> list:
+        # each phase's U end + F, backward from end after the last; F adds to the last columns
+        out = []
+        for r in reversed(phases):
+            cols, w = cycle[r]
+            end = _advance(end, cols, w.astype(end.dtype))
+            end[:, end.shape[1] - F.shape[2] :] += F[r]
+            out.append(end)
+        return out[::-1]
+
+    def walk(X: np.ndarray, place: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        # X at age W carried back to age 1, at the rows keep
+        for lo, hi, x in runs:
+            xi = x.astype(np.intp)
+            rows, w = after[:, None] + t.cols[xi, q], t.weights[xi, q].astype(X.dtype)
+            F = forcing(x, place, X.shape[1], X.dtype)
+            for a in range(hi, lo - 1, -1):
+                if a == 1:
+                    rows, w, F = rows[keep], w[keep], F[keep]
+                both = X.take(rows, axis=0)  # by row, its two moves' rows
+                if w.dtype == bool:
+                    both &= w[..., None]
+                    X = both[:, 0] | both[:, 1] | F
+                else:  # a (1, 2) @ (2, columns) product per row
+                    F[:, -3] = a
+                    X = np.matmul(w[:, None], both)[:, 0] + F
+        return X
+
+    # the structure: the targets' columns, then the tail's phase-0 states'
+    E = targets.size
+    place = np.full(K, -1)
+    place[targets] = np.arange(E)
+    arrive = np.hstack([np.zeros((B1, E), dtype=bool), np.eye(B1, dtype=bool)])
+    reach = around(forcing(tail, place, E + B1, bool).reshape(T, B1, -1), arrive, range(T))
+    edges = np.vstack([walk(np.vstack([arrive] + reach[1:]), place, targets), reach[0]])
+    indptr = np.concatenate([[0], np.cumsum(edges.sum(axis=1))])
+    cls = _recurrent_class(indptr, edges.nonzero()[1], start=0)
+    entry = targets[cls[cls < E]]
     M = entry.size
     if M == 0:
         raise UnboundedAgeError()
-    # the blocks from W on, by phase, the rows off the class zero; R keeps
-    # the columns of those age-1 states, into which phase r resets at r + 1
-    inside = np.isin(np.arange((W - 1) * K, W * K), cls).reshape(T, B1, 1)
-    Ut = U[act[-1], q] * inside
-    Rt = R[act[-1], q][..., entry % B1] * inside * (entry // B1 == after[:, None])[:, None]
-    Wc, C = Ut[-1], Rt[-1]  # Wc = U^0 U^1 ... U^{T-1}, C = R^0 + U^0 R^1 + ...
-    for u, r in zip(Ut[-2::-1], Rt[-2::-1]):
-        Wc, C = u @ Wc, r + u @ C
-    stay = np.linalg.inv(np.eye(B1) - Wc)
-    G = np.empty((T, B1, M))
-    G[0] = stay @ C
-    for r in range(T - 1, 0, -1):
-        G[r] = Rt[r] + Ut[r] @ G[(r + 1) % T]
-    # below W, G_a row by row from the lumped chain's moves: an advance
-    # reads G_{a+1}'s row, a reset the row of an identity block for its
-    # age-1 state if that is in the class (else a zero row)
-    place = np.full(K, K + M)
-    place[entry] = np.arange(K, K + M)
-    rows = np.where(cols < B1, place[index % K], index % K)
-    X, Xn = np.zeros((2, K + M + 1, M))
-    X[K : K + M] = Xn[K : K + M] = np.eye(M)
-    X[:K] = G.reshape(K, M)
-    weights = prob[..., None, :]
-    for i in range(W - 2, -1, -1):
-        np.matmul(weights[i], np.take(X, rows[i], axis=0), out=Xn[:K].reshape(T, B1, 1, M))
-        X, Xn = Xn, X
-    mu = np.zeros((W, T, B1))
-    mu[0].flat[entry] = _gth(X[entry])
-    # forward to pi_W, each advance adding to its age + 1 state in the
-    # order of the states it comes from; resets go to a spare slot
-    aging = np.where(cols < B1, K, index % K)
-    for i in range(W - 1):
-        into = np.bincount(aging[i].ravel(), (mu[i, ..., None] * prob[i]).ravel(), K + 1)
-        mu[i + 1].flat = into[:K]
-    inflow = mu[-1].copy()
-    mu[-1] = _around(inflow, Ut, stay)
-    excess = _around(mu[-1] - inflow, Ut, stay).sum()
-    total = mu.sum()
-    mu /= total
-    # flow = mu P on the W levels: a row moves by its action's blocks into
-    # the next phase, the tail level into itself too
-    sent = mu * act
-    moved = ((mu - sent) @ U[IDLE] + sent @ U[TRANSMIT])[:, prev]
-    flow = np.concatenate([(sent.sum(axis=0) @ R[TRANSMIT])[None, prev], moved[:-1]])
-    flow[-1] += moved[-1]
-    return mu, act, float(excess / total), float(np.abs(flow - mu).sum())
+    inside = (np.bincount(cls, minlength=E + B1)[E:] > 0)[:, None]  # the tail's class states
+    # the values: G's columns by the class's reset states, then the costs
+    place[:] = -1
+    place[entry] = np.arange(M)
+    stay = t.stay  # Optimal, ZeroWait: the solver's (I - U_transmit)^-1
+    if T > 1 or not tail.all():  # the tail states off the class may never reset
+        around_once = around(np.zeros((T, B1, 0)), np.eye(B1), range(T))[0]
+        stay = np.linalg.inv(np.eye(B1) - around_once * inside)
+
+    def solve(F: np.ndarray) -> np.ndarray:  # (I - U)^-1 F on the tail, F by phase
+        Y = stay @ (around(F, np.zeros_like(F[0]), range(T))[0] * inside)
+        return np.vstack([Y] + around(F, Y, range(1, T)))
+
+    F = forcing(tail, place, M + 4, float)
+    F[:, -1] = 1.0
+    Y = solve(F.reshape(T, B1, -1))
+    Y[:, M + 1] = W * Y[:, M] + solve((Y[:, M] - 1.0).reshape(T, B1, 1)).ravel()
+    G = walk(Y, place, entry)
+    pi = _gth(G[:, :M])
+    per_reset = pi @ G[:, M:]  # slots, age sum, paid sends, slots at ages >= W
+    aoi, rate, cap = (float(x) for x in per_reset[1:] / per_reset[0])
+    cost = aoi + m.weight * m.cost_reliable * rate
+    residual = float(np.abs(pi @ G[:, :M] - pi).sum())
+    return EvalReport(cost, aoi, rate, balance_residual=residual, cap_mass=cap)
 
 
 def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
@@ -364,20 +370,13 @@ def evaluate_exact(kind: PolicyKind, m: ModelParams) -> EvalReport:
     The chain follows ``stationary_actions``' table, which reads a policy
     as ``decide`` does: an Optimal threshold at any age transmits from that
     age on, and an Explicit table of any width holds its last column at
-    the later ages. A periodic schedule is evaluated on the product
-    chain over (slot mod period, state), which makes it stationary, with
-    the phase joining the battery level in each age block. ``cap_mass`` is
-    the mass at the ages from W on, where the action table stops changing.
+    the later ages. A periodic schedule is evaluated on the product chain
+    over (slot mod period, state), which makes it stationary. ``cap_mass``
+    is the mass at the ages from W on, where the action table stops
+    changing, and ``balance_residual`` the reset chain's ||pi G - pi||_1.
     Raises UnboundedAgeError if nothing in the closed class resets the age.
     """
-    mu, act, excess, residual = _stationary(stationary_actions(kind, m), m)
-    W = len(mu)
-    by_age = mu.reshape(W, -1).sum(axis=1)
-    average_aoi = float(by_age @ np.arange(1.0, W + 1) + excess)
-    # the paid states: battery 0, transmitting, at the W levels by phase
-    rate = float(mu[..., 0][act[..., 0] == TRANSMIT].sum())
-    cost = average_aoi + m.weight * m.cost_reliable * rate
-    return EvalReport(cost, average_aoi, rate, balance_residual=residual, cap_mass=float(by_age[-1]))
+    return _renewal(stationary_actions(kind, m), m)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,7 @@ class _Tail(NamedTuple):
     reset_cols: np.ndarray     # (B1, 2)
     reset_weights: np.ndarray  # (B1, 2)
     paid: float                # weight * cost_reliable
+    stay: np.ndarray           # M
     slope: np.ndarray          # M 1, 1/(1 - p_block) in every row
     rise: np.ndarray           # 1 in every row
     MR: np.ndarray             # M R_transmit
@@ -113,7 +114,7 @@ def _tail(m: ModelParams) -> _Tail:
     c0 = np.zeros(B1)
     c0[0] = paid
     return _Tail(
-        R, cols, weights, reset_cols, reset_weights, paid, slope,
+        R, cols, weights, reset_cols, reset_weights, paid, stay, slope,
         _advance(slope, cols[IDLE], weights[IDLE]) - sent,
         stay @ R[TRANSMIT],
         stay @ (c0 + sent),
@@ -133,8 +134,8 @@ def _runs(send: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     L = send.shape[1]
     if L == 0:
         return []
-    starts = np.flatnonzero(np.r_[True, (send[:, 1:] != send[:, :-1]).any(axis=0)])
-    ends = np.r_[starts[1:], L]
+    starts = np.flatnonzero(np.concatenate([[True], (send[:, 1:] != send[:, :-1]).any(axis=0)]))
+    ends = np.append(starts[1:], L)
     return [(int(lo) + 1, int(hi), send[:, lo]) for lo, hi in zip(starts[::-1], ends[::-1])]
 
 

@@ -40,7 +40,7 @@ from ehaoi.evaluator import (
     UnboundedAgeError,
     _gth,
     _recurrent_class,
-    _stationary,
+    _renewal,
 )
 from ehaoi.model import _blocks
 from ehaoi.solver import MAX_TABLE_CELLS
@@ -279,7 +279,7 @@ class TestStationaryDist:
 def _stationary_dist(P):
     """Stationary distribution of an irreducible chain by one sparse direct
     solve, the last balance equation replaced by the normalization. The
-    reference the level reduction is tested against."""
+    reference the exact evaluation is tested against."""
     n = P.shape[0]
     A = (P.T - sparse.identity(n, format="csr")).tolil()
     A[-1, :] = 1.0
@@ -376,42 +376,47 @@ class TestBlocksMatchKernel:
 
 
 def _check_level_reduction(actions, m):
-    """The level reduction agrees with the direct solve on the closed class
-    of the truncated chain gathered from ``kernel_arrays``, with that
-    solve's masses at ages W and above summed into the last level: every
-    age from W on moves alike, so the sum is the untruncated tail mass for
-    any delta_max >= W. Its balance residual, reported and recomputed on
-    the chain with those ages lumped, is at rounding level, and the lumped
-    action table is the table's first W ages. Returns the
-    distribution by (age level, phase, battery); if no state of the class
-    has age 1, the age never resets, and the reduction must raise
-    UnboundedAgeError instead (returns None)."""
+    """The reset-chain evaluation agrees with the direct solve on the closed
+    class of the truncated chain gathered from ``kernel_arrays``. Every age
+    from W on moves alike, so for any delta_max >= W that solve's last age
+    holds the untruncated tail's mass x, and the ages past it add
+    x U (I - U)^-1 1 to the age sum, U being that age's block into itself:
+    the average age, the paid rate and the mass at ages W and above are
+    exact, and the balance residual on the reset chain is at rounding
+    level. Returns the report; if no state of the class has age 1, the age
+    never resets, and the evaluation must raise UnboundedAgeError instead,
+    and where the search finds several closed classes, the same
+    ReducibleChainError (returns None)."""
     B1, D = m.battery_cap + 1, m.delta_max
     P = _kernel_chain(np.reshape(actions, (-1, B1 * D)), m)
-    cls = _recurrent_class(P.indptr, P.indices, start=0)
     send = np.reshape(actions, (-1, B1, D)) == 1
+    try:
+        cls = _recurrent_class(P.indptr, P.indices, start=0)
+    except ReducibleChainError as several:  # the evaluation sees as many
+        with pytest.raises(ReducibleChainError, match=f"^{several}$") as exc:
+            _renewal(send, m)
+        assert exc.value.closed_classes == several.closed_classes
+        return None
     if not (cls % D == 0).any():  # nothing in the class resets the age
         with pytest.raises(UnboundedAgeError):
-            _stationary(send, m)
+            _renewal(send, m)
         return None
-    mu, act, _, residual = _stationary(send, m)
-    W = len(mu)
-    np.testing.assert_array_equal(act, send[..., :W].transpose(2, 0, 1))
+    report = _renewal(send, m)
     dist = np.zeros(P.shape[0])
     dist[cls] = _stationary_dist(P[np.ix_(cls, cls)].tocsr())
-    dist = dist.reshape(-1, D)  # by (phase, battery), then age
-    want = np.hstack([dist[:, : W - 1], dist[:, W - 1 :].sum(axis=1, keepdims=True)])
-    got = mu.transpose(1, 2, 0).reshape(-1, W)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert residual <= 1e-14
-    # the lumped chain: the rows of ages 1..W, each column moved to its
-    # age's level
-    states = np.arange(P.shape[0]).reshape(-1, D)
-    level = states // D * W + np.minimum(np.arange(D), W - 1)
-    lump = sparse.csr_matrix((np.ones(P.shape[0]), (states.ravel(), level.ravel())))
-    lumped = P[states[:, :W].ravel()] @ lump
-    assert np.abs(got.ravel() @ lumped - got.ravel()).sum() <= 1e-14
-    return mu
+    last = cls[cls % D == D - 1]  # the class at the last age
+    U = P[np.ix_(last, last)].toarray()
+    past = np.linalg.solve((np.eye(last.size) - U).T, dist[last] @ U).sum()
+    ages = np.arange(P.shape[0]) % D + 1.0
+    paid = (send & (np.arange(B1)[:, None] == 0)).ravel()
+    W = _width(actions, m)
+    np.testing.assert_allclose(
+        [report.average_aoi, report.reliable_energy_rate, report.cap_mass],
+        [dist @ ages + past, dist[paid].sum(), dist.reshape(-1, D)[:, W - 1 :].sum()],
+        rtol=0, atol=1e-12,
+    )
+    assert report.balance_residual <= 1e-14
+    return report
 
 
 def _width(actions, m):
@@ -423,8 +428,8 @@ def _width(actions, m):
 
 
 class TestLevelReduction:
-    """The age-level reduction against the direct solve, on chains of every
-    shape the evaluators build."""
+    """The reset-chain evaluation against the direct solve, on chains of
+    every shape the evaluators build."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_tables(self, seed):
@@ -466,6 +471,27 @@ class TestLevelReduction:
         m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
         _check_level_reduction(grid_actions(Periodic(period, skip), m), m)
 
+    def test_random_narrow_tables(self):
+        # narrow tables give every outcome, each as the truncated chain's
+        # own class search has it: one class, one that never resets the
+        # age, and (where p_block is so near 1 that nothing resets) several
+        # closed classes, all at the ages past the table
+        seen = {"one": 0, "UnboundedAgeError": 0, "ReducibleChainError": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m = params(p_block=(0.2, 1.0 - 1e-16)[seed % 2], battery_cap=3, delta_max=8)
+            table = np.zeros((4, 8), dtype=np.int8)
+            width = int(rng.integers(1, 6))
+            table[:, :width] = rng.uniform(size=(4, width)) < rng.uniform(0.05, 0.6)
+            table[:, width:] = table[:, [width - 1]]
+            _check_level_reduction(table.reshape(-1), m)
+            try:
+                _renewal(table[None] == 1, m)
+                seen["one"] += 1
+            except (UnboundedAgeError, ReducibleChainError) as exc:
+                seen[type(exc).__name__] += 1
+        assert min(seen.values()) >= 3, seen
+
     def test_deterministic_cycle(self):
         # with certain harvest and a channel that never blocks, sending at
         # age 2 alternates (age 1, full) and (age 2, full) forever; the model
@@ -473,16 +499,15 @@ class TestLevelReduction:
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal((2, 2, 2))
-        mu = _check_level_reduction(grid_actions(kind, m), m)
-        # W = 2: the levels are age 1 and ages 2 and above
-        np.testing.assert_array_equal(np.argwhere(mu), [[0, 0, 2], [1, 0, 2]])
-        np.testing.assert_allclose(mu[:, 0, 2], [0.5, 0.5], rtol=0, atol=1e-15)
+        r = _check_level_reduction(grid_actions(kind, m), m)
+        # W = 2: half the slots are at age 2, none pays
+        assert (r.average_aoi, r.reliable_energy_rate, r.cap_mass) == (1.5, 0.0, 0.5)
 
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
         m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
-        mu = _check_level_reduction(grid_actions(Periodic(8), m), m)
-        assert np.isfinite(mu).all()
+        r = _check_level_reduction(grid_actions(Periodic(8), m), m)
+        assert np.isfinite([r.average_cost, r.balance_residual, r.cap_mass]).all()
 
     def test_never_transmit_raises(self):
         # the class is (full battery, every age from 1 on): the age never resets
@@ -497,8 +522,11 @@ class TestLevelReduction:
 
     def test_class_search_sees_the_collapsed_chain(self, monkeypatch):
         # Periodic(20) at battery_cap=100, delta_max=400 once handed the
-        # class search all 808 000 (phase, battery, age) states; every age
-        # moves alike there, so the lumped chain has two ages
+        # class search all 808 000 (phase, battery, age) states, and then
+        # the 4040 of the chain with every age from 2 on lumped. The
+        # search now sees the 101 states a reset enters (phase 1), the
+        # start (age 1, phase 0, empty battery) and the tail's 101
+        # phase-0 states
         sizes = []
 
         def recorded(indptr, indices, start):
@@ -508,22 +536,23 @@ class TestLevelReduction:
         monkeypatch.setattr(evaluator, "_recurrent_class", recorded)
         m = ModelParams(0.5, 0.2, 100, 2.0, 10.0, delta_max=400)
         evaluate_exact(Periodic(20), m)
-        assert sizes == [20 * 101 * 2]
+        assert sizes == [101 + 1 + 101]
 
-    # every field, recorded from the level reduction on the untruncated
-    # chain; cap_mass is the mass at ages W and above. The periodic ages
+    # every field, recorded from the reset-chain evaluation on the
+    # untruncated chain; cap_mass is the mass at ages W and above and
+    # balance_residual ||pi G - pi||_1 on the reset chain. The periodic ages
     # are (T + 1)/2 + T p/(1 - p) (2.75 for T = 3, 15.5 for T = 20), and
     # their tail masses 1 - (1 - p)/T
     _PINNED = {
-        "periodic-1": (15.25, 1.25, 0.7, 6.938893903907228e-18, 0.19999999999999998),
-        "periodic-3": (3.8362899313827623, 2.75, 0.054314496569138115,
-                       1.0408340855860843e-16, 0.7333333333333333),
-        "periodic-3-skip": (3.6573182428094717, 3.6573182428094717, 0.0,
-                            1.214306433183765e-16, 0.7767849305886437),
-        "periodic-20": (15.500000000515051, 15.499999999999996, 2.575272372806595e-11,
-                        5.933727976227636e-17, 0.96),
-        "transient-block": (4.166666666666666, 4.166666666666666, 0.0,
-                            6.938893903907228e-17, 0.33362175999999993),
+        "periodic-1": (15.25, 1.25, 0.7, 0.0, 0.2),
+        "periodic-3": (3.836289931382762, 2.7499999999999996, 0.05431449656913812,
+                       2.220446049250313e-16, 0.7333333333333333),
+        "periodic-3-skip": (3.657318242809472, 3.657318242809472, 0.0,
+                            3.3306690738754696e-16, 0.776784930588644),
+        "periodic-20": (15.500000000515055, 15.5, 2.5752723728065964e-11,
+                        2.7788133444539e-16, 0.9599999999999999),
+        "transient-block": (4.166666666666665, 4.166666666666665, 0.0,
+                            0.0, 0.33362175999999993),
     }
 
     @pytest.mark.parametrize("name", list(_PINNED))
@@ -660,6 +689,28 @@ class TestEvaluateExact:
         r = evaluate_exact(Optimal(thresholds), m)
         assert abs(r.average_cost - gain) <= 1e-12 * gain
 
+    def test_class_spans_a_route_that_underflows(self, monkeypatch):
+        # batteries 0 and 1 are entered from batteries 2 and 3 only by
+        # battery 2 transmitting, from age 2000: the reset chain's entries
+        # from {2, 3} into {0, 1} (about 0.5**2000) underflow to 0, but the
+        # class search reads the structure, so the one class holds all four
+        # batteries' reset states and tail states
+        from ehaoi.solver import _evaluate
+
+        found = []
+
+        def recorded(indptr, indices, start):
+            found.append(_recurrent_class(indptr, indices, start))
+            return found[-1]
+
+        monkeypatch.setattr(evaluator, "_recurrent_class", recorded)
+        m = params(battery_cap=3)
+        thresholds = (2, 2, 2000, 1)
+        gain = _evaluate(np.arange(1, 2000) >= np.array(thresholds)[:, None], m)[0]
+        r = evaluate_exact(Optimal(thresholds), m)
+        assert [c.tolist() for c in found] == [list(range(8))]
+        assert abs(r.average_cost - gain) <= 1e-12 * gain
+
     def test_large_point_does_not_depend_on_delta_max(self):
         from ehaoi import modified_via
 
@@ -678,7 +729,7 @@ class TestEvaluateExact:
 
     def test_large_chain_level_reduction_matches_direct_solve(self):
         # 5580 recurrent states, above the size where a power-iteration path
-        # once took over: the level reduction agrees with the direct solve
+        # once took over: the exact evaluation agrees with the direct solve
         m = ModelParams(
             lambda_e=0.5, p_block=0.2, battery_cap=30,
             cost_reliable=2.0, weight=1.0, delta_max=180,

@@ -16,10 +16,10 @@ length; the first pair and every other one after it run the parent first,
 the rest the change first, and the i-th pair (from 0) uses seed
 ``--seed-base`` + i on both sides. The two trees also swap directories (by
 renaming) every two pairs, so each side runs from both paths and in both
-orders from each. Half as many pairs (at least one) of
-``--trace 1`` runs give the per-layer metrics, and ``--pairs`` pairs of
-fresh processes time ``modified_via`` at the two fixed points and at the
-large one with weight 100, and ``evaluate_exact`` at the large one, for
+orders from each. As many pairs of ``--trace 1`` runs give the per-layer
+metrics, and ``--pairs`` pairs of fresh processes time ``modified_via`` at
+the two fixed points and at the large one with weight 100, and
+``evaluate_exact`` at the large one, for
 ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and the ``Optimal`` policy
 ``modified_via`` returns, solved once per process before the timed calls
 (the best wall time, ``time.perf_counter``, of a few calls each).
@@ -250,7 +250,7 @@ def _summary(pairs: list[dict], values, better: dict[str, str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD", help="commit to compare against")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (half as many traced)")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload, traced and untraced")
     ap.add_argument("--seed-base", type=int, default=0)
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--out", type=Path, required=True)
@@ -265,17 +265,17 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": Path(tmp, "a"), "change": Path(tmp, "b")}
         _extract(parent, trees["parent"])
         _copy_worktree(trees["change"])
-        for key, trace, n in (("perfbench", 0, args.pairs), ("trace", 1, max(1, args.pairs // 2))):
+        for key, trace in (("perfbench", 0), ("trace", 1)):
             section = {
                 "command": f"python3 perfbench/run.py --workload <w> --seed <s> --trace {trace}",
                 "workloads": {},
             }
             for w in workloads:
-                pairs = _pairs(n, trees, lambda side, tree, i, w=w: _perfbench(
+                pairs = _pairs(args.pairs, trees, lambda side, tree, i, w=w: _perfbench(
                     tree, w, args.seed_base + i, trace))
                 report.setdefault("host", pairs[0]["parent"]["env"])
                 section["workloads"][w] = {
-                    "seeds": [args.seed_base + i for i in range(n)],
+                    "seeds": [args.seed_base + i for i in range(args.pairs)],
                     "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                     "order": [p["order"] for p in pairs],
                     "parent_dir": [p["parent_dir"] for p in pairs],
