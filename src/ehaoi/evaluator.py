@@ -493,10 +493,10 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     draw of every slot would.
 
     Per stretch, the symbols are written into a zero-padded uint8 buffer,
-    and shifts and ors pack each block's code from its symbols. The row
-    walk, ``s = rows[s][code]`` block by block, is the only Python loop and
-    does no arithmetic; ``bytes`` packs the states it passes (past 256
-    states numpy converts the list). One gather of each flag word by
+    and each block's code is one product of its symbols with their place
+    values. The row walk, ``s = rows[s][code]`` block by block, is the only
+    Python loop and does no arithmetic; ``bytes`` packs the states it passes
+    (past 256 states numpy converts the list). One gather of each flag word by
     (block's first state, code) gives every slot's reset and paid byte.
     The state carried to the next stretch steps the last block's real slots
     by ``move``. The stretch buffers are allocated once per run, for the
@@ -511,9 +511,9 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     cap = max(sizes)
     most = -(-cap // k)  # blocks
     draw_buf = np.empty(cap)
-    harvest_buf = np.empty(cap, dtype=bool)
     symbol_buf = np.empty(most * k, dtype=np.uint8)
     code_buf = np.empty(most, dtype=np.uint8 if bits * k <= 8 else np.uint16)
+    place = (1 << bits * np.arange(k)).astype(code_buf.dtype)  # first slot lowest
     index_buf = np.empty(most, dtype=np.intp)
     flag_buf = np.empty((2, most, k), dtype=bool)  # reset, paid
     for n in sizes:
@@ -523,16 +523,11 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         flat = symbols[:n]
         np.less(channel.random(out=draw_buf[:n]), m.p_block, out=flat.view(bool))
         flat <<= 1
-        np.less(energy.random(out=draw_buf[:n]), m.lambda_e, out=harvest_buf[:n])
-        flat |= harvest_buf[:n].view(np.uint8)
+        flat |= energy.random(out=draw_buf[:n]) < m.lambda_e
         if machine.period > 1:
             flat[-t % machine.period :: machine.period] |= 4  # t % period == 0
         grid = symbols.reshape(blocks, k)
-        code = code_buf[:blocks]
-        code[:] = grid[:, -1]
-        for j in range(k - 2, -1, -1):  # first slot lowest
-            code <<= bits
-            code |= grid[:, j]
+        code = np.matmul(place, grid.T, out=code_buf[:blocks])  # faster than grid @ place
         # the sequential part: each block's first state from the one before
         s = state
         walked = [s := rows[s][c] for c in memoryview(code[:-1])]

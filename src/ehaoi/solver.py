@@ -139,9 +139,7 @@ def _runs(send: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return [(int(lo) + 1, int(hi), send[:, lo]) for lo, hi in zip(starts[::-1], ends[::-1])]
 
 
-def _evaluate(
-    send: np.ndarray, m: ModelParams, kept: list | None = None
-) -> tuple[float, np.ndarray]:
+def _evaluate(send: np.ndarray, m: ModelParams, kept: list) -> tuple[float, np.ndarray]:
     """Exact gain and bias of the policy that follows ``send`` (a (battery,
     age <= L) boolean table, True transmitting) and transmits at every age
     above L, on the chain whose age is never truncated.
@@ -163,14 +161,12 @@ def _evaluate(
     top run ends at L. The pass starts from the kept carry below the
     longest top prefix of runs the two tables share, re-walks only the runs
     below it, and rewrites ``kept`` in place for this table. The result is
-    bit for bit the one without ``kept``.
+    bit for bit the one from an empty ``kept``.
     """
     t = _tail(m)
     B1, L = send.shape
     q = np.arange(B1)
     runs = _runs(send)
-    if kept is None:
-        kept = []
     keys = [(lo, hi, col.tobytes()) for lo, hi, col in runs]
     moves = []  # by run: both moves' rows, their weights, the action column
     for _, _, col in runs:
@@ -253,7 +249,7 @@ def _certificate(H: np.ndarray, idle: np.ndarray, tx: np.ndarray) -> tuple[float
 
 
 def _improve(
-    send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, reach: int, pin: bool
+    send: np.ndarray, gap: np.ndarray, rise: np.ndarray, keep: bool, pin: bool
 ) -> np.ndarray | None:
     """The next table from the idle-minus-transmit Q ``gap`` at ages
     1..L + 1 (by age, battery) of the policy ``send``, or None if it would
@@ -263,10 +259,12 @@ def _improve(
     by more than TIE_TOL; without, a state transmits iff transmitting is
     better by more than TIE_TOL. Above L + 1 the gap is gap_{L+1} + k*rise
     at age L + 1 + k, and every state there transmits now, so each row's
-    idle ages there are counted in closed form; at most ``reach`` of them
+    idle ages there are counted in closed form; at most L + 1 of them
     switch (switching only some of the states that gain still improves the
-    policy). With ``pin`` batteries 1..battery_cap - 1 idle at age 1
-    whatever the gap. The table is cut after its last idle age.
+    policy), so a table at most doubles per step: a far threshold takes a
+    few steps, and a transient policy cannot ask for a table of tens of
+    thousands of ages. With ``pin`` batteries 1..battery_cap - 1 idle at
+    age 1 whatever the gap. The table is cut after its last idle age.
     """
     B1, L = send.shape
     gap = gap.T
@@ -279,7 +277,7 @@ def _improve(
     else:
         head = gap > TIE_TOL
         idle = np.floor((TIE_TOL - gap[:, -1]) / rise)
-    idle = np.clip(idle, 0.0, reach)
+    idle = np.clip(idle, 0.0, L + 1)
     ages = L + 1 + idle.max()
     if not ages * B1 <= MAX_TABLE_CELLS:  # NaN too
         return None
@@ -423,13 +421,9 @@ def modified_via(m: ModelParams, eps: float = DEFAULT_EPS) -> tuple[SolveResult,
             break
         seen.add(digest)
         gap = (idle - tx)[: send.shape[1] + 1]
-        # a table at most doubles per step: a far threshold takes a few
-        # steps, and a transient policy cannot ask for a table of tens of
-        # thousands of ages, as unbounded moves did
-        reach = send.shape[1] + 1
-        nxt = _improve(send, gap, t.rise, True, reach, pin)
+        nxt = _improve(send, gap, t.rise, True, pin)
         if nxt is not None and np.array_equal(nxt, send):
-            nxt = _improve(send, gap, t.rise, False, reach, pin)
+            nxt = _improve(send, gap, t.rise, False, pin)
             if nxt is not None and np.array_equal(nxt, send):
                 break
         elif nxt is not None:  # halve a step that walks back again

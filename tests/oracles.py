@@ -6,8 +6,11 @@ seminorm of the Bellman update, with the greedy policy and the threshold
 reading it gives. Every Bellman backup is one gather over ``kernel_arrays``,
 the per-state kernel, so none of this shares code with the solver.
 ``grid_actions`` lays a policy out on that truncated chain's states, and
-``grid_values`` a solved bias.
+``grid_values`` a solved bias. ``exact_evaluate`` redoes the solver's
+evaluation of a table in ``fractions.Fraction``, without rounding.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from ehaoi import (
     stationary_actions,
     transition,
 )
+from ehaoi.model import _blocks
 from ehaoi.solver import TIE_TOL
 
 
@@ -130,3 +134,82 @@ def extract_thresholds(policy, m: ModelParams) -> Optimal:
     if witnesses:
         raise ThresholdStructureError(f"policy is not threshold-form: {witnesses}", witnesses)
     return Optimal(tuple(thresholds))
+
+
+def _solve_exact(A, B):
+    """X with A X = B, for a square list-of-rows matrix A and a list of
+    rows B, by Gauss-Jordan elimination in the entries' own exact
+    arithmetic."""
+    n = len(A)
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def exact_evaluate(send, m: ModelParams):
+    """The solver's evaluation of the (battery, age <= L) table ``send``
+    (True transmitting, every age above L transmitting) redone in
+    ``fractions.Fraction`` on ``_blocks``' own float entries, so without
+    rounding: the tail's M = (I - U_transmit)^-1 exactly, the bordered
+    solve for (h_1, g) with h_1 = 0 at battery_cap, and the bias above L as
+    a * M 1 + kappa. Returns the gain, the bias at ages 1..L + 3 by (age,
+    battery), and every idle-minus-transmit Q gap at ages 1..L + 1 by
+    (age, battery), all as Fractions."""
+    U, R = _blocks(m)
+    B1, L = send.shape
+    blocks = [[[Fraction(float(x)) for x in row] for row in U[a]] for a in (IDLE, TRANSMIT)]
+    reset = [[Fraction(float(x)) for x in row] for row in R[TRANSMIT]]
+    paid = Fraction(m.weight * m.cost_reliable)
+    unit = [[Fraction(int(i == j)) for j in range(B1)] for i in range(B1)]
+    sent = blocks[TRANSMIT]
+    stay = _solve_exact([[unit[i][j] - sent[i][j] for j in range(B1)] for i in range(B1)], unit)
+
+    def apply(P, x):
+        return [sum((p * y for p, y in zip(row, x) if p), Fraction(0)) for row in P]
+
+    slope = [sum(row) for row in stay]
+    kappa0 = apply(stay, [a + paid * (i == 0) for i, a in enumerate(apply(sent, slope))])
+    MR = [[sum(s * r[j] for s, r in zip(row, reset)) for j in range(B1)] for row in stay]
+    # h_a as affine forms in (h_1, g, 1), from age L + 1 down to 1
+    forms = [None] * (L + 2)
+    forms[L + 1] = [MR[i] + [-slope[i], (L + 1) * slope[i] + kappa0[i]] for i in range(B1)]
+    for a in range(L, 0, -1):
+        above = forms[a + 1]
+        form = []
+        for i in range(B1):
+            act = TRANSMIT if send[i, a - 1] else IDLE
+            row = [sum((p * f[k] for p, f in zip(blocks[act][i], above) if p), Fraction(0))
+                   for k in range(B1 + 2)]
+            if act == TRANSMIT:
+                for j in range(B1):
+                    row[j] += reset[i][j]
+                row[B1 + 1] += paid * (i == 0)
+            row[B1] -= 1
+            row[B1 + 1] += a
+            form.append(row)
+        forms[a] = form
+    # (I - A_h) h_1 - A_g g = A_1, with h_1 = 0 at battery_cap: that
+    # unknown's column carries g instead
+    A = forms[1]
+    lhs = [[unit[i][j] - A[i][j] for j in range(B1 - 1)] + [-A[i][B1]] for i in range(B1)]
+    x = [v for v, in _solve_exact(lhs, [[A[i][B1 + 1]] for i in range(B1)])]
+    gain, h1 = x[-1], x[:-1] + [Fraction(0)]
+    unknowns = h1 + [gain, Fraction(1)]
+    kappa = [k + r - s * gain for k, r, s in zip(kappa0, apply(MR, h1), slope)]
+    H = [[sum(c * u for c, u in zip(row, unknowns)) for row in forms[a]] for a in range(1, L + 1)]
+    H += [[a * s + k for s, k in zip(slope, kappa)] for a in range(L + 1, L + 4)]
+    back = apply(reset, h1)
+    gaps = [
+        [i - t - r - paid * (q == 0)
+         for q, (i, t, r) in enumerate(zip(apply(blocks[IDLE], H[a]), apply(sent, H[a]), back))]
+        for a in range(1, L + 2)
+    ]
+    return gain, H, gaps

@@ -375,7 +375,7 @@ class TestBlocksMatchKernel:
             assert not block.flags.writeable
 
 
-def _check_level_reduction(actions, m):
+def _check_against_kernel_chain(actions, m):
     """The reset-chain evaluation agrees with the direct solve on the closed
     class of the truncated chain gathered from ``kernel_arrays``. Every age
     from W on moves alike, so for any delta_max >= W that solve's last age
@@ -420,14 +420,14 @@ def _check_level_reduction(actions, m):
 
 
 def _width(actions, m):
-    """The first age, at least 2, from which every age's actions equal the
-    last age's: where the evaluator collapses the ages."""
+    """The first age W, at least 2, from which every age's actions equal
+    the last age's: ``cap_mass`` is the mass at ages W and above."""
     table = np.reshape(actions, (-1, m.battery_cap + 1, m.delta_max))
     changed = [a for a in range(1, m.delta_max) if not np.array_equal(table[..., a - 1], table[..., -1])]
     return max([1] + changed) + 1
 
 
-class TestLevelReduction:
+class TestRenewalAgainstKernelChain:
     """The reset-chain evaluation against the direct solve, on chains of
     every shape the evaluators build."""
 
@@ -438,7 +438,7 @@ class TestLevelReduction:
         m = params(lambda_e=(0.3, 0.5, 1.0)[seed % 3], battery_cap=3, delta_max=12)
         table = (rng.uniform(size=(4, 12)) < 0.4).astype(np.int8)
         assert not np.all(np.diff(table, axis=1) >= 0)  # some row is not a threshold
-        _check_level_reduction(table.reshape(-1), m)
+        _check_against_kernel_chain(table.reshape(-1), m)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_tables_turning_constant(self, seed):
@@ -451,7 +451,7 @@ class TestLevelReduction:
         table[:, width - 1 :] = table[:, [width - 1]]
         table[0, width - 2] = 1 - table[0, width - 1]  # the last change
         assert 2 < _width(table, m) == width < m.delta_max
-        _check_level_reduction(table.reshape(-1), m)
+        _check_against_kernel_chain(table.reshape(-1), m)
 
     @pytest.mark.parametrize(
         "thresholds",
@@ -463,13 +463,13 @@ class TestLevelReduction:
         # age 13 on; the model's cap is 13 where a threshold is, so that
         # the truncated chain of the direct solve has that age
         m = params(lambda_e=lam, battery_cap=3, delta_max=max(12, *thresholds))
-        _check_level_reduction(grid_actions(Optimal(thresholds), m), m)
+        _check_against_kernel_chain(grid_actions(Optimal(thresholds), m), m)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("period", [1, 2, 5])
     def test_periodic(self, period, skip):
         m = params(lambda_e=0.3, battery_cap=3, delta_max=15)
-        _check_level_reduction(grid_actions(Periodic(period, skip), m), m)
+        _check_against_kernel_chain(grid_actions(Periodic(period, skip), m), m)
 
     def test_random_narrow_tables(self):
         # narrow tables give every outcome, each as the truncated chain's
@@ -484,7 +484,7 @@ class TestLevelReduction:
             width = int(rng.integers(1, 6))
             table[:, :width] = rng.uniform(size=(4, width)) < rng.uniform(0.05, 0.6)
             table[:, width:] = table[:, [width - 1]]
-            _check_level_reduction(table.reshape(-1), m)
+            _check_against_kernel_chain(table.reshape(-1), m)
             try:
                 _renewal(table[None] == 1, m)
                 seen["one"] += 1
@@ -499,34 +499,31 @@ class TestLevelReduction:
         m = params(lambda_e=1.0)
         object.__setattr__(m, "p_block", 0.0)
         kind = Optimal((2, 2, 2))
-        r = _check_level_reduction(grid_actions(kind, m), m)
+        r = _check_against_kernel_chain(grid_actions(kind, m), m)
         # W = 2: half the slots are at age 2, none pays
         assert (r.average_aoi, r.reliable_energy_rate, r.cap_mass) == (1.5, 0.0, 0.5)
 
     def test_masses_beyond_double_range(self):
         # an empty battery is about 1e-314 as likely as a full one here
         m = params(lambda_e=0.9, battery_cap=40, delta_max=9)
-        r = _check_level_reduction(grid_actions(Periodic(8), m), m)
+        r = _check_against_kernel_chain(grid_actions(Periodic(8), m), m)
         assert np.isfinite([r.average_cost, r.balance_residual, r.cap_mass]).all()
 
     def test_never_transmit_raises(self):
         # the class is (full battery, every age from 1 on): the age never resets
         m = params(delta_max=7)
-        assert _check_level_reduction(np.zeros(3 * 7, dtype=np.int8), m) is None
+        assert _check_against_kernel_chain(np.zeros(3 * 7, dtype=np.int8), m) is None
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_smallest_age_cap(self, lam):
         m = params(lambda_e=lam, delta_max=2)
         for kind in (ZeroWait(), Optimal((2, 1, 1)), Periodic(3)):
-            _check_level_reduction(grid_actions(kind, m), m)
+            _check_against_kernel_chain(grid_actions(kind, m), m)
 
     def test_class_search_sees_the_collapsed_chain(self, monkeypatch):
-        # Periodic(20) at battery_cap=100, delta_max=400 once handed the
-        # class search all 808 000 (phase, battery, age) states, and then
-        # the 4040 of the chain with every age from 2 on lumped. The
-        # search now sees the 101 states a reset enters (phase 1), the
-        # start (age 1, phase 0, empty battery) and the tail's 101
-        # phase-0 states
+        # Periodic(20) at battery_cap=100, delta_max=400: the class search
+        # sees the 101 states a reset enters (phase 1), the start (age 1,
+        # phase 0, empty battery) and the tail's 101 phase-0 states
         sizes = []
 
         def recorded(indptr, indices, start):
@@ -685,7 +682,7 @@ class TestEvaluateExact:
 
         m = params(battery_cap=3)
         thresholds = (2, far, 4, 1)
-        gain = _evaluate(np.arange(1, far) >= np.array(thresholds)[:, None], m)[0]
+        gain = _evaluate(np.arange(1, far) >= np.array(thresholds)[:, None], m, [])[0]
         r = evaluate_exact(Optimal(thresholds), m)
         assert abs(r.average_cost - gain) <= 1e-12 * gain
 
@@ -706,7 +703,7 @@ class TestEvaluateExact:
         monkeypatch.setattr(evaluator, "_recurrent_class", recorded)
         m = params(battery_cap=3)
         thresholds = (2, 2, 2000, 1)
-        gain = _evaluate(np.arange(1, 2000) >= np.array(thresholds)[:, None], m)[0]
+        gain = _evaluate(np.arange(1, 2000) >= np.array(thresholds)[:, None], m, [])[0]
         r = evaluate_exact(Optimal(thresholds), m)
         assert [c.tolist() for c in found] == [list(range(8))]
         assert abs(r.average_cost - gain) <= 1e-12 * gain
@@ -727,9 +724,9 @@ class TestEvaluateExact:
         assert r.horizon is None and r.seed is None
         assert r.ci_halfwidth is None and r.rng is None
 
-    def test_large_chain_level_reduction_matches_direct_solve(self):
-        # 5580 recurrent states, above the size where a power-iteration path
-        # once took over: the exact evaluation agrees with the direct solve
+    def test_large_chain_matches_kernel_chain_solve(self):
+        # 5580 recurrent states in the truncated kernel chain: the exact
+        # evaluation agrees with its sparse direct solve
         m = ModelParams(
             lambda_e=0.5, p_block=0.2, battery_cap=30,
             cost_reliable=2.0, weight=1.0, delta_max=180,

@@ -36,6 +36,7 @@ from ehaoi.solver import (
 from oracles import (
     ThresholdStructureError,
     bellman_backup_q,
+    exact_evaluate,
     extract_policy,
     extract_thresholds,
     grid_actions,
@@ -375,7 +376,7 @@ class TestCertificate:
         # exact gain, and its upper end is at least the optimum
         m = FIXED_POINTS[point]
         res, tp = modified_via(m, eps=1e-9)
-        gain, H = _evaluate(threshold_table([t + 1 for t in tp.thresholds]), m)
+        gain, H = _evaluate(threshold_table([t + 1 for t in tp.thresholds]), m, [])
         lo, hi = _certificate(H, *_q_values(H, m))
         assert lo <= res.gain <= hi
         assert lo <= gain
@@ -477,7 +478,7 @@ class TestEvaluate:
         for i, table in enumerate([send, low, top, wider]):
             before = [carry for _, carry in kept]
             ref_gain, ref_H = plain_evaluate(table, m)
-            for route in (_evaluate(table, m), _evaluate(table, m, kept)):
+            for route in (_evaluate(table, m, []), _evaluate(table, m, kept)):
                 gain, H = route
                 assert gain == ref_gain
                 np.testing.assert_array_equal(H, ref_H)
@@ -523,7 +524,7 @@ class TestEvaluate:
         table = np.ones((m.battery_cap + 1, m.delta_max), dtype=np.int8)
         table[:, : send.shape[1]] = send
         rep = evaluate_exact(Explicit(table), m)
-        gain, H = _evaluate(send, m)
+        gain, H = _evaluate(send, m, [])
         assert abs(gain - rep.average_cost) <= 1e-12
         # the bias solves the policy's own equation h = c - g + P h
         idle, tx = _q_values(H, m)
@@ -534,7 +535,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("lam, p, weight", [(0.3, 0.2, 10.0), (0.5, 0.7, 1.0), (0.9, 0.5, 20.0)])
     def test_zero_wait_closed_form(self, lam, p, weight):
         m = tiny_params(lambda_e=lam, p_block=p, battery_cap=4, weight=weight)
-        gain, _ = _evaluate(np.zeros((m.battery_cap + 1, 0), dtype=bool), m)
+        gain, _ = _evaluate(np.zeros((m.battery_cap + 1, 0), dtype=bool), m, [])
         closed = 1.0 / (1.0 - p) + weight * m.cost_reliable * (1.0 - lam)
         assert abs(gain - closed) <= 1e-12
 
@@ -586,8 +587,8 @@ class TestDegenerateModels:
         send = np.zeros((4, 2), dtype=bool)
         gap = np.ones((3, 4))
         rise = _tail(m).rise
-        assert _improve(send, gap, rise, keep, 3, False).shape == (4, 0)  # all-transmit
-        pinned = _improve(send, gap, rise, keep, 3, True)
+        assert _improve(send, gap, rise, keep, False).shape == (4, 0)  # all-transmit
+        pinned = _improve(send, gap, rise, keep, True)
         np.testing.assert_array_equal(pinned, [[True], [False], [False], [True]])
 
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.6, 0.8])
@@ -599,9 +600,9 @@ class TestDegenerateModels:
         # transmission at battery 1 can reach battery 0
         pins = []
 
-        def recording(send, gap, rise, keep, reach, pin):
+        def recording(send, gap, rise, keep, pin):
             pins.append(pin)
-            return _improve(send, gap, rise, keep, reach, pin)
+            return _improve(send, gap, rise, keep, pin)
 
         monkeypatch.setattr(solver, "_improve", recording)
         m = ModelParams(lambda_e=lam, **REFERENCE)
@@ -642,7 +643,7 @@ class TestRepeatedTable:
         # with period 10 and the search used to run to its evaluation cap
         evaluated = []
 
-        def recording(send, m, kept=None):
+        def recording(send, m, kept):
             evaluated.append(send.copy())
             return _evaluate(send, m, kept)
 
@@ -715,7 +716,7 @@ class TestHalfStep:
         # and 2 back and forth over 37 evaluations
         evaluated = []
 
-        def recording(send, m, kept=None):
+        def recording(send, m, kept):
             evaluated.append(send.copy())
             return _evaluate(send, m, kept)
 
@@ -765,6 +766,19 @@ class TestFarThresholds:
         lo, hi = res.gain_bracket
         assert lo <= res.gain and hi - lo <= 1e-9
 
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("L", [0, 1, 5])
+    def test_step_at_most_doubles_the_table(self, keep, L):
+        # battery 1's gap at age L + 1 asks for idling about 1e6 ages past
+        # the table; the step idles there only up to age 2L + 2
+        m = tiny_params(battery_cap=3)
+        send = np.ones((4, L), dtype=bool)
+        gap = np.ones((L + 1, 4))
+        gap[-1, 1] = -1e6
+        nxt = _improve(send, gap, _tail(m).rise, keep, False)
+        assert nxt.shape == (4, 2 * L + 2)
+        assert not nxt[1, L:].any() and nxt[[0, 2, 3]].all()
+
     @pytest.mark.parametrize("weight", [1000.0, 1e300])
     def test_table_cap_raises(self, weight, monkeypatch):
         # a threshold of about 1001 needs 21 * 1001 cells; 1e300 would
@@ -795,6 +809,45 @@ def fsum_backup_q(v, m, ages):
                 p * (1.0 - lam) * v[left, d], (1.0 - p) * (1.0 - lam) * v[left, 0],
             ])
     return q_idle, q_tx
+
+
+class TestExactOracle:
+    """``_evaluate`` and the Q gaps against ``exact_evaluate``, the same
+    evaluation in ``Fraction`` on the same ``_blocks`` entries."""
+
+    @pytest.mark.parametrize("table", ["solved", "random"])
+    def test_float_evaluation_matches_the_exact_one(self, table):
+        m = ModelParams(lambda_e=0.5, **{**REFERENCE, "battery_cap": 5})
+        if table == "solved":
+            _, tp = modified_via(m, eps=1e-9)
+            send = np.arange(1, max(tp.thresholds)) >= np.array(tp.thresholds)[:, None]
+        else:
+            send = np.random.default_rng(5).random((6, 8)) < 0.5
+        gain, H, gaps = exact_evaluate(send, m)
+        fgain, fH = _evaluate(send, m, [])
+        idle, tx = _q_values(fH, m)
+        assert abs(fgain - float(gain)) <= 1e-12
+        np.testing.assert_allclose(fH, np.array(H, dtype=float), rtol=0.0, atol=1e-12)
+        fgaps = (idle - tx)[: send.shape[1] + 1]
+        np.testing.assert_allclose(fgaps, np.array(gaps, dtype=float), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="at battery 2, age 1 the exact idle-minus-transmit gap is -8.0e-15, a tie "
+               "that idles, but the float gap reads +2.1e-13, past TIE_TOL, so the solver "
+               "returns threshold 1 there instead of 2",
+    )
+    def test_thresholds_follow_the_tie_rule_on_the_exact_gaps(self):
+        # "transmit iff better by more than TIE_TOL", applied to the exact
+        # gaps of the returned table at ages 1..L + 1
+        m = ModelParams(lambda_e=0.95, **{**REFERENCE, "p_block": 0.95, "weight": 0.5,
+                                          "battery_cap": 5})
+        _, tp = modified_via(m, eps=1e-9)
+        th = np.array(tp.thresholds)
+        send = np.arange(1, th.max()) >= th[:, None]
+        _, _, gaps = exact_evaluate(send, m)
+        rule = np.array([[gap > TIE_TOL for gap in row] for row in gaps])
+        np.testing.assert_array_equal(rule, np.arange(1, th.max() + 1)[:, None] >= th)
 
 
 class TestTieRule:
@@ -837,10 +890,10 @@ class TestTieRule:
             _, tp = modified_via(m, eps=1e-9)
         th = np.array(tp.thresholds)
         send = np.arange(1, th.max()) >= th[:, None]
-        _, H = _evaluate(send, m)
+        _, H = _evaluate(send, m, [])
         idle, tx = _q_values(H, m)
         gap = (idle - tx)[: send.shape[1] + 1]
-        np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, m.delta_max, False), send)
+        np.testing.assert_array_equal(_improve(send, gap, _tail(m).rise, False, False), send)
 
 
 class TestOptimal:

@@ -23,10 +23,14 @@ and ``exact-csv`` the SHA-256 of the same values formatted ``%.12g``, as
 the CSV writes them: a change to the exact evaluator's rounding alone moves
 the first, and the second only where a value's twelfth digit moves.
 
+After the digests, the ``evals`` line is the total number of policy
+evaluations over the models that solve, so a change to the search states
+its cost in one line.
+
 The same grid at battery_cap 50 and 100 follows (another 200 models, some
 of which raise ConvergenceError), with its own ``all-large``,
-``results-large``, ``exact-large`` and ``exact-csv-large`` lines, so the
-first four digests keep covering the first 200 models only.
+``results-large``, ``exact-large``, ``exact-csv-large`` and ``evals-large``
+lines, so the first four digests keep covering the first 200 models only.
 
 The large grid's digests depend on the BLAS thread count, so the script
 sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, and prints the count as
@@ -56,19 +60,21 @@ CAPS = (5, 20)
 LARGE_CAPS = (50, 100)
 
 
-def result_digest(m: ModelParams) -> tuple[str, str, str, list]:
+def result_digest(m: ModelParams) -> tuple[str, str, str, list, int]:
     """(``ok`` or the error's class name, SHA-256 of the result's repr, the
     repr of the result without its iterations, the policies to evaluate
-    exactly: the solved one if any, ZeroWait and Periodic(5))."""
+    exactly: the solved one if any, ZeroWait and Periodic(5), the policy
+    evaluations of a solve that succeeded or 0)."""
     kinds = [ZeroWait(), Periodic(5)]
     try:
         res, tp = modified_via(m, eps=1e-9)
     except RuntimeError as exc:  # ConvergenceError among them
         status = type(exc).__name__
-        return status, hashlib.sha256(str(exc).encode()).hexdigest(), status, kinds
+        return status, hashlib.sha256(str(exc).encode()).hexdigest(), status, kinds, 0
     fields = (res.gain, tp.thresholds, res.iterations, res.gain_bracket)
     result = (res.gain, tp.thresholds, res.gain_bracket)
-    return "ok", hashlib.sha256(repr(fields).encode()).hexdigest(), repr(result), [tp] + kinds
+    return ("ok", hashlib.sha256(repr(fields).encode()).hexdigest(), repr(result), [tp] + kinds,
+            res.iterations)
 
 
 def exact_values(kind, m: ModelParams) -> tuple | str:
@@ -83,16 +89,18 @@ def exact_values(kind, m: ModelParams) -> tuple | str:
 
 def scan(caps: tuple[int, ...], suffix: str) -> None:
     """Print each model's line on the grid at ``caps``, then the ``all``,
-    ``results``, ``exact`` and ``exact-csv`` digests with ``suffix``
-    appended to their names."""
+    ``results``, ``exact`` and ``exact-csv`` digests and the ``evals`` total
+    with ``suffix`` appended to their names."""
     total = hashlib.sha256()
     results = hashlib.sha256()
     exact = hashlib.sha256()
     exact_csv = hashlib.sha256()
+    evals = 0
     for lam, p, w, cap in itertools.product(PROBS, PROBS, WEIGHTS, caps):
         m = ModelParams(lambda_e=lam, p_block=p, battery_cap=cap,
                         cost_reliable=2.0, weight=w, delta_max=200)
-        status, digest, result, kinds = result_digest(m)
+        status, digest, result, kinds, iterations = result_digest(m)
+        evals += iterations
         line = f"lambda_e={lam} p_block={p} weight={w:g} battery_cap={cap} {status} {digest}"
         print(line, flush=True)
         total.update(line.encode() + b"\n")
@@ -106,6 +114,7 @@ def scan(caps: tuple[int, ...], suffix: str) -> None:
     print(f"results{suffix} {results.hexdigest()}")
     print(f"exact{suffix} {exact.hexdigest()}")
     print(f"exact-csv{suffix} {exact_csv.hexdigest()}")
+    print(f"evals{suffix} {evals}")
     print(f"threads{suffix} {os.environ['OPENBLAS_NUM_THREADS']}")
 
 
