@@ -26,13 +26,12 @@ block of up to four slots carries the state; everything else is array work,
 one stretch of at most ``STRETCH_SLOTS`` slots at a time, mostly in place:
 the slots' symbols pack into one code per block, and one gather per flag
 word reads every slot's reset and paid flags by (block's first state,
-code). The ages' sum comes in closed form from the reset positions, and so
-does each CI batch's cost sum, in exact integers, wherever the paid price
-makes the slot-order float sum exact (a whole or dyadic price whose sums
-stay below 2**53); any other price sums its batches slot by slot. A
-machine of more than ``MACHINE_STATES`` states raises DomainError before
-it is built. Every report is bit-identical to stepping the slots one by
-one with ``decide`` and ``step``.
+code). The ages' sum comes in closed form from the reset positions, and
+each CI batch's cost sum from its age sum and paid count in exact
+integers, rounded once. A machine of more than ``MACHINE_STATES`` states
+raises DomainError before it is built. Every report is bit-identical to
+stepping the slots one by one with ``decide`` and ``step`` and summing each
+batch's costs exactly.
 
 A periodic schedule is not stationary on the base space, but it is on the
 chain augmented with the slot phase. ``stationary_actions`` gives its
@@ -561,19 +560,6 @@ def _age_sum(reset: np.ndarray, aoi: int) -> tuple[int, int]:
     return (r + 1) * aoi + r * (r + 1) // 2 + (int(d @ d) + n - 1 - r) // 2, n - int(at[-1])
 
 
-def _ages(reset: np.ndarray, aoi: int, count: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A stretch's untruncated ages into ``out``, one running maximum over
-    the positions after a reset, with the slots up to the first reset
-    continuing the carried-in age ``aoi``; ``count`` holds 1, 2, ... at
-    least as long as the stretch."""
-    n = len(reset)
-    out = out[:n]
-    np.multiply(count[: n - 1], reset[:-1], out=out[1:])
-    first = int(reset.argmax())
-    out[: first + 1 if reset[first] else n] = 1 - aoi
-    return np.subtract(count[:n], np.maximum.accumulate(out, out=out), out=out)
-
-
 def check_run(horizon: int, seed: int) -> None:
     """Raise DomainError unless ``simulate`` accepts ``horizon`` and ``seed``."""
     if not (is_int(horizon) and horizon >= 1):
@@ -594,23 +580,16 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     row lookup per block of slots, which finds the state at each block's
     start; each slot's reset and paid flags are array operations, one
     stretch of at most ``STRETCH_SLOTS`` slots at a time, so memory does not
-    grow with the horizon. A CI batch longer than that runs as several
-    stretches. Each stretch draws its own piece of the two streams, so every
-    field is bit-identical to stepping the slots one by one with ``decide``
-    and ``step``.
+    grow with the horizon. Each stretch draws its own piece of the two
+    streams, so every field is bit-identical to stepping the slots one by
+    one with ``decide`` and ``step``.
 
     The untruncated ages are summed in closed form from each stretch's
-    reset positions (``_age_sum``) in Python ints, so exactly. A batch's
-    cost sum takes the same route where the slot-order float sum rounds
-    nothing: the paid price is num / den with den a power of two, so den
-    times each cost and each partial sum is an integer of at most
-    den * batch * (horizon + 1) + num * batch. Below 2**53 every partial sum
-    is a double, and the float sum equals (den * ages + num * paid) / den,
-    one exact division. That covers every whole price whose sums stay below
-    2**53 (20 at the reference point) and dyadic ones such as 0.5. Any other
-    price, such as 0.6, builds each slot's age (``_ages``) and cost in its
-    batches and sums them in slot order with ``np.cumsum``, carrying the
-    running sum from one stretch to the next, as ``+=`` would.
+    reset positions (``_age_sum``) in Python ints, so exactly; a CI batch
+    longer than a stretch runs as several and carries its age sum and paid
+    count across them. With the paid price as the double num / den, a
+    batch's cost sum is (den * ages + num * paid) / den: the exact sum of
+    its slots' costs, rounded once.
     """
     check_run(horizon, seed)
     machine = _machine(kind, m, horizon)
@@ -624,42 +603,22 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     owner, stretches = zip(
         *((i, min(cap, n - s)) for i, n in enumerate(sizes) for s in range(0, n, cap))
     )
-    num, den = float(paid_price).as_integer_ratio()  # the price the costs carry
-    slotwise = batch * (den * (horizon + 1) + num) >= 2**53
-    if slotwise:
-        # the smallest signed int type that holds the horizon holds every
-        # age and 1 minus it; int32 rather than int64 at 10**6 slots is faster
-        count = np.arange(1, max(stretches) + 1, dtype=np.min_scalar_type(-horizon - 1))
-        age_buf, cost_buf = np.empty_like(count), np.empty(len(count))
-
     aoi = 1  # carried from one stretch to the next
     aoi_sums = [0] * len(sizes)  # per batch (the rest last): the ages' sum
     paid_sums = [0] * len(sizes)  # and the paid slots
-    batch_sums = [0.0] * CI_BATCHES
     for i, (reset, paid) in zip(owner, _run(machine, m, seed, stretches)):
+        total, aoi = _age_sum(reset, aoi)
+        aoi_sums[i] += total
         paid_sums[i] += int(np.count_nonzero(paid))
-        if slotwise and i < CI_BATCHES:
-            age = _ages(reset, aoi, count, age_buf)
-            aoi_sums[i] += int(age.sum())
-            aoi = 1 if reset[-1] else int(age[-1]) + 1
-            # price + age where paid, 0.0 + age (exactly the age) elsewhere
-            costs = np.multiply(paid, paid_price, out=cost_buf[: len(age)])
-            costs += age
-            costs[0] += batch_sums[i]  # the batch's running sum so far
-            batch_sums[i] = float(np.cumsum(costs, out=costs)[-1])  # in slot order, as +=
-        else:
-            total, aoi = _age_sum(reset, aoi)
-            aoi_sums[i] += total
-    if not slotwise:
-        batch_sums = [(den * a + num * p) / den
-                      for a, p in zip(aoi_sums[:CI_BATCHES], paid_sums)]
     aoi_sum, paid_count = sum(aoi_sums), sum(paid_sums)
 
     average_aoi = aoi_sum / horizon
     rate = paid_count / horizon
     average_cost = average_aoi + paid_price * rate
     if horizon >= CI_BATCHES:
-        means = np.array(batch_sums) / batch
+        num, den = float(paid_price).as_integer_ratio()  # the price the costs carry
+        sums = [(den * a + num * p) / den for a, p in zip(aoi_sums[:CI_BATCHES], paid_sums)]
+        means = np.array(sums) / batch
         ci = float(T_975_19 * means.std(ddof=1) / np.sqrt(CI_BATCHES))
     else:
         ci = float("nan")

@@ -154,6 +154,26 @@ class TestSolve:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_out_lost_after_the_check_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the out directory goes after the early check has passed, while
+        # the solver runs, so the write itself fails
+        outdir = tmp_path / "gone"
+        outdir.mkdir()
+        out = outdir / "x.csv"
+        solve = cli.modified_via
+
+        def solve_then_remove(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            shutil.rmtree(outdir)
+            return result
+
+        monkeypatch.setattr(cli, "modified_via", solve_then_remove)
+        assert main(["solve", *SMALL, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "argv, error",
         [

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -796,18 +797,16 @@ REPLAY_KINDS = {
     "periodic-3-large": Periodic(3),
 }
 REPLAY_CAPS = {"optimal-solved-large": 100, "periodic-3-large": 100}
-# paid prices weight * cost_reliable over REPLAY_MODEL's: its own 0.51
-# rounds as a batch sums it, so simulate sums those batches slot by slot;
-# 20 and 0.5 (a power of two apart from a whole number) sum exactly from
-# the reset positions; 1.7 * 2**60 is a whole number, but too large for
-# exact sums, so it sums slot by slot too
+# paid prices weight * cost_reliable over REPLAY_MODEL's: a float sum of
+# its own 0.51 in slot order rounds, one of 20 or 0.5 (a power of two apart
+# from a whole number) does not, and 1.7 * 2**60 is a whole number whose
+# sums outgrow a double's 53 bits
 REPLAY_PRICES = {
     "0.51": {},
     "20": dict(cost_reliable=2.0, weight=10.0),
     "0.5": dict(cost_reliable=2.0, weight=0.25),
     "1.7*2**60": dict(weight=2.0**60),
 }
-SLOTWISE_PRICES = {"0.51", "1.7*2**60"}
 
 
 def replay_model(name, lam, price="0.51"):
@@ -817,38 +816,30 @@ def replay_model(name, lam, price="0.51"):
     return ModelParams(lambda_e=lam, **dict(REPLAY_MODEL, battery_cap=cap, **REPLAY_PRICES[price]))
 
 
-def spy_on_slotwise_ages(monkeypatch):
-    """The stretches whose ages ``simulate`` builds slot by slot, as a
-    list that each call of ``evaluator._ages`` appends its length to."""
-    calls, ages = [], evaluator._ages
-
-    def spy(reset, *args):
-        calls.append(len(reset))
-        return ages(reset, *args)
-
-    monkeypatch.setattr(evaluator, "_ages", spy)
-    return calls
-
-
 def replay(kind, m, horizon, seed):
     """The report ``simulate`` must give, from ``decide`` and ``step`` one
-    slot at a time, with each CI batch summed by +=."""
+    slot at a time, with each CI batch's cost sum the exact sum of its
+    slots' ages and paid prices, rounded once."""
     seq_energy, seq_channel = np.random.SeedSequence(seed).spawn(2)
     harvest = np.random.default_rng(seq_energy).random(horizon) < m.lambda_e
     blocked = np.random.default_rng(seq_channel).random(horizon) < m.p_block
+    price = m.weight * m.cost_reliable
     batch = horizon // 20
-    sums = [0.0] * 20
+    ages, paids = [0] * 20, [0] * 20  # per CI batch
     s = State(1, 0)
     aoi_sum = paid = 0
     for t in range(horizon):
         rec = step(t, s, decide(kind, s, t), int(harvest[t]), int(blocked[t]), m)
+        pays = rec.action == TRANSMIT and s.battery == 0
         aoi_sum += s.aoi
-        paid += rec.action == TRANSMIT and s.battery == 0
+        paid += pays
         if t < 20 * batch:
-            sums[t // batch] += rec.cost
+            ages[t // batch] += s.aoi
+            paids[t // batch] += pays
         s = rec.next_state
     ci = float("nan")
     if batch:
+        sums = [float(Fraction(a) + Fraction(price) * p) for a, p in zip(ages, paids)]
         means = np.array(sums) / batch
         ci = float(student_t.ppf(0.975, 19) * means.std(ddof=1) / np.sqrt(20))
     aoi, rate = aoi_sum / horizon, paid / horizon
@@ -865,13 +856,17 @@ def replay(kind, m, horizon, seed):
 
 class TestAgeSum:
     """``_age_sum``, the closed form of a stretch's age sum and carried-out
-    age, against the running maximum the slot-by-slot path builds the ages
-    with and against stepping the age slot by slot."""
+    age, against each slot's age as a running maximum and against stepping
+    the age slot by slot."""
 
     @staticmethod
     def by_running_maximum(reset, aoi):
+        # slot j's age is j + 1 less the latest slot i <= j that follows a
+        # reset (reset[i - 1]), or 1 - aoi before the first reset
         n = len(reset)
-        ages = evaluator._ages(reset, aoi, np.arange(1, n + 1), np.empty(n, dtype=np.intp))
+        count = np.arange(1, n + 1, dtype=np.int64)
+        start = np.concatenate([[1 - aoi], np.where(reset[:-1], count[:-1], 1 - aoi)])
+        ages = count - np.maximum.accumulate(start)
         return int(ages.sum()), 1 if reset[-1] else int(ages[-1]) + 1
 
     @staticmethod
@@ -929,46 +924,37 @@ class TestSimulate:
 
     @pytest.mark.parametrize("price", list(REPLAY_PRICES))
     @pytest.mark.parametrize("name", list(REPLAY_KINDS))
-    def test_each_price_takes_its_accounting_path(self, monkeypatch, name, price):
-        # a batch sums its costs slot by slot exactly where its float sum
-        # rounds; either way the report is the replay's, bit for bit
+    def test_each_price_takes_its_accounting_path(self, name, price):
+        # every price sums its batches exactly from their age sums and paid
+        # counts, whether or not a slot-order float sum of it rounds
         kind, m = REPLAY_KINDS[name], replay_model(name, 0.5, price)
-        slotwise = spy_on_slotwise_ages(monkeypatch)
         assert simulate(kind, m, 5003, 29) == replay(kind, m, 5003, 29)
-        assert slotwise == ([250] * CI_BATCHES if price in SLOTWISE_PRICES else [])
 
-    @pytest.mark.parametrize("price, slotwise", [(2**53 - 22, False), (2**53 - 21, True)])
-    def test_exact_sums_stop_at_2_to_the_53(self, monkeypatch, price, slotwise):
-        # one-slot batches at horizon 20: the costs reach price + 20, and
-        # every partial sum stays below 2**53 only for the first price
+    @pytest.mark.parametrize("price", [2**53 - 22, 2**53 - 21])
+    def test_exact_sums_stop_at_2_to_the_53(self, price):
+        # one-slot batches at horizon 20: the costs reach price + 20, about
+        # 2**53, where a double stops holding every whole number
         m = ModelParams(lambda_e=0.5, **dict(REPLAY_MODEL, cost_reliable=1.0, weight=float(price)))
         kind = REPLAY_KINDS["zero-wait"]
-        calls = spy_on_slotwise_ages(monkeypatch)
         assert simulate(kind, m, 20, 5) == replay(kind, m, 20, 5)
-        assert bool(calls) == slotwise
 
     @pytest.mark.parametrize("horizon", [120, 140, 32760, 32780])
-    def test_slotwise_ages_reach_the_horizon(self, monkeypatch, horizon):
+    def test_slotwise_ages_reach_the_horizon(self, horizon):
         # a policy that never transmits ages 1 ... horizon, a multiple of
-        # 20, all in CI batches: the slot-by-slot path's int type holds the
-        # largest age at each side of the int8 and int16 limits
+        # 20, all in CI batches: each batch sums ages up to the horizon
         m = replay_model("zero-wait", 0.5)
         kind = Explicit(np.zeros((4, 5), dtype=int))
-        calls = spy_on_slotwise_ages(monkeypatch)
         rep = simulate(kind, m, horizon, 3)
         assert rep == replay(kind, m, horizon, 3)
         assert rep.average_aoi == horizon * (horizon + 1) // 2 / horizon
-        assert calls
 
-    def test_numpy_integer_price(self, monkeypatch):
+    def test_numpy_integer_price(self):
         # a price of numpy integers (a Real, so ModelParams takes it) has
-        # no as_integer_ratio of its own; it sums exactly, as its float does
+        # no as_integer_ratio of its own; it sums as its float does
         m = ModelParams(lambda_e=0.5, **dict(REPLAY_MODEL, cost_reliable=np.int64(2),
                                              weight=np.int64(10)))
         kind = REPLAY_KINDS["periodic-3"]
-        calls = spy_on_slotwise_ages(monkeypatch)
         assert simulate(kind, m, 1003, 5) == replay(kind, m, 1003, 5)
-        assert calls == []
 
     @pytest.mark.parametrize(
         "seed, fields",
@@ -1020,11 +1006,9 @@ class TestSimulate:
     )
     def test_stretches_do_not_change_the_report(self, monkeypatch, kind, cap, horizon, weight):
         # batches cut into stretches of 7 slots carry the streams, the
-        # state, the age and each batch's running cost sum across the cuts
-        # (and end in a partial block of 4 or 3 slots); a paid price of
-        # 0.6, not a whole number, makes the sums round, so their order
-        # shows, and one of 20 sums each batch's ages and paid slots as
-        # integers across the cuts
+        # state, the age and each batch's age sum and paid count across the
+        # cuts (and end in a partial block of 4 or 3 slots), at the paid
+        # prices 0.6 and 20
         m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=cap,
                         cost_reliable=2.0, weight=weight, delta_max=30)
         whole = simulate(kind, m, horizon, 23)

@@ -33,10 +33,10 @@ first call imports, and this one shows them. Four timings are one
 10**6-slot ``simulate`` each: the solved ``Optimal`` at the reference point
 (231 machine states, bytes rows) and at the large one (1111 states, tuple
 rows, 3-slot blocks), and ``Periodic(5)`` at the reference point (3-bit
-symbols), all three at the paid price 20, whose batch sums are exact
-integers; and the solved ``Optimal`` at the reference point with weight
-0.3, whose price 0.6 sums each batch slot by slot. The first call builds
-the machine, and the others reuse it.
+symbols), all three at the paid price 20; and the solved ``Optimal`` at
+the reference point with weight 0.3, at the price 0.6, which is neither
+whole nor dyadic. The first call builds the machine, and the others reuse
+it.
 Each side takes its timing
 snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
 tree's copy of this script, so a change to a name a snippet calls still

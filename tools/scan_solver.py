@@ -1,5 +1,5 @@
 """Solve a grid of 200 models, then the same grid at larger battery caps,
-and print a digest of each result.
+and print a digest of each result; then digest a set of seeded simulations.
 
     python3 tools/scan_solver.py
 
@@ -36,6 +36,15 @@ The large grid's digests depend on the BLAS thread count, so the script
 sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, and prints the count as
 a ``threads`` line after each grid's digests.
 
+Last come two digests of 96 seeded ``simulate`` runs at lambda_e 0.5,
+p_block 0.2: at battery_cap 20 (delta_max 200) and 100 (delta_max 400),
+at the paid prices 20, 0.6 and 0.51, the Optimal policy ``modified_via``
+returns there, ZeroWait and ``Periodic(5)`` with and without skip, each at
+horizons 19, 20, 5003 and 10**5, the i-th run with seed i. The ``sim`` line
+is the SHA-256 of the ``repr`` of every field of their reports, and
+``sim-avg`` of every field but ``ci_halfwidth``: a change to the batch
+sums alone moves the first, and one to the streams or the averages both.
+
 The package is imported from the ``src`` directory next to this script, so
 the script measures the checkout it lives in. Standard library plus the
 package.
@@ -43,6 +52,7 @@ package.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -52,12 +62,24 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before the package loads numpy
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ehaoi import ModelParams, Periodic, ZeroWait, evaluate_exact, modified_via  # noqa: E402
+from ehaoi import (  # noqa: E402
+    ModelParams,
+    Periodic,
+    ZeroWait,
+    evaluate_exact,
+    modified_via,
+    simulate,
+)
 
 PROBS = (0.05, 0.2, 0.5, 0.8, 0.95)
 WEIGHTS = (0.5, 10.0, 100.0, 1000.0)
 CAPS = (5, 20)
 LARGE_CAPS = (50, 100)
+# the simulated runs: (battery_cap, delta_max), (cost_reliable, weight)
+# for the paid prices 20, 0.6 and 0.51, and the horizons
+SIM_POINTS = ((20, 200), (100, 400))
+SIM_PRICES = ((2.0, 10.0), (2.0, 0.3), (1.7, 0.3))
+SIM_HORIZONS = (19, 20, 5003, 10**5)
 
 
 def result_digest(m: ModelParams) -> tuple[str, str, str, list, int]:
@@ -118,9 +140,30 @@ def scan(caps: tuple[int, ...], suffix: str) -> None:
     print(f"threads{suffix} {os.environ['OPENBLAS_NUM_THREADS']}")
 
 
+def sims() -> None:
+    """Print the ``sim`` and ``sim-avg`` digests of the simulated runs."""
+    every = hashlib.sha256()
+    averages = hashlib.sha256()
+    seed = 0
+    for (cap, delta_max), (c, w) in itertools.product(SIM_POINTS, SIM_PRICES):
+        m = ModelParams(lambda_e=0.5, p_block=0.2, battery_cap=cap,
+                        cost_reliable=c, weight=w, delta_max=delta_max)
+        kinds = [modified_via(m)[1], ZeroWait(), Periodic(5), Periodic(5, skip_on_empty=True)]
+        for kind, horizon in itertools.product(kinds, SIM_HORIZONS):
+            r = simulate(kind, m, horizon, seed)
+            seed += 1
+            fields = dataclasses.asdict(r)
+            every.update(repr(fields).encode() + b"\n")
+            del fields["ci_halfwidth"]
+            averages.update(repr(fields).encode() + b"\n")
+    print(f"sim {every.hexdigest()}")
+    print(f"sim-avg {averages.hexdigest()}")
+
+
 def main() -> int:
     scan(CAPS, "")
     scan(LARGE_CAPS, "-large")
+    sims()
     return 0
 
 
