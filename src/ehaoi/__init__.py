@@ -8,7 +8,6 @@ age of its information against paid backup-energy use.
 from .evaluator import (
     EvalReport,
     ReducibleChainError,
-    StepRecord,
     evaluate_exact,
     simulate,
     step,
@@ -21,7 +20,6 @@ from .model import (
     KernelArrays,
     ModelParams,
     State,
-    TransitionDist,
     UnboundedAgeError,
     enumerate_states,
     kernel_arrays,
@@ -60,9 +58,7 @@ __all__ = [
     "ReducibleChainError",
     "SolveResult",
     "State",
-    "StepRecord",
     "StructureReport",
-    "TransitionDist",
     "UnboundedAgeError",
     "ZeroWait",
     "decide",

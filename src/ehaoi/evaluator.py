@@ -68,7 +68,6 @@ from .policies import (
     Optimal,
     Periodic,
     PolicyKind,
-    ZeroWait,
     decide,
     stationary_actions,
 )
@@ -100,19 +99,6 @@ class ReducibleChainError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One slot of the physical system, before any truncation."""
-
-    t: int
-    state: State
-    action: int
-    energy_arrival: int    # 1 if a free packet arrived this slot
-    channel_blocked: int   # 1 if the channel blocked this slot
-    cost: float
-    next_state: State
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Long-run averages; the cost always equals
     average_aoi + weight * cost_reliable * reliable_energy_rate."""
@@ -129,14 +115,14 @@ class EvalReport:
 
 
 def step(
-    t: int,
     state: State,
     action: int,
     energy_arrival: int,
     channel_blocked: int,
     m: ModelParams,
-) -> StepRecord:
-    """Advance the physical system one slot. The age is not truncated."""
+) -> tuple[float, State]:
+    """Advance the physical system one slot: its cost and the next state.
+    The age is not truncated."""
     if state.aoi < 1 or not 0 <= state.battery <= m.battery_cap:
         raise DomainError(f"invalid physical state {state}")
     if action not in (0, 1) or energy_arrival not in (0, 1) or channel_blocked not in (0, 1):
@@ -146,15 +132,7 @@ def step(
     drain = 1 if (action == TRANSMIT and state.battery > 0) else 0
     next_battery = min(state.battery + energy_arrival - drain, m.battery_cap)
     paid = m.weight * m.cost_reliable if (action == TRANSMIT and state.battery == 0) else 0.0
-    return StepRecord(
-        t=t,
-        state=state,
-        action=action,
-        energy_arrival=int(energy_arrival),
-        channel_blocked=int(channel_blocked),
-        cost=float(state.aoi) + paid,
-        next_state=State(next_aoi, next_battery),
-    )
+    return float(state.aoi) + paid, State(next_aoi, next_battery)
 
 
 def _recurrent_class(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
@@ -423,7 +401,7 @@ def _machine(kind: PolicyKind, m: ModelParams, horizon: int) -> _Machine:
         height, span = len(thr), max((a for a in thr if a <= horizon), default=1)
     elif isinstance(kind, Explicit):
         height, span = kind.actions.shape
-    elif isinstance(kind, (ZeroWait, Periodic)):
+    elif isinstance(kind, Periodic):
         height, span = levels, 1
     else:
         raise TypeError(f"unknown policy kind {kind!r}")

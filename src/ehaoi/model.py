@@ -87,19 +87,6 @@ class State:
     battery: int  # stored free energy packets, 0..battery_cap
 
 
-@dataclass(frozen=True)
-class TransitionDist:
-    """Sparse next-state distribution: distinct states, probabilities sum to 1."""
-
-    entries: tuple[tuple[State, float], ...]
-
-    def as_dict(self) -> dict[State, float]:
-        return {s: p for s, p in self.entries}
-
-    def total(self) -> float:
-        return sum(p for _, p in self.entries)
-
-
 def _check_state(s: State, m: ModelParams) -> None:
     if not (is_int(s.aoi) and 1 <= s.aoi <= m.delta_max):
         raise DomainError(f"aoi must be in 1..{m.delta_max}, got {s.aoi}")
@@ -112,8 +99,9 @@ def _check_action(a: int) -> None:
         raise DomainError(f"action must be 0 (idle) or 1 (transmit), got {a}")
 
 
-def transition(s: State, a: int, m: ModelParams) -> TransitionDist:
-    """Next-state distribution for taking action ``a`` in state ``s``.
+def transition(s: State, a: int, m: ModelParams) -> tuple[tuple[State, float], ...]:
+    """Next-state distribution for taking action ``a`` in state ``s``, as
+    (state, probability) pairs: distinct states, probabilities sum to 1.
 
     Idle lets the age grow (saturating at delta_max) while the battery
     harvests. Transmitting resets the age to 1 whenever the channel is
@@ -145,7 +133,7 @@ def transition(s: State, a: int, m: ModelParams) -> TransitionDist:
         ]
     # the successors are distinct (a reset lands at age 1, an advance at
     # age 2 or more, and a row's battery targets differ by one): drop dust
-    return TransitionDist(tuple((ns, pr) for ns, pr in raw if pr >= PROB_FLOOR))
+    return tuple((ns, pr) for ns, pr in raw if pr >= PROB_FLOOR)
 
 
 def one_step_cost(s: State, a: int, m: ModelParams) -> float:
@@ -201,7 +189,7 @@ def kernel_arrays(m: ModelParams) -> KernelArrays:
     for i, s in enumerate(states):
         for a in ACTIONS:
             cost[a, i] = one_step_cost(s, a, m)
-            for j, (ns, pr) in enumerate(transition(s, a, m).entries):
+            for j, (ns, pr) in enumerate(transition(s, a, m)):
                 next_idx[a, i, j] = state_index(ns, m)
                 prob[a, i, j] = pr
     for arr in (cost, next_idx, prob):

@@ -7,17 +7,12 @@ table of the chain on which the policy is stationary, for the exact side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .model import IDLE, TRANSMIT, DomainError, ModelParams, State, is_int
-
-
-@dataclass(frozen=True)
-class ZeroWait:
-    """Transmit every slot, paying for backup energy whenever the battery is empty."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +34,14 @@ class Periodic:
             raise DomainError(
                 f"skip_on_empty must be a bool, got {self.skip_on_empty!r}"
             )
+
+
+@dataclass(frozen=True)
+class ZeroWait(Periodic):
+    """Periodic(1): transmit every slot, paying for backup energy whenever the battery is empty."""
+
+    period: int = field(default=1, init=False, repr=False)
+    skip_on_empty: bool = field(default=False, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class Explicit:
         object.__setattr__(self, "actions", arr)
 
 
-PolicyKind = Union[ZeroWait, Periodic, Optimal, Explicit]
+PolicyKind = Union[Periodic, Optimal, Explicit]  # ZeroWait is Periodic(1)
 
 
 def decide(kind: PolicyKind, s: State, t: int) -> int:
@@ -92,8 +95,6 @@ def decide(kind: PolicyKind, s: State, t: int) -> int:
         raise DomainError(f"t must be an int >= 0, got {t}")
     if s.aoi < 1 or s.battery < 0:
         raise DomainError(f"invalid state {s}")
-    if isinstance(kind, ZeroWait):
-        return TRANSMIT
     if isinstance(kind, Periodic):
         if t % kind.period != 0:
             return IDLE
@@ -122,12 +123,10 @@ def stationary_actions(kind: PolicyKind, m: ModelParams) -> np.ndarray:
     slot phase t mod T, so it gets T phases: phase 0 is the scheduled slot
     and transmits (idling on an empty battery under ``skip_on_empty``), and
     the other phases idle; every other kind has one. The width is 1 for
-    ZeroWait and Periodic, the largest threshold for Optimal and the
+    Periodic (ZeroWait included), the largest threshold for Optimal and the
     table's own for Explicit.
     """
     B1 = m.battery_cap + 1
-    if isinstance(kind, ZeroWait):
-        return np.ones((1, B1, 1), dtype=bool)
     if isinstance(kind, Periodic):
         table = np.zeros((kind.period, B1, 1), dtype=bool)
         table[0] = True

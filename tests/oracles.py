@@ -67,7 +67,7 @@ def grid_values(res: SolveResult, m: ModelParams) -> np.ndarray:
 def q_value(v, s: State, a: int, m: ModelParams) -> float:
     """One-step lookahead value of (s, a) against value table ``v``."""
     total = one_step_cost(s, a, m)
-    for ns, pr in transition(s, a, m).entries:
+    for ns, pr in transition(s, a, m):
         total += pr * float(v[state_index(ns, m)])
     return float(total)
 

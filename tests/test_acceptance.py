@@ -104,7 +104,7 @@ def test_criterion_1_kernel_rows():
             State(1, left): (1.0 - p) * (1.0 - lam),
         }
         for a, expected in ((IDLE, idle_expected), (TRANSMIT, tx_expected)):
-            got = transition(s, a, m).as_dict()
+            got = dict(transition(s, a, m))
             assert set(got) == set(expected), (s, a)
             worst = max(worst, abs(sum(got.values()) - 1.0))
             worst = max(worst, max(abs(got[k] - expected[k]) for k in expected))

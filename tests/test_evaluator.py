@@ -64,44 +64,44 @@ def params(**overrides):
 class TestStep:
     def test_success_resets_age_and_drains(self):
         m = params()
-        rec = step(3, State(7, 2), TRANSMIT, 0, 0, m)
-        assert rec.next_state == State(1, 1)
-        assert rec.cost == 7.0
+        cost, nxt = step(State(7, 2), TRANSMIT, 0, 0, m)
+        assert nxt == State(1, 1)
+        assert cost == 7.0
 
     def test_blocked_transmission_still_drains(self):
         m = params()
-        rec = step(0, State(7, 2), TRANSMIT, 0, 1, m)
-        assert rec.next_state == State(8, 1)
+        _, nxt = step(State(7, 2), TRANSMIT, 0, 1, m)
+        assert nxt == State(8, 1)
 
     def test_empty_battery_pays_and_banks_arrival(self):
         m = params()
-        rec = step(0, State(7, 0), TRANSMIT, 1, 0, m)
-        assert rec.next_state == State(1, 1)
-        assert rec.cost == 7.0 + 20.0
+        cost, nxt = step(State(7, 0), TRANSMIT, 1, 0, m)
+        assert nxt == State(1, 1)
+        assert cost == 7.0 + 20.0
 
     def test_idle_harvest_caps_at_battery_size(self):
         m = params()
-        rec = step(0, State(2, 2), IDLE, 1, 0, m)
-        assert rec.next_state == State(3, 2)
+        _, nxt = step(State(2, 2), IDLE, 1, 0, m)
+        assert nxt == State(3, 2)
 
     def test_age_is_not_truncated(self):
         # the physical system ages freely past any solver cap
         m = params(delta_max=4)
         s = State(1, 0)
-        for t in range(100):
-            s = step(t, s, IDLE, 0, 0, m).next_state
+        for _ in range(100):
+            _, s = step(s, IDLE, 0, 0, m)
         assert s.aoi == 101
 
     def test_rejects_bad_inputs(self):
         m = params()
         with pytest.raises(DomainError):
-            step(0, State(0, 0), IDLE, 0, 0, m)
+            step(State(0, 0), IDLE, 0, 0, m)
         with pytest.raises(DomainError):
-            step(0, State(1, 3), IDLE, 0, 0, m)
+            step(State(1, 3), IDLE, 0, 0, m)
         with pytest.raises(DomainError):
-            step(0, State(1, 0), 2, 0, 0, m)
+            step(State(1, 0), 2, 0, 0, m)
         with pytest.raises(DomainError):
-            step(0, State(1, 0), IDLE, 2, 0, m)
+            step(State(1, 0), IDLE, 2, 0, m)
 
 
 class TestStepMatchesKernel:
@@ -122,10 +122,10 @@ class TestStepMatchesKernel:
             for a in ACTIONS:
                 dist = {}
                 for (e, b), w in self.combo_weights(m).items():
-                    ns = step(0, s, a, e, b, m).next_state
+                    _, ns = step(s, a, e, b, m)
                     ns = State(min(ns.aoi, m.delta_max), ns.battery)
                     dist[ns] = dist.get(ns, 0.0) + w
-                expected = transition(s, a, m).as_dict()
+                expected = dict(transition(s, a, m))
                 assert dist == pytest.approx(expected, abs=1e-15)
 
     def test_sampled_outcomes_match_kernel_frequencies(self):
@@ -139,10 +139,10 @@ class TestStepMatchesKernel:
                 counts = rng.multinomial(n_draws, [w for _, w in combos])
                 obs = {}
                 for ((e, b), _), c in zip(combos, counts):
-                    ns = step(0, s, a, e, b, m).next_state
+                    _, ns = step(s, a, e, b, m)
                     ns = State(min(ns.aoi, m.delta_max), ns.battery)
                     obs[ns] = obs.get(ns, 0) + int(c)
-                expected = transition(s, a, m).as_dict()
+                expected = dict(transition(s, a, m))
                 assert set(obs) <= set(expected)
                 support = list(expected)
                 f_obs = [obs.get(ns, 0) for ns in support]
@@ -829,14 +829,15 @@ def replay(kind, m, horizon, seed):
     s = State(1, 0)
     aoi_sum = paid = 0
     for t in range(horizon):
-        rec = step(t, s, decide(kind, s, t), int(harvest[t]), int(blocked[t]), m)
-        pays = rec.action == TRANSMIT and s.battery == 0
+        a = decide(kind, s, t)
+        _, nxt = step(s, a, int(harvest[t]), int(blocked[t]), m)
+        pays = a == TRANSMIT and s.battery == 0
         aoi_sum += s.aoi
         paid += pays
         if t < 20 * batch:
             ages[t // batch] += s.aoi
             paids[t // batch] += pays
-        s = rec.next_state
+        s = nxt
     ci = float("nan")
     if batch:
         sums = [float(Fraction(a) + Fraction(price) * p) for a, p in zip(ages, paids)]
@@ -990,7 +991,7 @@ class TestSimulate:
             if a == TRANSMIT and s.battery == 0:
                 paid += 1
             aoi_sum += s.aoi
-            s = step(t, s, a, int(harvest[t]), int(blocked[t]), m).next_state
+            _, s = step(s, a, int(harvest[t]), int(blocked[t]), m)
         assert rep.average_aoi == aoi_sum / horizon
         assert rep.reliable_energy_rate == paid / horizon
 

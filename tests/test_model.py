@@ -110,7 +110,7 @@ class TestTransitionBranches:
     def test_transmit_on_empty_battery(self):
         # backup packet: success resets age, same-slot harvest is banked
         m = small_params()
-        d = transition(State(3, 0), TRANSMIT, m).as_dict()
+        d = dict(transition(State(3, 0), TRANSMIT, m))
         assert d == pytest.approx(
             {
                 State(4, 1): 0.1,
@@ -122,7 +122,7 @@ class TestTransitionBranches:
 
     def test_transmit_with_energy_spends_one(self):
         m = small_params()
-        d = transition(State(2, 2), TRANSMIT, m).as_dict()
+        d = dict(transition(State(2, 2), TRANSMIT, m))
         assert d == pytest.approx(
             {
                 State(3, 2): 0.1,
@@ -134,43 +134,43 @@ class TestTransitionBranches:
 
     def test_idle_below_cap_harvests(self):
         m = small_params()
-        d = transition(State(2, 1), IDLE, m).as_dict()
+        d = dict(transition(State(2, 1), IDLE, m))
         assert d == pytest.approx({State(3, 2): 0.5, State(3, 1): 0.5})
 
     def test_idle_at_full_battery_wastes_arrival(self):
         m = small_params()
-        d = transition(State(2, 3), IDLE, m).as_dict()
+        d = dict(transition(State(2, 3), IDLE, m))
         assert d == pytest.approx({State(3, 3): 1.0})
 
     def test_age_saturates_at_cap(self):
         m = small_params()
-        d = transition(State(6, 0), IDLE, m).as_dict()
+        d = dict(transition(State(6, 0), IDLE, m))
         assert set(d) == {State(6, 0), State(6, 1)}
 
     def test_transmit_success_always_resets_age(self):
         m = small_params()
         for d0 in (1, 3, 6):
             for q0 in (0, 1, 3):
-                dist = transition(State(d0, q0), TRANSMIT, m).as_dict()
+                dist = dict(transition(State(d0, q0), TRANSMIT, m))
                 reset = sum(p for s, p in dist.items() if s.aoi == 1)
                 assert reset == pytest.approx(1.0 - m.p_block)
 
     def test_certain_harvest_coalesces_idle(self):
         m = small_params(lambda_e=1.0)
-        d = transition(State(1, 1), IDLE, m).as_dict()
+        d = dict(transition(State(1, 1), IDLE, m))
         assert d == pytest.approx({State(2, 2): 1.0})
 
     def test_certain_harvest_coalesces_transmit(self):
         # battery is replenished immediately, only the channel stays random
         m = small_params(lambda_e=1.0)
-        d = transition(State(4, 2), TRANSMIT, m).as_dict()
+        d = dict(transition(State(4, 2), TRANSMIT, m))
         assert d == pytest.approx({State(5, 2): 0.2, State(1, 2): 0.8})
 
     def test_entries_are_distinct_states(self):
         m = small_params(lambda_e=1.0)
         for s in enumerate_states(m):
             for a in ACTIONS:
-                entries = transition(s, a, m).entries
+                entries = transition(s, a, m)
                 assert len({ns for ns, _ in entries}) == len(entries)
 
 
@@ -189,8 +189,8 @@ class TestKernelProperties:
         for s in enumerate_states(m):
             for a in ACTIONS:
                 dist = transition(s, a, m)
-                assert dist.total() == pytest.approx(1.0, abs=1e-12)
-                for ns, p in dist.entries:
+                assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
+                for ns, p in dist:
                     assert 0.0 < p <= 1.0
                     assert 1 <= ns.aoi <= m.delta_max
                     assert 0 <= ns.battery <= m.battery_cap
@@ -199,14 +199,14 @@ class TestKernelProperties:
         m = small_params()
         for s in enumerate_states(m):
             for a in ACTIONS:
-                for ns, _ in transition(s, a, m).entries:
+                for ns, _ in transition(s, a, m):
                     assert abs(ns.battery - s.battery) <= 1
 
     def test_idle_never_resets_age(self):
         m = small_params()
         for s in enumerate_states(m):
             aged = min(s.aoi + 1, m.delta_max)
-            for ns, _ in transition(s, IDLE, m).entries:
+            for ns, _ in transition(s, IDLE, m):
                 assert ns.aoi == aged
 
 
@@ -256,7 +256,7 @@ class TestKernelArrays:
         for i, s in enumerate(enumerate_states(m)):
             for a in ACTIONS:
                 assert kern.cost[a, i] == one_step_cost(s, a, m)
-                dist = transition(s, a, m).as_dict()
+                dist = dict(transition(s, a, m))
                 packed = {}
                 for j in range(4):
                     p = kern.prob[a, i, j]

@@ -12,6 +12,7 @@ from ehaoi import (
     State,
     ZeroWait,
     decide,
+    evaluate_exact,
     simulate,
     stationary_actions,
 )
@@ -242,3 +243,55 @@ class TestStationaryActions:
         k = Explicit(np.zeros((2, 4), dtype=np.int8))
         with pytest.raises(DomainError):
             stationary_actions(k, params())  # model has 3 battery rows
+
+
+class TestZeroWaitIsPeriodOne:
+    """ZeroWait is the period-1 schedule: every route reads it as Periodic(1)."""
+
+    def test_is_a_periodic_of_period_one(self):
+        z = ZeroWait()
+        assert isinstance(z, Periodic)
+        assert (z.period, z.skip_on_empty) == (1, False)
+        assert repr(z) == "ZeroWait()" and type(z).__name__ == "ZeroWait"
+        for args, kwargs in (((1,), {}), ((), {"period": 1}), ((), {"skip_on_empty": True})):
+            with pytest.raises(TypeError):
+                ZeroWait(*args, **kwargs)
+
+    def test_decide(self):
+        for t in (0, 1, 5):
+            for s in (State(1, 0), State(3, 1), State(250, 2)):
+                assert decide(ZeroWait(), s, t) == decide(Periodic(1), s, t)
+
+    @pytest.mark.parametrize("cap", [3, 20, 100])
+    def test_stationary_actions(self, cap):
+        m = params(battery_cap=cap)
+        z, p = stationary_actions(ZeroWait(), m), stationary_actions(Periodic(1), m)
+        assert z.dtype == p.dtype and z.shape == p.shape
+        np.testing.assert_array_equal(z, p)
+
+    @staticmethod
+    def outcome(route, *args):
+        """The repr of what ``route(*args)`` returns, or its exception's type
+        and message."""
+        try:
+            return repr(route(*args))
+        except Exception as exc:  # compared, not handled
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("cap", [3, 20, 100])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("p_block", [0.2, 1 - 1e-16])
+    def test_evaluate_exact(self, cap, lam, p_block):
+        m = params(lambda_e=lam, p_block=p_block, battery_cap=cap)
+        assert self.outcome(evaluate_exact, ZeroWait(), m) == self.outcome(
+            evaluate_exact, Periodic(1), m)
+
+    @pytest.mark.parametrize("cap", [3, 20])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_simulate(self, cap, lam):
+        # by repr: ci_halfwidth is NaN below horizon 20, and NaN != NaN
+        m = params(lambda_e=lam, battery_cap=cap)
+        for horizon in (1, 19, 20, 5003):
+            for seed in (0, 7):
+                assert self.outcome(simulate, ZeroWait(), m, horizon, seed) == self.outcome(
+                    simulate, Periodic(1), m, horizon, seed)

@@ -606,7 +606,7 @@ class TestDegenerateModels:
 
         monkeypatch.setattr(solver, "_improve", recording)
         m = ModelParams(lambda_e=lam, **REFERENCE)
-        falls = any(s.battery == 0 for s, _ in transition(State(1, 1), TRANSMIT, m).entries)
+        falls = any(s.battery == 0 for s, _ in transition(State(1, 1), TRANSMIT, m))
         res, tp = modified_via(m, eps=1e-9)
         assert pins and set(pins) == {not falls}
         exact = evaluate_exact(tp, m).average_cost

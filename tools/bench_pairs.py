@@ -21,27 +21,30 @@ metrics, and ``--pairs`` pairs of fresh processes time ``modified_via`` at
 the two fixed points and at the large one with weight 100, and
 ``evaluate_exact`` at the large one, for
 ZeroWait, ``Periodic(5)``, ``Periodic(20)`` and the ``Optimal`` policy
-``modified_via`` returns, solved once per process before the timed calls
-(the best wall time, ``time.perf_counter``, of a few calls each).
+``modified_via`` returns, solved once per process before the timed calls.
+Each timing is the median wall time (``time.perf_counter``) of
+``CALLS`` calls after one untimed call, which builds what later calls
+reuse.
 The same four evaluations run again with the large point's age cap at
 1600, four times its own (n = 161 600): the exact evaluator works on the
 untruncated chain, so its time should not grow with ``delta_max``.
 One more timing, ``exact_first_call_n40400_s``, is a single
 ``evaluate_exact(ZeroWait(), m)`` at the large point with no call before it
-in its process: a best-of-N time hides one-time costs such as a module the
+in its process: the untimed call hides one-time costs such as a module the
 first call imports, and this one shows them. Four timings are one
 10**6-slot ``simulate`` each: the solved ``Optimal`` at the reference point
 (231 machine states, bytes rows) and at the large one (1111 states, tuple
 rows, 3-slot blocks), and ``Periodic(5)`` at the reference point (3-bit
 symbols), all three at the paid price 20; and the solved ``Optimal`` at
 the reference point with weight 0.3, at the price 0.6, which is neither
-whole nor dyadic. The first call builds the machine, and the others reuse
-it.
-Each side takes its timing
-snippets (``IN_PROCESS`` and its ``FIXED_POINTS`` entry) from its own
-tree's copy of this script, so a change to a name a snippet calls still
-times both sides as committed; a timing the parent's copy lacks uses this
-copy's entry.
+whole nor dyadic. The untimed call builds the machine, and the timed ones
+reuse it.
+Each side takes only the setup and call
+snippets of its ``FIXED_POINTS`` entry from its own tree's copy of this
+script, so a change to a name a snippet calls still times both sides as
+committed; a timing the parent's copy lacks uses this copy's snippets. The
+model point, the number of calls and the statistic come from the running
+script, so both sides of a pair are timed alike.
 
 For every metric the output holds each side's per-pair values, median,
 quartiles (``statistics.quantiles``, n = 4) and IQR, and the pairs each
@@ -71,39 +74,38 @@ POINT = dict(lambda_e=0.5, p_block=0.2, cost_reliable=2.0, weight=10.0)
 REFERENCE = dict(battery_cap=20, delta_max=200)
 LARGE = dict(battery_cap=100, delta_max=400)
 WIDE = dict(LARGE, delta_max=1600)
-# each in-process timing: the model point, the calls per process, the setup
-# run once before them and the timed call
+CALLS = 9  # timed calls per process, after one untimed call
+# each in-process timing: the model point, the timed calls per process
+# (CALLS, or 1 for a first call with none before it), the setup run once
+# before them and the timed call
 OPTIMAL = "optimal = modified_via(m)[1]"
-SIMULATE = "from ehaoi import simulate"  # a name the parent's header may lack
 FIXED_POINTS = {
-    "modified_via_n4200_s": (REFERENCE, 5, "", "modified_via(m, 1e-9)"),
-    "modified_via_n40400_s": (LARGE, 2, "", "modified_via(m, 1e-9)"),
+    "modified_via_n4200_s": (REFERENCE, CALLS, "", "modified_via(m, 1e-9)"),
+    "modified_via_n40400_s": (LARGE, CALLS, "", "modified_via(m, 1e-9)"),
     # the point where policy iteration reuses the most of each evaluation
-    "modified_via_n40400_w100_s": (dict(LARGE, weight=100.0), 2, "",
+    "modified_via_n40400_w100_s": (dict(LARGE, weight=100.0), CALLS, "",
                                    "modified_via(m, 1e-9)"),
-    "exact_optimal_n40400_s": (LARGE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
-    "exact_zero_wait_n40400_s": (LARGE, 5, "", "evaluate_exact(ZeroWait(), m)"),
-    "exact_periodic5_n40400_s": (LARGE, 5, "", "evaluate_exact(Periodic(5), m)"),
-    "exact_periodic20_n40400_s": (LARGE, 3, "", "evaluate_exact(Periodic(20), m)"),
+    "exact_optimal_n40400_s": (LARGE, CALLS, OPTIMAL, "evaluate_exact(optimal, m)"),
+    "exact_zero_wait_n40400_s": (LARGE, CALLS, "", "evaluate_exact(ZeroWait(), m)"),
+    "exact_periodic5_n40400_s": (LARGE, CALLS, "", "evaluate_exact(Periodic(5), m)"),
+    "exact_periodic20_n40400_s": (LARGE, CALLS, "", "evaluate_exact(Periodic(20), m)"),
     "exact_first_call_n40400_s": (LARGE, 1, "", "evaluate_exact(ZeroWait(), m)"),
-    "exact_optimal_n161600_s": (WIDE, 5, OPTIMAL, "evaluate_exact(optimal, m)"),
-    "exact_zero_wait_n161600_s": (WIDE, 5, "", "evaluate_exact(ZeroWait(), m)"),
-    "exact_periodic5_n161600_s": (WIDE, 5, "", "evaluate_exact(Periodic(5), m)"),
-    "exact_periodic20_n161600_s": (WIDE, 3, "", "evaluate_exact(Periodic(20), m)"),
-    "simulate_optimal_n4200_s": (REFERENCE, 3, f"{SIMULATE}; {OPTIMAL}",
+    "exact_optimal_n161600_s": (WIDE, CALLS, OPTIMAL, "evaluate_exact(optimal, m)"),
+    "exact_zero_wait_n161600_s": (WIDE, CALLS, "", "evaluate_exact(ZeroWait(), m)"),
+    "exact_periodic5_n161600_s": (WIDE, CALLS, "", "evaluate_exact(Periodic(5), m)"),
+    "exact_periodic20_n161600_s": (WIDE, CALLS, "", "evaluate_exact(Periodic(20), m)"),
+    "simulate_optimal_n4200_s": (REFERENCE, CALLS, OPTIMAL,
                                  "simulate(optimal, m, 10**6, 0)"),
-    "simulate_optimal_n40400_s": (LARGE, 3, f"{SIMULATE}; {OPTIMAL}",
-                                  "simulate(optimal, m, 10**6, 0)"),
-    "simulate_periodic5_n4200_s": (REFERENCE, 3, SIMULATE,
+    "simulate_optimal_n40400_s": (LARGE, CALLS, OPTIMAL, "simulate(optimal, m, 10**6, 0)"),
+    "simulate_periodic5_n4200_s": (REFERENCE, CALLS, "",
                                    "simulate(Periodic(5), m, 10**6, 0)"),
-    "simulate_optimal_n4200_w03_s": (dict(REFERENCE, weight=0.3), 3,
-                                     f"{SIMULATE}; {OPTIMAL}",
+    "simulate_optimal_n4200_w03_s": (dict(REFERENCE, weight=0.3), CALLS, OPTIMAL,
                                      "simulate(optimal, m, 10**6, 0)"),
 }
 IN_PROCESS = """
-import sys, time
+import statistics, sys, time
 sys.path.insert(0, {src!r})
-from ehaoi import ModelParams, Periodic, ZeroWait, evaluate_exact, modified_via
+from ehaoi import ModelParams, Periodic, ZeroWait, evaluate_exact, modified_via, simulate
 m = ModelParams(**{point!r})
 {setup}
 times = []
@@ -111,7 +113,7 @@ for _ in range({calls}):
     t = time.perf_counter()
     {call}
     times.append(time.perf_counter() - t)
-print(min(times))
+print(statistics.median(times[{untimed}:]))
 """
 
 
@@ -168,29 +170,29 @@ def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     }
 
 
-def _timings(tree: Path) -> tuple[str, dict]:
-    """``IN_PROCESS`` and ``FIXED_POINTS`` as ``tree``'s own copy of this
-    script defines them, so that each side's snippets call its own API; a
-    timing that copy lacks, or the whole script if it has none, comes from
-    this one."""
+def _timings(tree: Path) -> dict:
+    """Every ``FIXED_POINTS`` timing with the setup and call snippets of
+    ``tree``'s own copy of this script, so that each side's snippets call its
+    own API; a timing that copy lacks, or the whole script if it has none,
+    keeps this one's. The point and the calls are always this script's."""
     script = tree / "tools" / "bench_pairs.py"
-    own = runpy.run_path(str(script)) if script.is_file() else {}
-    points = own.get("FIXED_POINTS", {})
-    return own.get("IN_PROCESS", IN_PROCESS), {
-        name: points.get(name, spec) for name, spec in FIXED_POINTS.items()}
+    own = runpy.run_path(str(script)).get("FIXED_POINTS", {}) if script.is_file() else {}
+    return {name: (point, calls, *own.get(name, spec)[-2:])
+            for name, (point, calls, *spec) in FIXED_POINTS.items()}
 
 
-def _in_process(tree: Path, header: str, spec: tuple) -> float:
-    """One timing's best wall time: the first number the snippet prints (an
-    older copy prints its best CPU time after it)."""
+def _in_process(tree: Path, spec: tuple) -> float:
+    """One timing in a fresh process: the median wall time of its timed
+    calls, after one untimed call unless it times a single call."""
     point, calls, setup, call = spec
-    code = header.format(src=str(tree / "src"), point={**POINT, **point}, calls=calls,
-                         setup=setup, call=call)
+    untimed = int(calls > 1)
+    code = IN_PROCESS.format(src=str(tree / "src"), point={**POINT, **point},
+                             calls=calls + untimed, untimed=untimed, setup=setup, call=call)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     if proc.returncode:
         raise SystemExit(f"in-process timing failed in {tree}:\n{proc.stderr}")
-    return float(proc.stdout.split()[0])
+    return float(proc.stdout)
 
 
 def _swap(trees: dict[str, Path]) -> None:
@@ -284,14 +286,16 @@ def main(argv: list[str] | None = None) -> int:
             report[key] = section
         own = {side: _timings(tree) for side, tree in trees.items()}
         pairs = _pairs(args.pairs, trees, lambda side, tree, i: {
-            name: _in_process(tree, own[side][0], spec) for name, spec in own[side][1].items()})
+            name: _in_process(tree, spec) for name, spec in own[side].items()})
         report["in_process"] = {
             "command": "a fresh process per side, pair and timing, OpenBLAS one "
-                       "thread: the best wall time of `calls` calls after the "
-                       "setup, each side's snippets from its own tools/bench_pairs.py",
+                       "thread: the median wall time of `calls` calls after the "
+                       "setup and one untimed call (none when `calls` is 1), each "
+                       "side's setup and call snippets from its own "
+                       "tools/bench_pairs.py",
             "timings": {side: {name: {"point": {**POINT, **point}, "calls": calls,
                                       "setup": setup, "call": call}
-                               for name, (point, calls, setup, call) in own[side][1].items()}
+                               for name, (point, calls, setup, call) in own[side].items()}
                         for side in trees},
             "order": [p["order"] for p in pairs],
             "parent_dir": [p["parent_dir"] for p in pairs],
