@@ -5,6 +5,15 @@ comma separators, LF line endings, and a header row, so identical
 configurations produce byte-identical files. Options resolve in three
 layers: built-in defaults, then a JSON config file (--config), then
 explicit flags, with flags winning.
+
+``simulate`` and ``compare --simulate`` run a command's seeds after the
+first in forked processes, one per usable CPU (``os.sched_getaffinity``),
+when enough slots are left to pay for a fork (``FORK_MIN_SLOTS``). The
+reports, and so the CSV bytes and stdout, are those of running the seeds
+one after another; ``taskset -c 0`` runs them all in one process. The
+process may have OpenBLAS worker threads when it forks, and the children
+call no BLAS routine; Python 3.12 and later warn when a process with
+threads forks.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ AXES = ("weight", "lambda_e", "p_block")
 SOLVE_ERRORS = (ConvergenceError, UnboundedAgeError)
 # perfbench rebinds this name to time the periodic row; goes with ROADMAP direction 3
 evaluate_periodic_exact = evaluate_exact
+# fewest slots after a command's first seed that are worth a fork; below
+# it they run in the calling process. On a 2-vCPU VM at 40 MiB a fork and
+# wait took 2-3 ms, and the parent's first writes after it a few ms more:
+# forking broke even at 4-8e5 slots left
+FORK_MIN_SLOTS = 500_000
 
 
 @dataclass
@@ -201,6 +215,76 @@ def cmd_solve(cfg: RunConfig) -> int:
     return OK
 
 
+def _share(kind, m: ModelParams, horizon: int, seeds: list[int]) -> tuple[list, Exception | None]:
+    """``simulate``'s reports for ``seeds`` in order, up to the first seed
+    that raises, and that seed's exception (None if none raised)."""
+    reports = []
+    try:
+        for seed in seeds:
+            reports.append(simulate(kind, m, horizon, seed))
+    except Exception as exc:
+        return reports, exc
+    return reports, None
+
+
+def _simulate_seeds(kind, m: ModelParams, horizon: int, seeds: list[int]) -> list:
+    """``simulate``'s report for each seed, in seed order, as one call per
+    seed in turn would give them, or the exception of the earliest seed
+    that raises.
+
+    The first seed runs here: it builds the cached machine that forked
+    children inherit, and a bad input raises before any fork. The rest
+    are dealt round-robin to this process and to n - 1 forked children,
+    n the usable CPUs, at most one per seed left. A child sends its
+    reports, or its exception, pickled through a pipe and leaves by
+    ``os._exit``; every child is reaped before this returns or raises.
+    Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or fewer
+    than ``FORK_MIN_SLOTS`` slots are left, n is 1 and nothing forks."""
+    first = simulate(kind, m, horizon, seeds[0])
+    rest = seeds[1:]
+    n = 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity and hasattr(os, "fork") and len(rest) * horizon >= FORK_MIN_SLOTS:
+        n = min(len(affinity(0)), len(rest))
+    if n <= 1:
+        return [first, *(simulate(kind, m, horizon, seed) for seed in rest)]
+    import pickle  # already loaded with numpy
+
+    children = []  # (pid, read end)
+    try:
+        for j in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(_share(kind, m, horizon, rest[j::n])))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [_share(kind, m, horizon, rest[0::n])]
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"simulator process {pid} ended without its reports")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    reports = [first]
+    for i in range(len(rest)):
+        done, exc = shares[i % n]
+        if i // n == len(done):
+            raise exc
+        reports.append(done[i // n])
+    return reports
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     m = _model_params(cfg)
     kind = _policy_kind(cfg)
@@ -211,8 +295,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         kind = modified_via(m, cfg.eps)[1]
     rows = []
     costs = []
-    for seed in cfg.seeds:
-        rep = simulate(kind, m, cfg.horizon, seed)
+    for seed, rep in zip(cfg.seeds, _simulate_seeds(kind, m, cfg.horizon, cfg.seeds)):
         costs.append(rep.average_cost)
         rows.append(
             [
@@ -286,8 +369,8 @@ def cmd_compare(cfg: RunConfig) -> int:
                 failed = True
         if cfg.simulate_also:
             for name, kind in kinds.items():
-                for seed in cfg.seeds:
-                    rep = simulate(kind, m, cfg.horizon, seed)
+                reports = _simulate_seeds(kind, m, cfg.horizon, cfg.seeds)
+                for seed, rep in zip(cfg.seeds, reports):
                     rows.append(_compare_row(value, f"{name}[sim seed={seed}]", rep))
     _write_csv(out, header, rows)
     print(f"compared {len(points)} {cfg.axis} value(s) -> {out}")

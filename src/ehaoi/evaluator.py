@@ -522,19 +522,24 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         yield flag_buf.reshape(2, -1)[:, :n]
 
 
-def _age_sum(reset: np.ndarray, aoi: int) -> tuple[int, int]:
+def _age_sum(reset: np.ndarray, aoi: int, gaps: np.ndarray) -> tuple[int, int]:
     """The sum of a stretch's untruncated ages, and the age carried out of
     it, from the positions r_0 < ... < r_m of its resets and the carried-in
     age ``aoi``. A reset at slot r makes the age 1 at slot r + 1, so slots
     0 ... r_0 count up from ``aoi`` and each later segment of d slots, up
     to the next reset or the stretch's last slot, counts 1 ... d. Python
-    ints, so the sum is exact."""
+    ints, so the sum is exact. The segments' lengths d are written into
+    ``gaps``, an intp buffer of at least ``len(reset)`` entries that the
+    run allocates once: fresh temporaries per stretch would map fresh
+    pages when most slots reset."""
     n = len(reset)
     at = np.flatnonzero(reset)
     if not at.size:
         return n * aoi + n * (n - 1) // 2, aoi + n
     r = int(at[0])
-    d = np.diff(at, append=n - 1)  # sum d(d + 1)/2, with sum d = n - 1 - r
+    d = gaps[: at.size]  # sum d(d + 1)/2, with sum d = n - 1 - r
+    np.subtract(at[1:], at[:-1], out=d[:-1])
+    d[-1] = n - 1 - at[-1]
     return (r + 1) * aoi + r * (r + 1) // 2 + (int(d @ d) + n - 1 - r) // 2, n - int(at[-1])
 
 
@@ -584,8 +589,9 @@ def simulate(kind: PolicyKind, m: ModelParams, horizon: int, seed: int) -> EvalR
     aoi = 1  # carried from one stretch to the next
     aoi_sums = [0] * len(sizes)  # per batch (the rest last): the ages' sum
     paid_sums = [0] * len(sizes)  # and the paid slots
+    gaps = np.empty(max(stretches), dtype=np.intp)
     for i, (reset, paid) in zip(owner, _run(machine, m, seed, stretches)):
-        total, aoi = _age_sum(reset, aoi)
+        total, aoi = _age_sum(reset, aoi, gaps)
         aoi_sums[i] += total
         paid_sums[i] += int(np.count_nonzero(paid))
     aoi_sum, paid_count = sum(aoi_sums), sum(paid_sums)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ehaoi
-from ehaoi import State, StructureReport, cli
+from ehaoi import DomainError, State, StructureReport, UnboundedAgeError, cli
 from ehaoi.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -545,6 +545,169 @@ class TestCompare:
         baselines = [r for r in read_csv(solved)[1:] if not r[1].startswith("optimal")]
         assert rows[1:] == baselines
         assert {r[5] for r in rows[1:]} == {"ok"}
+
+
+class TestSeedFanOut:
+    """A command's seeds after the first run in forked children, one per
+    usable CPU (``cli._simulate_seeds``). Every output is that of the same
+    command in one process, which ``os.sched_getaffinity`` reporting one
+    CPU gives; ``FORK_MIN_SLOTS`` is 0 wherever a case should fork."""
+
+    SEEDS = {
+        "1": [7],
+        "2": [1, 2],
+        "3-repeated": [3, 1, 3],
+        "10-repeated": [5, 1, 2, 5, 3, 4, 2, 6, 7, 8],
+    }
+    POLICIES = {
+        "optimal": ["--policy", "optimal"],
+        "zero-wait": ["--policy", "zero-wait"],
+        "periodic5": ["--policy", "periodic", "--period", "5"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def forks(monkeypatch, cpus, fork=None):
+        """Report ``cpus`` usable CPUs; the list of this process's
+        ``os.fork`` calls, each made by ``fork`` if given."""
+        calls = []
+        real = os.fork
+
+        def counted():
+            calls.append(True)
+            return (fork or real)()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def run(capsys, argv, out):
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, data
+
+    def serial_and_forked(self, monkeypatch, capsys, tmp_path, argv, cpus=3):
+        """The command's outcome with one CPU and with ``cpus``, and the
+        forks the second made."""
+        out = tmp_path / "runs.csv"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = self.run(capsys, argv, out)
+        monkeypatch.setattr(cli, "FORK_MIN_SLOTS", 0)
+        calls = self.forks(monkeypatch, cpus)
+        return serial, self.run(capsys, argv, out), calls
+
+    @pytest.mark.parametrize("horizon", [1, 19, 20, 5003, 10**5])
+    @pytest.mark.parametrize("seeds", list(SEEDS.values()), ids=list(SEEDS))
+    @pytest.mark.parametrize("policy", list(POLICIES.values()), ids=list(POLICIES))
+    def test_simulate_equals_one_process(self, monkeypatch, capsys, tmp_path, policy,
+                                         seeds, horizon):
+        argv = ["simulate", *SMALL, *policy, "--horizon", str(horizon),
+                *(f"--seed={s}" for s in seeds)]
+        serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
+        assert forked == serial
+        assert serial[0] == 0 and serial[3]
+        # two children for three CPUs, fewer for fewer seeds after the first
+        assert len(calls) == max(0, min(3, len(seeds) - 1) - 1)
+
+    @pytest.mark.parametrize("cpus", [2, 16])
+    def test_any_cpu_count_equals_one_process(self, monkeypatch, capsys, tmp_path, cpus):
+        argv = ["simulate", *SMALL, "--policy", "zero-wait", "--horizon", "777",
+                *(f"--seed={s}" for s in range(4))]
+        serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv,
+                                                       cpus)
+        assert forked == serial
+        assert len(calls) == min(cpus, 3) - 1
+
+    @pytest.mark.parametrize("horizon", [19, 5003])
+    @pytest.mark.parametrize("seeds", [[1, 2, 3], list(SEEDS["10-repeated"])],
+                             ids=["3", "10-repeated"])
+    def test_compare_rows_equal_one_process(self, monkeypatch, capsys, tmp_path, seeds,
+                                            horizon):
+        argv = ["compare", *SMALL, "--axis", "lambda_e", "--grid", "0.3,0.9",
+                "--period", "3", "--simulate", "--horizon", str(horizon),
+                *(f"--seed={s}" for s in seeds)]
+        serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
+        assert forked == serial
+        assert serial[0] == 0
+        # per grid value and policy: two children for the seeds after the first
+        assert len(calls) == 2 * 3 * (min(3, len(seeds) - 1) - 1)
+
+    @pytest.mark.parametrize("error, code", [(DomainError, 2), (UnboundedAgeError, 1)],
+                             ids=["usage", "fail"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{1}, {3}, {4, 5}, {2, 6, 7}, {7}, {3, 4, 5, 6, 7}],
+        ids=["first", "child", "child-before-parent", "parent-first", "last", "all-but-two"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_earliest_failing_seed_fails_the_command(self, monkeypatch, capsys, tmp_path,
+                                                     command, bad, error, code):
+        # seeds 2 ... 7 are dealt to this process (2, 5) and two children
+        # (3, 6 and 4, 7); each seed in ``bad`` raises, and the command fails
+        # on the earliest one, as one process running the seeds in turn does
+        real = cli.simulate
+
+        def simulate(kind, m, horizon, seed):
+            if seed in bad:
+                raise error(f"seed {seed} cannot run")
+            return real(kind, m, horizon, seed)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        argv = {"simulate": ["simulate", *SMALL, "--policy", "zero-wait"],
+                "compare": ["compare", *SMALL, "--axis", "weight", "--grid", "10",
+                            "--simulate"]}[command]
+        argv = [*argv, "--horizon", "300", *(f"--seed={s}" for s in range(1, 8))]
+        serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
+        assert forked == serial
+        assert serial == (code, "", f"error: seed {min(bad)} cannot run\n", None)
+        assert len(calls) == (0 if 1 in bad else 2)
+
+    def test_child_without_reports_is_an_error(self, monkeypatch, tmp_path):
+        # a child that dies before it sends fails the command; the children
+        # are still reaped
+        real, parent = cli.simulate, os.getpid()
+
+        def simulate(kind, m, horizon, seed):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(kind, m, horizon, seed)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        monkeypatch.setattr(cli, "FORK_MIN_SLOTS", 0)
+        self.forks(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="ended without its reports"):
+            main(["simulate", *SMALL, "--policy", "zero-wait", "--horizon", "100",
+                  "--seed=1", "--seed=2", "--seed=3", "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("case", ["one-cpu", "below-threshold", "no-affinity", "no-fork"])
+    def test_no_fork_where_it_cannot_pay(self, monkeypatch, capsys, tmp_path, case):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        horizon = 5003 if case == "below-threshold" else 10**4
+        argv = ["simulate", *SMALL, "--policy", "zero-wait", "--horizon", str(horizon),
+                *(f"--seed={s}" for s in range(10))]
+        out = tmp_path / "runs.csv"
+        expected = self.run(capsys, argv, out)
+        if case == "below-threshold":
+            assert 9 * horizon < cli.FORK_MIN_SLOTS
+        else:
+            monkeypatch.setattr(cli, "FORK_MIN_SLOTS", 0)
+        calls = self.forks(monkeypatch, 1 if case == "one-cpu" else 8, refuse)
+        if case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        assert self.run(capsys, argv, out) == expected
+        assert not calls
 
 
 class TestVerify:

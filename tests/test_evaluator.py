@@ -887,18 +887,19 @@ class TestAgeSum:
     def test_closed_form_on_set_masks(self, resets, aoi):
         reset = np.zeros(9, dtype=bool)
         reset[resets] = True
-        got = evaluator._age_sum(reset, aoi)
+        got = evaluator._age_sum(reset, aoi, np.full(9, -1, dtype=np.intp))
         assert got == self.by_running_maximum(reset, aoi) == self.by_steps(reset, aoi)
         assert all(type(x) is int for x in got)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_on_random_masks(self, seed):
         rng = np.random.default_rng(seed)
+        gaps = np.empty(1 << 16, dtype=np.intp)  # one buffer for every mask, as in a run
         for n in (1, 2, 3, 7, 64, 1000, 1 << 16):
             for p in (0.0, 0.001, 0.3, 0.9, 1.0):
                 reset = rng.random(n) < p
                 aoi = int(rng.integers(1, 10**9))
-                got = evaluator._age_sum(reset, aoi)
+                got = evaluator._age_sum(reset, aoi, gaps)
                 assert got == self.by_running_maximum(reset, aoi), (n, p)
                 if n <= 1000:
                     assert got == self.by_steps(reset, aoi), (n, p)

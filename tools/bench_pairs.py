@@ -38,7 +38,11 @@ rows, 3-slot blocks), and ``Periodic(5)`` at the reference point (3-bit
 symbols), all three at the paid price 20; and the solved ``Optimal`` at
 the reference point with weight 0.3, at the price 0.6, which is neither
 whole nor dyadic. The untimed call builds the machine, and the timed ones
-reuse it.
+reuse it. The last timing, ``cli_simulate_10_seeds_n4200_s``, is one
+``ehaoi.cli.main`` call of the ``simulate`` command at the reference point
+with ten 10**6-slot seeds, the solve included and its stdout discarded:
+the command's spread of its seeds over forked processes, and what the
+forks cost, show in it as they do in perfbench's ``simulate-ref``.
 Each side takes only the setup and call
 snippets of its ``FIXED_POINTS`` entry from its own tree's copy of this
 script, so a change to a name a snippet calls still times both sides as
@@ -79,6 +83,13 @@ CALLS = 9  # timed calls per process, after one untimed call
 # (CALLS, or 1 for a first call with none before it), the setup run once
 # before them and the timed call
 OPTIMAL = "optimal = modified_via(m)[1]"
+# the simulate command at the model point: ten 10**6-slot seeds, as
+# perfbench's simulate-ref runs them
+SIMULATE_COMMAND = """import contextlib, dataclasses, io, tempfile, ehaoi.cli
+tmp = tempfile.TemporaryDirectory()
+argv = ["simulate", "--horizon", "1000000", "--out", tmp.name + "/runs.csv"]
+argv += [f"--seed={s}" for s in range(1, 11)]
+argv += ["--" + k.replace("_", "-") + "=" + str(v) for k, v in dataclasses.asdict(m).items()]"""
 FIXED_POINTS = {
     "modified_via_n4200_s": (REFERENCE, CALLS, "", "modified_via(m, 1e-9)"),
     "modified_via_n40400_s": (LARGE, CALLS, "", "modified_via(m, 1e-9)"),
@@ -101,6 +112,9 @@ FIXED_POINTS = {
                                    "simulate(Periodic(5), m, 10**6, 0)"),
     "simulate_optimal_n4200_w03_s": (dict(REFERENCE, weight=0.3), CALLS, OPTIMAL,
                                      "simulate(optimal, m, 10**6, 0)"),
+    "cli_simulate_10_seeds_n4200_s": (REFERENCE, CALLS, SIMULATE_COMMAND,
+                                      "with contextlib.redirect_stdout(io.StringIO()): "
+                                      "ehaoi.cli.main(argv)"),
 }
 IN_PROCESS = """
 import statistics, sys, time
