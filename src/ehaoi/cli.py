@@ -6,14 +6,14 @@ configurations produce byte-identical files. Options resolve in three
 layers: built-in defaults, then a JSON config file (--config), then
 explicit flags, with flags winning.
 
-``simulate`` and ``compare --simulate`` run a command's seeds after the
-first in forked processes, one per usable CPU (``os.sched_getaffinity``),
-when enough slots are left to pay for a fork (``FORK_MIN_SLOTS``). The
-reports, and so the CSV bytes and stdout, are those of running the seeds
-one after another; ``taskset -c 0`` runs them all in one process. The
-process may have OpenBLAS worker threads when it forks, and the children
-call no BLAS routine; Python 3.12 and later warn when a process with
-threads forks.
+``simulate`` and ``compare --simulate`` deal a command's seeds round-robin
+to the calling process and forked children, one process per usable CPU
+(``os.sched_getaffinity``), when enough slots follow the first seed's to
+pay for a fork (``FORK_MIN_SLOTS``). The reports, and so the CSV bytes and
+stdout, are those of running the seeds one after another; ``taskset -c 0``
+runs them all in one process. The process may have OpenBLAS worker threads
+when it forks, and the children call no BLAS routine; Python 3.12 and
+later warn when a process with threads forks.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
+from . import evaluator
 from .evaluator import check_run, evaluate_exact, simulate
 from .model import DomainError, ModelParams, UnboundedAgeError, enumerate_states, is_int, is_real
 from .policies import Periodic, ZeroWait, decide
@@ -216,8 +217,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _share(kind, m: ModelParams, horizon: int, seeds: list[int]) -> tuple[list, Exception | None]:
-    """``simulate``'s reports for ``seeds`` in order, up to the first seed
-    that raises, and that seed's exception (None if none raised)."""
+    """One process's part of ``_simulate_seeds``: ``simulate``'s reports
+    for ``seeds`` in order, up to the first seed that raises, and that
+    seed's exception (None if none raised)."""
     reports = []
     try:
         for seed in seeds:
@@ -232,52 +234,62 @@ def _simulate_seeds(kind, m: ModelParams, horizon: int, seeds: list[int]) -> lis
     seed in turn would give them, or the exception of the earliest seed
     that raises.
 
-    The first seed runs here: it builds the cached machine that forked
-    children inherit, and a bad input raises before any fork. The rest
-    are dealt round-robin to this process and to n - 1 forked children,
-    n the usable CPUs, at most one per seed left. A child sends its
-    reports, or its exception, pickled through a pipe and leaves by
-    ``os._exit``; every child is reaped before this returns or raises.
-    Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or fewer
-    than ``FORK_MIN_SLOTS`` slots are left, n is 1 and nothing forks."""
-    first = simulate(kind, m, horizon, seeds[0])
-    rest = seeds[1:]
+    The cached machine is built here first, so forked children inherit it
+    and a refused one raises before any fork. Then all the seeds are dealt
+    round-robin to this process and to n - 1 forked children, n the usable
+    CPUs, at most one per seed. A child sends its reports, or its
+    exception, pickled through a pipe and leaves by ``os._exit``; a share
+    whose fork fails (``EAGAIN`` at a process limit, say) runs here
+    instead. Every child is reaped before this returns or raises. Where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing, or fewer than
+    ``FORK_MIN_SLOTS`` slots follow the first seed's, n is 1 and nothing
+    forks."""
+    evaluator._machine(kind, m, horizon)
     n = 1
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity and hasattr(os, "fork") and len(rest) * horizon >= FORK_MIN_SLOTS:
-        n = min(len(affinity(0)), len(rest))
+    if affinity and hasattr(os, "fork") and (len(seeds) - 1) * horizon >= FORK_MIN_SLOTS:
+        n = min(len(affinity(0)), len(seeds))
     if n <= 1:
-        return [first, *(simulate(kind, m, horizon, seed) for seed in rest)]
+        return [simulate(kind, m, horizon, seed) for seed in seeds]
     import pickle  # already loaded with numpy
 
-    children = []  # (pid, read end)
+    shares = [None] * n  # share j: seeds[j::n], as (reports, exception)
+    here = [0]  # the shares this process runs
+    children = []  # (share, pid, read end)
     try:
         for j in range(1, n):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                here.append(j)
+                continue
             if pid == 0:
                 code = 1
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(_share(kind, m, horizon, rest[j::n])))
+                        pipe.write(pickle.dumps(_share(kind, m, horizon, seeds[j::n])))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
-            children.append((pid, open(read, "rb")))
-        shares = [_share(kind, m, horizon, rest[0::n])]
-        for pid, pipe in children:
+            children.append((j, pid, open(read, "rb")))
+        for j in here:
+            shares[j] = _share(kind, m, horizon, seeds[j::n])
+        for j, pid, pipe in children:
             data = pipe.read()
             if not data:
                 raise ChildProcessError(f"simulator process {pid} ended without its reports")
-            shares.append(pickle.loads(data))
+            shares[j] = pickle.loads(data)
     finally:
-        for pid, pipe in children:
+        for _, pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    reports = [first]
-    for i in range(len(rest)):
+    reports = []
+    for i in range(len(seeds)):
         done, exc = shares[i % n]
         if i // n == len(done):
             raise exc

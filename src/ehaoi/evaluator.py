@@ -472,8 +472,10 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     Per stretch, the symbols are written into a zero-padded uint8 buffer,
     and each block's code is one product of its symbols with their place
     values. The row walk, ``s = rows[s][code]`` block by block, is the only
-    Python loop and does no arithmetic; ``bytes`` packs the states it passes
-    (past 256 states numpy converts the list). One gather of each flag word by
+    Python loop and does no arithmetic. It reads 8-bit codes from ``bytes``
+    (16-bit ones through a ``memoryview``), and a ``bytearray`` packs the
+    states it passes (past 256 states numpy converts the list): the fastest
+    of the bit-identical forms measured. One gather of each flag word by
     (block's first state, code) gives every slot's reset and paid byte.
     The state carried to the next stretch steps the last block's real slots
     by ``move``. The stretch buffers are allocated once per run, for the
@@ -491,6 +493,7 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
     symbol_buf = np.empty(most * k, dtype=np.uint8)
     code_buf = np.empty(most, dtype=np.uint8 if bits * k <= 8 else np.uint16)
     place = (1 << bits * np.arange(k)).astype(code_buf.dtype)  # first slot lowest
+    narrow = code_buf.dtype == np.uint8
     index_buf = np.empty(most, dtype=np.intp)
     flag_buf = np.empty((2, most, k), dtype=bool)  # reset, paid
     for n in sizes:
@@ -507,10 +510,11 @@ def _run(machine: _Machine, m: ModelParams, seed: int, sizes: list[int]):
         code = np.matmul(place, grid.T, out=code_buf[:blocks])  # faster than grid @ place
         # the sequential part: each block's first state from the one before
         s = state
-        walked = [s := rows[s][c] for c in memoryview(code[:-1])]
+        codes = code[:-1].tobytes() if narrow else memoryview(code[:-1])
+        walked = [s := rows[s][c] for c in codes]
         index = index_buf[:blocks]
         index[0] = state
-        index[1:] = np.frombuffer(bytes(walked), dtype=np.uint8) if small else walked
+        index[1:] = np.frombuffer(bytearray(walked), dtype=np.uint8) if small else walked
         for c in grid[-1, : n - (blocks - 1) * k].tolist():  # the last block's real slots
             s = int(move[s, c])
         state = s

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ehaoi
-from ehaoi import DomainError, State, StructureReport, UnboundedAgeError, cli
+from ehaoi import DomainError, State, StructureReport, UnboundedAgeError, cli, evaluator
 from ehaoi.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -548,10 +549,11 @@ class TestCompare:
 
 
 class TestSeedFanOut:
-    """A command's seeds after the first run in forked children, one per
-    usable CPU (``cli._simulate_seeds``). Every output is that of the same
-    command in one process, which ``os.sched_getaffinity`` reporting one
-    CPU gives; ``FORK_MIN_SLOTS`` is 0 wherever a case should fork."""
+    """A command's seeds are dealt round-robin to this process and forked
+    children, one process per usable CPU (``cli._simulate_seeds``). Every
+    output is that of the same command in one process, which
+    ``os.sched_getaffinity`` reporting one CPU gives; ``FORK_MIN_SLOTS`` is
+    0 wherever a case should fork."""
 
     SEEDS = {
         "1": [7],
@@ -594,14 +596,14 @@ class TestSeedFanOut:
         out.unlink(missing_ok=True)
         return code, captured.out, captured.err, data
 
-    def serial_and_forked(self, monkeypatch, capsys, tmp_path, argv, cpus=3):
+    def serial_and_forked(self, monkeypatch, capsys, tmp_path, argv, cpus=3, fork=None):
         """The command's outcome with one CPU and with ``cpus``, and the
-        forks the second made."""
+        forks the second made, each by ``fork`` if given."""
         out = tmp_path / "runs.csv"
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = self.run(capsys, argv, out)
         monkeypatch.setattr(cli, "FORK_MIN_SLOTS", 0)
-        calls = self.forks(monkeypatch, cpus)
+        calls = self.forks(monkeypatch, cpus, fork)
         return serial, self.run(capsys, argv, out), calls
 
     @pytest.mark.parametrize("horizon", [1, 19, 20, 5003, 10**5])
@@ -614,8 +616,8 @@ class TestSeedFanOut:
         serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
         assert forked == serial
         assert serial[0] == 0 and serial[3]
-        # two children for three CPUs, fewer for fewer seeds after the first
-        assert len(calls) == max(0, min(3, len(seeds) - 1) - 1)
+        # two children for three CPUs, fewer for fewer seeds
+        assert len(calls) == min(3, len(seeds)) - 1
 
     @pytest.mark.parametrize("cpus", [2, 16])
     def test_any_cpu_count_equals_one_process(self, monkeypatch, capsys, tmp_path, cpus):
@@ -624,7 +626,7 @@ class TestSeedFanOut:
         serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv,
                                                        cpus)
         assert forked == serial
-        assert len(calls) == min(cpus, 3) - 1
+        assert len(calls) == min(cpus, 4) - 1
 
     @pytest.mark.parametrize("horizon", [19, 5003])
     @pytest.mark.parametrize("seeds", [[1, 2, 3], list(SEEDS["10-repeated"])],
@@ -637,21 +639,21 @@ class TestSeedFanOut:
         serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
         assert forked == serial
         assert serial[0] == 0
-        # per grid value and policy: two children for the seeds after the first
-        assert len(calls) == 2 * 3 * (min(3, len(seeds) - 1) - 1)
+        # per grid value and policy: two children for three CPUs
+        assert len(calls) == 2 * 3 * (min(3, len(seeds)) - 1)
 
     @pytest.mark.parametrize("error, code", [(DomainError, 2), (UnboundedAgeError, 1)],
                              ids=["usage", "fail"])
     @pytest.mark.parametrize(
         "bad",
-        [{1}, {3}, {4, 5}, {2, 6, 7}, {7}, {3, 4, 5, 6, 7}],
+        [{1}, {3}, {5, 7}, {4, 5, 6}, {7}, {3, 4, 5, 6, 7}],
         ids=["first", "child", "child-before-parent", "parent-first", "last", "all-but-two"],
     )
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_earliest_failing_seed_fails_the_command(self, monkeypatch, capsys, tmp_path,
                                                      command, bad, error, code):
-        # seeds 2 ... 7 are dealt to this process (2, 5) and two children
-        # (3, 6 and 4, 7); each seed in ``bad`` raises, and the command fails
+        # seeds 1 ... 7 are dealt to this process (1, 4, 7) and two children
+        # (2, 5 and 3, 6); each seed in ``bad`` raises, and the command fails
         # on the earliest one, as one process running the seeds in turn does
         real = cli.simulate
 
@@ -668,7 +670,7 @@ class TestSeedFanOut:
         serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv)
         assert forked == serial
         assert serial == (code, "", f"error: seed {min(bad)} cannot run\n", None)
-        assert len(calls) == (0 if 1 in bad else 2)
+        assert len(calls) == 2
 
     def test_child_without_reports_is_an_error(self, monkeypatch, tmp_path):
         # a child that dies before it sends fails the command; the children
@@ -686,6 +688,45 @@ class TestSeedFanOut:
         with pytest.raises(ChildProcessError, match="ended without its reports"):
             main(["simulate", *SMALL, "--policy", "zero-wait", "--horizon", "100",
                   "--seed=1", "--seed=2", "--seed=3", "--out", str(tmp_path / "x.csv")])
+
+    def test_failed_fork_runs_its_share_here(self, monkeypatch, capsys, tmp_path):
+        # the second fork is refused, as at a process limit: its seeds run
+        # in this process, the first child's in that child, and the command
+        # gives the one-process outputs (the fixture checks that no child
+        # is left)
+        real, made = os.fork, []
+
+        def second_refused():
+            made.append(True)
+            if len(made) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        argv = ["simulate", *SMALL, "--policy", "zero-wait", "--horizon", "777",
+                *(f"--seed={s}" for s in range(7))]
+        serial, forked, calls = self.serial_and_forked(monkeypatch, capsys, tmp_path, argv,
+                                                       fork=second_refused)
+        assert forked == serial
+        assert serial[0] == 0 and serial[3]
+        assert len(calls) == 2
+
+    def test_refused_machine_fails_before_any_fork(self, monkeypatch, capsys, tmp_path):
+        # SMALL's zero-wait machine has 4 states, one past the cap set here:
+        # the calling process builds the machine first, so the command
+        # fails with its one-line DomainError and no child is made
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        evaluator._machine.cache_clear()
+        monkeypatch.setattr(evaluator, "MACHINE_STATES", 3)
+        monkeypatch.setattr(cli, "FORK_MIN_SLOTS", 0)
+        calls = self.forks(monkeypatch, 3, refuse)
+        argv = ["simulate", *SMALL, "--policy", "zero-wait", "--horizon", "300",
+                *(f"--seed={s}" for s in range(1, 8))]
+        assert self.run(capsys, argv, tmp_path / "runs.csv") == (
+            2, "", "error: simulating this policy needs 4 battery levels times 1 ages = "
+                   "4 states, more than 3\n", None)
+        assert not calls
 
     @pytest.mark.parametrize("case", ["one-cpu", "below-threshold", "no-affinity", "no-fork"])
     def test_no_fork_where_it_cannot_pay(self, monkeypatch, capsys, tmp_path, case):

@@ -795,8 +795,11 @@ REPLAY_KINDS = {
         lambda_e=0.5, p_block=0.2, battery_cap=100, cost_reliable=2.0, weight=10.0,
         delta_max=400))[1],
     "periodic-3-large": Periodic(3),
+    # at battery_cap 299: 300 states (tuple rows) with 3-slot blocks of
+    # 3-bit symbols, so 9-bit codes in a 16-bit buffer
+    "periodic-3-300-states": Periodic(3),
 }
-REPLAY_CAPS = {"optimal-solved-large": 100, "periodic-3-large": 100}
+REPLAY_CAPS = {"optimal-solved-large": 100, "periodic-3-large": 100, "periodic-3-300-states": 299}
 # paid prices weight * cost_reliable over REPLAY_MODEL's: a float sum of
 # its own 0.51 in slot order rounds, one of 20 or 0.5 (a power of two apart
 # from a whole number) does not, and 1.7 * 2**60 is a whole number whose
@@ -1035,14 +1038,20 @@ class TestSimulate:
         assert peak < 100 * evaluator.STRETCH_SLOTS
 
     @pytest.mark.parametrize(
-        "name, states, block, rows",
-        [("explicit-256-states", 256, 4, bytes), ("explicit-260-states", 260, 4, tuple),
-         ("optimal-solved-large", 1111, 3, tuple), ("periodic-3-large", 101, 3, bytes)],
+        "name, states, block, rows, code",
+        [("explicit-256-states", 256, 4, bytes, np.uint8),
+         ("explicit-260-states", 260, 4, tuple, np.uint8),
+         ("optimal-solved-large", 1111, 3, tuple, np.uint8),
+         ("periodic-3-large", 101, 3, bytes, np.uint16),
+         ("periodic-3-300-states", 300, 3, tuple, np.uint16)],
     )
-    def test_replay_kinds_cover_both_row_containers(self, name, states, block, rows):
+    def test_replay_kinds_cover_both_row_containers(self, name, states, block, rows, code):
+        # every pair of row container and code width that ``_run`` walks:
+        # 8-bit codes are read as bytes, 16-bit ones through a memoryview
         machine = evaluator._machine(REPLAY_KINDS[name], replay_model(name, 0.5), 5003)
         assert (len(machine.rows), machine.block) == (states, block)
         assert {type(row) for row in machine.rows} == {rows}
+        assert np.min_scalar_type((1 << machine.bits * machine.block) - 1) == code
 
     def test_machine_past_the_state_cap_raises_before_it_is_built(self, base_params):
         # 21 battery levels times 500 000 ages: refused before any table
